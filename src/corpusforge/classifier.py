@@ -211,9 +211,17 @@ def load_model(path: str) -> NgramLinearClassifier:
                 f"{path}: unsupported format version {header['format_version']}")
         hp = FilterHyperparams(**header["hyperparams"])
         model = NgramLinearClassifier(hp, header["vocab"])
+
+        def read_floats(count, what):
+            data = fh.read(8 * count)
+            if len(data) != 8 * count:
+                raise ClassifierError(f"{path}: truncated {what}")
+            return np.frombuffer(data, dtype="<f8").copy()
+
         for r in header["rows"]:
-            data = fh.read(8 * hp.dims)
-            model.embedding_rows[r] = np.frombuffer(data, dtype="<f8").copy()
-        data = fh.read(8 * hp.dims * 2)
-        model.output_weights = np.frombuffer(data, dtype="<f8").reshape(hp.dims, 2).copy()
+            model.embedding_rows[r] = read_floats(hp.dims, f"embedding row {r}")
+        model.output_weights = read_floats(
+            hp.dims * 2, "output weights").reshape(hp.dims, 2)
+        if fh.read(1):
+            raise ClassifierError(f"{path}: trailing bytes after output weights")
     return model

@@ -1,8 +1,9 @@
 """`forge` command-line entry point.
 
-Subcommands mirror the pipeline stages one-to-one; `forge run` executes a
-whole declarative pipeline from a single JSON config. Logs are JSON lines
-on stderr; data goes to files only.
+Subcommands mirror the pipeline stages one-to-one and are built from the
+pipeline's stage table; `forge run` executes a whole declarative pipeline
+from a single JSON config. Logs are JSON lines on stderr; data goes to
+files only.
 """
 
 import argparse
@@ -10,25 +11,67 @@ import json
 import sys
 
 from . import __version__
-from .pipeline import ConfigError, StageError, log_event, run_pipeline
+from .pipeline import (REQUIRED, RUN_SEED, STAGES, ConfigError, StageError,
+                       log_event, run_pipeline)
 
 EXIT_OK = 0
 EXIT_STAGE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
 
-def _single_stage_config(args, name: str, params: dict) -> dict:
-    config = {"workspace": ".", "rng_seed": args.seed,
-              "report": args.report,
-              "stages": [{"name": name, **params}]}
-    return config
+# Flags that do not map one-to-one onto a config key, by stage: the flags
+# (with their argparse options) and a function that turns them into the
+# values of the stage's fields that have no flag of their own.
+
+def _ngrams(args):
+    lo, hi = (int(v) for v in args.ngrams.split(":"))
+    return {"ngram_min": lo, "ngram_max": hi}
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0,
-                        help="global RNG seed (default 0)")
-    parser.add_argument("--report", default="run_report.json",
-                        help="run report path (default run_report.json)")
+def _backend(args):
+    if bool(args.labels) == bool(args.url):
+        raise ConfigError("annotate", "exactly one of --labels/--url required")
+    return {"backend": {"kind": "file", "labels": args.labels} if args.labels
+            else {"kind": "http", "url": args.url}}
+
+
+def _pools(args):
+    pools = {}
+    for item in args.pool:
+        if "=" not in item:
+            raise ConfigError("mix.pool", f"expected NAME=PREFIX, got {item!r}")
+        name, prefix = item.split("=", 1)
+        pools[name] = prefix
+    return {"pools": pools}
+
+
+_HOOKS = {
+    "embed": ({"--ngrams": {"default": "3:5", "metavar": "MIN:MAX"}}, _ngrams),
+    "annotate": ({"--labels": {"help": "file backend: precomputed labels JSONL"},
+                  "--url": {"help": "HTTP backend endpoint"}}, _backend),
+    "optimize": ({"--fits": {"required": True,
+                             "help": "comma-separated fit-report paths"}},
+                 lambda args: {"fits": args.fits.split(",")}),
+    "mix": ({"--pool": {"action": "append", "default": [], "required": True,
+                        "metavar": "NAME=PREFIX"}}, _pools),
+}
+
+# Stage fields get their own argparse dest, so a field cannot overwrite a
+# common flag of the same name (prune's `report` vs --report).
+_FIELD_DEST = "field:{}"
+
+
+def _add_field(parser, key, field):
+    flag = field.flag or "--" + key.replace("_", "-")
+    if field.type is bool:
+        options = {"action": "store_false" if field.default else "store_true"}
+    else:
+        required = field.default is REQUIRED
+        options = {"metavar": key.upper(), "required": required,
+                   "default": None if required else field.default,
+                   "type": field.type if field.type in (int, float) else None}
+    parser.add_argument(flag, dest=_FIELD_DEST.format(key),
+                        help=field.help, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,169 +80,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic corpus forging pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("version", help="print version and exit")
+    sub.add_parser("version", help="print version and exit")
 
     p = sub.add_parser("run", help="run a pipeline from a JSON config")
     p.add_argument("--config", required=True)
 
-    p = sub.add_parser("stats", help="per-class token statistics")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("ingest", help="build a corpus from a source manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("frontier", help="expand a URL frontier over a link graph")
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--keywords", default="doc,guide,reference")
-    p.add_argument("--no-filter", action="store_true",
-                   help="skip the documentation-keyword filter")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("embed", help="embed a corpus into JSONL vectors")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dims", type=int, default=256)
-    p.add_argument("--ngrams", default="3:5", metavar="MIN:MAX")
-    _add_common(p)
-
-    p = sub.add_parser("retrieve", help="top-K retrieval against seed vectors")
-    p.add_argument("--seeds", required=True)
-    p.add_argument("--candidates", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("prune", help="greedy redundancy pruning")
-    p.add_argument("--vecs", required=True)
-    p.add_argument("--threshold", type=float, default=0.95)
-    p.add_argument("--report-out", dest="report_out", required=True,
-                   metavar="REPORT")
-    _add_common(p)
-
-    p = sub.add_parser("annotate", help="label documents via a backend")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", help="file backend: precomputed labels JSONL")
-    p.add_argument("--url", help="HTTP backend endpoint")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("train-filter", help="train the quality classifier")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dims", type=int, default=256)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--word-ngram-max", type=int, default=3)
-    p.add_argument("--min-count", type=int, default=3)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--buckets", type=int, default=2_000_000)
-    _add_common(p)
-
-    p = sub.add_parser("score", help="score a corpus with a trained filter")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("filter", help="rank-and-keep token-budget filtering")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--keep-fraction", type=float, required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("fit", help="fit a power-law scaling curve")
-    p.add_argument("--obs", required=True)
-    p.add_argument("--benchmark")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("optimize", help="find the loss-minimizing mix ratio")
-    p.add_argument("--fits", required=True,
-                   help="comma-separated fit-report paths")
-    p.add_argument("--weights", default=None)
-    p.add_argument("--domain", default="0.05:0.6")
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("mix", help="compose a training mixture")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--pool", action="append", default=[],
-                   metavar="NAME=PREFIX", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-
+    for name, stage in STAGES.items():
+        p = sub.add_parser(name, help=stage.help)
+        for key, field in stage.fields.items():
+            if field.flag is not None:
+                _add_field(p, key, field)
+        for flag, options in _HOOKS.get(name, ({},))[0].items():
+            p.add_argument(flag, **options)
+        p.add_argument("--seed", type=int, default=0,
+                       help="global RNG seed (default 0)")
+        p.add_argument("--report", default="run_report.json",
+                       help="run report path (default run_report.json)")
     return parser
 
 
-def _stage_params(args) -> tuple:
-    cmd = args.command
-    if cmd == "stats":
-        return "stats", {"corpus": args.corpus, "out": args.out}
-    if cmd == "ingest":
-        return "ingest", {"manifest": args.manifest, "out": args.out}
-    if cmd == "frontier":
-        return "frontier", {"seeds": args.seeds, "graph": args.graph,
-                            "levels": args.levels, "keywords": args.keywords,
-                            "filter_final": not args.no_filter,
-                            "out": args.out}
-    if cmd == "embed":
-        lo, hi = (int(v) for v in args.ngrams.split(":"))
-        return "embed", {"corpus": args.corpus, "out": args.out,
-                         "dims": args.dims, "ngram_min": lo, "ngram_max": hi,
-                         "seed": args.seed}
-    if cmd == "retrieve":
-        return "retrieve", {"seeds": args.seeds, "candidates": args.candidates,
-                            "k": args.k, "out": args.out}
-    if cmd == "prune":
-        return "prune", {"vecs": args.vecs, "threshold": args.threshold,
-                         "report": args.report_out}
-    if cmd == "annotate":
-        if bool(args.labels) == bool(args.url):
-            raise ConfigError("annotate", "exactly one of --labels/--url required")
-        backend = ({"kind": "file", "labels": args.labels} if args.labels
-                   else {"kind": "http", "url": args.url})
-        return "annotate", {"corpus": args.corpus, "backend": backend,
-                            "out": args.out}
-    if cmd == "train-filter":
-        return "train-filter", {
-            "corpus": args.corpus, "labels": args.labels, "out": args.out,
-            "dims": args.dims, "learning_rate": args.lr,
-            "word_ngram_max": args.word_ngram_max,
-            "min_count": args.min_count, "epochs": args.epochs,
-            "bucket_count": args.buckets, "seed": args.seed}
-    if cmd == "score":
-        return "score", {"model": args.model, "corpus": args.corpus,
-                         "out": args.out}
-    if cmd == "filter":
-        return "filter", {"corpus": args.corpus, "scores": args.scores,
-                          "keep_fraction": args.keep_fraction, "out": args.out}
-    if cmd == "fit":
-        return "fit", {"obs": args.obs, "benchmark": args.benchmark,
-                       "out": args.out}
-    if cmd == "optimize":
-        params = {"fits": args.fits.split(","), "domain": args.domain,
-                  "step": args.step, "out": args.out}
-        if args.weights:
-            params["weights"] = args.weights
-        return "optimize", params
-    if cmd == "mix":
-        pools = {}
-        for item in args.pool:
-            if "=" not in item:
-                raise ConfigError("mix.pool", f"expected NAME=PREFIX, got {item!r}")
-            name, prefix = item.split("=", 1)
-            pools[name] = prefix
-        return "mix", {"spec": args.spec, "pools": pools, "out": args.out}
-    raise ConfigError("command", f"unknown command {cmd!r}")
+def _single_stage_config(args) -> dict:
+    name = args.command
+    fields = STAGES[name].fields
+    params = {key: getattr(args, _FIELD_DEST.format(key))
+              for key, f in fields.items() if f.flag is not None}
+    params.update((key, args.seed) for key, f in fields.items()
+                  if f.default is RUN_SEED)
+    if name in _HOOKS:
+        params.update(_HOOKS[name][1](args))
+    return {"workspace": ".", "rng_seed": args.seed, "report": args.report,
+            "stages": [{"name": name, **params}]}
 
 
 def main(argv=None) -> int:
@@ -215,8 +125,7 @@ def main(argv=None) -> int:
                 config = json.load(fh)
             run_pipeline(config)
         else:
-            name, params = _stage_params(args)
-            run_pipeline(_single_stage_config(args, name, params))
+            run_pipeline(_single_stage_config(args))
     except ConfigError as exc:
         log_event(event="config_error", field=exc.field, error=str(exc))
         return EXIT_CONFIG_ERROR

@@ -8,6 +8,7 @@ to run data-parallel over disjoint shards.
 import glob
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -235,4 +236,13 @@ def write_corpus(docs: Iterable[Document], corpus_prefix: str,
             flush()
     if buf or not paths:
         flush()
+
+    # Shards an earlier, larger write left under this prefix would be read
+    # back as part of this corpus: delete every higher-index one.
+    shard_name = re.compile(
+        re.escape(os.path.basename(corpus_prefix)) + r"\.(\d{5,})\.jsonl")
+    for path in glob.glob(f"{corpus_prefix}.*.jsonl"):
+        match = shard_name.fullmatch(os.path.basename(path))
+        if match and int(match.group(1)) >= len(paths):
+            os.remove(path)
     return paths

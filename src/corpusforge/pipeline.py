@@ -8,10 +8,13 @@ reconstructible from the report alone.
 """
 
 import hashlib
+import inspect
 import json
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import corpus as corpus_mod
 from . import embed as embed_mod
@@ -40,16 +43,6 @@ def log_event(**fields):
     print(json.dumps(fields, sort_keys=True), file=sys.stderr)
 
 
-def worker_count(config: dict) -> int:
-    env = os.environ.get("FORGE_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("FORGE_WORKERS", f"not an integer: {env!r}")
-    return int(config.get("workers", 1))
-
-
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -71,54 +64,139 @@ def _hash_outputs(paths):
     return out
 
 
-def _resolve(workspace: str, path: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(workspace, path)
-
-
-def _require(stage: dict, field: str, stage_name: str):
-    if field not in stage:
-        raise ConfigError(f"stages[{stage_name}].{field}", "missing required field")
-    return stage[field]
-
-
-def _input_corpus_paths(prefix: str):
-    return corpus_mod.shard_paths(prefix)
-
-
-def _check_input(path_or_prefix: str, field: str):
-    if os.path.exists(path_or_prefix):
-        return
-    if corpus_mod.shard_paths(path_or_prefix):
-        return
-    raise ConfigError(field, f"input does not exist: {path_or_prefix}")
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 # ----------------------------------------------------------------------
-# Stage implementations. Each returns (input_paths, output_paths, stats).
+# The stage table. A stage body declares its config fields as keyword
+# parameters whose defaults are `Field`s, and the CLI builds each
+# `forge <stage>` subparser from the same fields.
+
+IN, OUT, VALUE = "in", "out", "value"
+REQUIRED = object()  # default of a field that must be set
+RUN_SEED = object()  # default of a field that takes the run's rng_seed
 
 
-def _stage_stats(stage, ctx):
-    prefix = _resolve(ctx["workspace"], _require(stage, "corpus", "stats"))
-    _check_input(prefix, "stages[stats].corpus")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "stats"))
-    stats = compute_stats(read_corpus(prefix))
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(stats.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return _input_corpus_paths(prefix), [out], stats.to_json()
+@dataclass(frozen=True)
+class Field:
+    """One config key of a stage, named by the body's parameter.
+
+    kind is IN (an input path: resolved against the workspace, checked to
+    exist and hashed as the files `shard_paths` finds for it), OUT (an
+    output path, resolved) or VALUE (converted by `type`). A missing or
+    null key takes `default`, which is given in config form and converted
+    like a configured value.
+
+    The field's `forge <stage>` flag is `flag`, or --key with "_" -> "-"
+    when `flag` is empty; None means the field has no flag of its own and
+    a CLI hook or --seed sets it.
+    """
+
+    type: Callable = str
+    default: object = REQUIRED
+    kind: str = VALUE
+    flag: str | None = ""
+    help: str | None = None
 
 
-def _stage_ingest(stage, ctx):
-    manifest_path = _resolve(ctx["workspace"], _require(stage, "manifest", "ingest"))
-    _check_input(manifest_path, "stages[ingest].manifest")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "ingest"))
-    registry = ingest_mod.SourceRegistry.from_manifest(manifest_path)
+INPUT = Field(kind=IN)
+OUTPUT = Field(kind=OUT)
+
+
+class StageRun:
+    """Per-call state of one stage: the workspace and the inputs read."""
+
+    def __init__(self, name: str, workspace: str):
+        self.name = name
+        self.workspace = workspace
+        self.inputs = []
+
+    def resolve(self, path: str) -> str:
+        return path if os.path.isabs(path) else os.path.join(self.workspace, path)
+
+    def input(self, path: str, field: str) -> str:
+        """Resolve an input path, check that it exists and record it."""
+        path = self.resolve(path)
+        paths = corpus_mod.shard_paths(path)
+        if not (paths or os.path.exists(path)):
+            raise ConfigError(f"stages[{self.name}].{field}",
+                              f"input does not exist: {path}")
+        self.inputs.extend(paths)
+        return path
+
+
+class Stage:
+    """A stage body and the fields its signature declares.
+
+    `body(run, **fields)` returns (output_paths, stats). Calling the stage
+    with (stage_dict, ctx) reads the fields in order, runs the body on
+    their values and returns (input_paths, output_paths, stats) for the
+    runner to hash.
+    """
+
+    def __init__(self, name: str, help: str, body: Callable):
+        self.name = name
+        self.help = help
+        self.body = body
+        params = list(inspect.signature(body).parameters.values())[1:]
+        self.fields = {p.name: p.default for p in params}
+
+    def __call__(self, stage: dict, ctx: dict):
+        run = StageRun(self.name, ctx["workspace"])
+        args = {}
+        for key, f in self.fields.items():
+            value = stage.get(key)
+            if value is None:
+                value = ctx["rng_seed"] if f.default is RUN_SEED else f.default
+            if value is REQUIRED:
+                raise ConfigError(f"stages[{self.name}].{key}",
+                                  "missing required field")
+            if f.kind == IN:
+                value = run.input(value, key)
+            elif f.kind == OUT:
+                value = run.resolve(value)
+            elif value is not None:
+                value = f.type(value)
+            args[key] = value
+        outputs, stats = self.body(run, **args)
+        return run.inputs, outputs, stats
+
+
+def _listed(cast):
+    """A list value, also accepted as a comma-separated string."""
+    def convert(value):
+        if isinstance(value, str):
+            return [cast(v) for v in value.split(",") if v]
+        return value
+    return convert
+
+
+def _span(value):
+    """A [lo, hi] pair of floats, also accepted as a "lo:hi" string."""
+    lo, hi = value.split(":") if isinstance(value, str) else value
+    return [float(lo), float(hi)]
+
+
+# Bodies look up corpus and model functions as module globals at call time.
+
+
+def _stats(run, corpus=INPUT, out=OUTPUT):
+    stats = compute_stats(read_corpus(corpus)).to_json()
+    _write_json(out, stats)
+    return [out], stats
+
+
+def _ingest(run, manifest=INPUT, out=OUTPUT):
+    registry = ingest_mod.SourceRegistry.from_manifest(manifest)
 
     def docs():
         for spec in sorted(registry, key=lambda s: s.name):
             if not spec.origin:
                 continue
-            origin = _resolve(ctx["workspace"], spec.origin)
+            origin = run.input(spec.origin, "origin")
             data_class = ingest_mod.assign_data_class(spec)
             with open(origin, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -135,264 +213,184 @@ def _stage_ingest(stage, ctx):
                     )
 
     paths = write_corpus(docs(), out)
-    inputs = [manifest_path] + [
-        _resolve(ctx["workspace"], s.origin) for s in registry if s.origin]
-    return inputs, paths, {"sources": len(registry), "shards": len(paths)}
+    return paths, {"sources": len(registry), "shards": len(paths)}
 
 
-def _stage_frontier(stage, ctx):
-    seeds_path = _resolve(ctx["workspace"], _require(stage, "seeds", "frontier"))
-    graph_path = _resolve(ctx["workspace"], _require(stage, "graph", "frontier"))
-    for field, p in (("seeds", seeds_path), ("graph", graph_path)):
-        _check_input(p, f"stages[frontier].{field}")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "frontier"))
-    levels = int(stage.get("levels", 3))
-    keywords = stage.get("keywords", list(ingest_mod.DEFAULT_DOC_KEYWORDS))
-    if isinstance(keywords, str):
-        keywords = [k for k in keywords.split(",") if k]
-    filter_final = bool(stage.get("filter_final", True))
-
-    with open(seeds_path, encoding="utf-8") as fh:
-        seeds = {line.strip() for line in fh if line.strip()}
-    graph = ingest_mod.load_link_graph(graph_path)
-    frontier = ingest_mod.expand_url_frontier(seeds, graph, levels)
+def _frontier(run, seeds=INPUT, graph=INPUT, out=OUTPUT,
+              levels=Field(int, 3),
+              keywords=Field(_listed(str),
+                             ",".join(ingest_mod.DEFAULT_DOC_KEYWORDS)),
+              filter_final=Field(bool, True, flag="--no-filter",
+                                 help="skip the documentation-keyword filter")):
+    with open(seeds, encoding="utf-8") as fh:
+        seed_urls = {line.strip() for line in fh if line.strip()}
+    link_graph = ingest_mod.load_link_graph(graph)
+    frontier = ingest_mod.expand_url_frontier(seed_urls, link_graph, levels)
     all_urls = frontier.all_urls()
     kept = (ingest_mod.filter_doc_urls(all_urls, keywords)
             if filter_final else all_urls)
-    payload = {
+    _write_json(out, {
         "levels": [sorted(level) for level in frontier.levels],
         "rejected_seeds": frontier.rejected_seeds,
         "doc_urls": sorted(kept),
-    }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
     level_sizes = [len(level) for level in frontier.levels]
-    return [seeds_path, graph_path], [out], {"level_sizes": level_sizes,
-                                             "doc_urls": len(kept)}
+    return [out], {"level_sizes": level_sizes, "doc_urls": len(kept)}
 
 
-def _stage_embed(stage, ctx):
-    prefix = _resolve(ctx["workspace"], _require(stage, "corpus", "embed"))
-    _check_input(prefix, "stages[embed].corpus")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "embed"))
-    cfg = embed_mod.EmbedderConfig(
-        dims=int(stage.get("dims", 256)),
-        ngram_min=int(stage.get("ngram_min", 3)),
-        ngram_max=int(stage.get("ngram_max", 5)),
-        hash_seed=int(stage.get("seed", ctx["rng_seed"])),
-    )
+def _embed(run, corpus=INPUT, out=OUTPUT, dims=Field(int, 256),
+           ngram_min=Field(int, 3, flag=None),
+           ngram_max=Field(int, 5, flag=None),
+           seed=Field(int, RUN_SEED, flag=None)):
+    cfg = embed_mod.EmbedderConfig(dims=dims, ngram_min=ngram_min,
+                                   ngram_max=ngram_max, hash_seed=seed)
     vectors = {}
-    for doc in read_corpus(prefix):
+    for doc in read_corpus(corpus):
         vectors[doc.id] = embed_mod.embed_document(doc, cfg)
     embed_mod.save_embeddings(vectors, out)
-    return _input_corpus_paths(prefix), [out], {"vectors": len(vectors)}
+    return [out], {"vectors": len(vectors)}
 
 
-def _stage_retrieve(stage, ctx):
-    seeds_path = _resolve(ctx["workspace"], _require(stage, "seeds", "retrieve"))
-    cands_path = _resolve(ctx["workspace"], _require(stage, "candidates", "retrieve"))
-    for field, p in (("seeds", seeds_path), ("candidates", cands_path)):
-        _check_input(p, f"stages[retrieve].{field}")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "retrieve"))
-    k = int(_require(stage, "k", "retrieve"))
+def _retrieve(run, seeds=INPUT, candidates=INPUT, out=OUTPUT, k=Field(int)):
     hits = retrieve_mod.retrieve_top_k(
-        embed_mod.load_external_embeddings(seeds_path),
-        embed_mod.load_external_embeddings(cands_path), k)
+        embed_mod.load_external_embeddings(seeds),
+        embed_mod.load_external_embeddings(candidates), k)
     retrieve_mod.save_hits(hits, out)
-    return [seeds_path, cands_path], [out], {"hits": len(hits)}
+    return [out], {"hits": len(hits)}
 
 
-def _stage_prune(stage, ctx):
-    vecs_path = _resolve(ctx["workspace"], _require(stage, "vecs", "prune"))
-    _check_input(vecs_path, "stages[prune].vecs")
-    out = _resolve(ctx["workspace"], _require(stage, "report", "prune"))
-    threshold = float(stage.get("threshold", 0.95))
-    report = retrieve_mod.prune_redundant(
-        embed_mod.load_external_embeddings(vecs_path), threshold)
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return [vecs_path], [out], {"retained": len(report.retained_ids),
-                                "removed": len(report.removed_pairs)}
+def _prune(run, vecs=INPUT, report=Field(kind=OUT, flag="--report-out"),
+           threshold=Field(float, 0.95)):
+    result = retrieve_mod.prune_redundant(
+        embed_mod.load_external_embeddings(vecs), threshold)
+    _write_json(report, result.to_json())
+    return [report], {"retained": len(result.retained_ids),
+                      "removed": len(result.removed_pairs)}
 
 
-def _stage_annotate(stage, ctx):
-    prefix = _resolve(ctx["workspace"], _require(stage, "corpus", "annotate"))
-    _check_input(prefix, "stages[annotate].corpus")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "annotate"))
-    backend_cfg = _require(stage, "backend", "annotate")
-    kind = backend_cfg.get("kind")
+def _annotate(run, corpus=INPUT, out=OUTPUT,
+              backend=Field(dict, flag=None)):
+    kind = backend.get("kind")
     if kind == "file":
-        labels_path = _resolve(ctx["workspace"], backend_cfg["labels"])
-        _check_input(labels_path, "stages[annotate].backend.labels")
-        backend = quality_mod.FileLabelBackend(labels_path)
-        inputs = [labels_path]
+        annotator = quality_mod.FileLabelBackend(
+            run.input(backend["labels"], "backend.labels"))
     elif kind == "http":
-        backend = quality_mod.HttpAnnotationBackend(
-            backend_cfg["url"],
-            timeout=float(backend_cfg.get("timeout", 30.0)),
-            retries=int(backend_cfg.get("retries", 2)))
-        inputs = []
+        annotator = quality_mod.HttpAnnotationBackend(
+            backend["url"],
+            timeout=float(backend.get("timeout", 30.0)),
+            retries=int(backend.get("retries", 2)))
     else:
         raise ConfigError("stages[annotate].backend.kind",
                           f"must be 'file' or 'http', got {kind!r}")
-    samples, errors = quality_mod.annotate_batch(read_corpus(prefix), backend)
+    samples, errors = quality_mod.annotate_batch(read_corpus(corpus), annotator)
     quality_mod.save_labels(samples, out)
-    return (_input_corpus_paths(prefix) + inputs, [out],
-            {"labeled": len(samples), "errors": len(errors)})
+    return [out], {"labeled": len(samples), "errors": len(errors)}
 
 
-def _filter_hyperparams(stage, ctx) -> FilterHyperparams:
-    return FilterHyperparams(
-        dims=int(stage.get("dims", 256)),
-        learning_rate=float(stage.get("learning_rate", 0.1)),
-        word_ngram_max=int(stage.get("word_ngram_max", 3)),
-        min_count=int(stage.get("min_count", 3)),
-        epochs=int(stage.get("epochs", 3)),
-        bucket_count=int(stage.get("bucket_count", 2_000_000)),
-        rng_seed=int(stage.get("seed", ctx["rng_seed"])),
-    )
-
-
-def _stage_train_filter(stage, ctx):
-    prefix = _resolve(ctx["workspace"], _require(stage, "corpus", "train-filter"))
-    labels_path = _resolve(ctx["workspace"], _require(stage, "labels", "train-filter"))
-    _check_input(prefix, "stages[train-filter].corpus")
-    _check_input(labels_path, "stages[train-filter].labels")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "train-filter"))
-    backend = quality_mod.FileLabelBackend(labels_path)
+def _train_filter(run, corpus=INPUT, labels=INPUT, out=OUTPUT,
+                  dims=Field(int, 256),
+                  learning_rate=Field(float, 0.1, flag="--lr"),
+                  word_ngram_max=Field(int, 3), min_count=Field(int, 3),
+                  epochs=Field(int, 3),
+                  bucket_count=Field(int, 2_000_000, flag="--buckets"),
+                  seed=Field(int, RUN_SEED, flag=None)):
+    backend = quality_mod.FileLabelBackend(labels)
     samples = []
-    for doc in read_corpus(prefix):
+    for doc in read_corpus(corpus):
         label = backend.labels.get(doc.id)
         if label is not None:
             samples.append((doc.text, label))
-    model = train_filter(samples, _filter_hyperparams(stage, ctx))
+    model = train_filter(samples, FilterHyperparams(
+        dims=dims, learning_rate=learning_rate, word_ngram_max=word_ngram_max,
+        min_count=min_count, epochs=epochs, bucket_count=bucket_count,
+        rng_seed=seed))
     save_model(model, out)
-    return (_input_corpus_paths(prefix) + [labels_path], [out],
-            {"samples": len(samples), "epoch_losses": model.epoch_losses})
+    return [out], {"samples": len(samples), "epoch_losses": model.epoch_losses}
 
 
-def _stage_score(stage, ctx):
-    prefix = _resolve(ctx["workspace"], _require(stage, "corpus", "score"))
-    model_path = _resolve(ctx["workspace"], _require(stage, "model", "score"))
-    _check_input(prefix, "stages[score].corpus")
-    _check_input(model_path, "stages[score].model")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "score"))
-    model = load_model(model_path)
+def _score(run, model=INPUT, corpus=INPUT, out=OUTPUT):
+    classifier = load_model(model)
     n = 0
     with open(out, "w", encoding="utf-8") as fh:
-        for doc in read_corpus(prefix):
+        for doc in read_corpus(corpus):
             fh.write(json.dumps({"id": doc.id,
-                                 "score": model.predict_score(doc.text)}))
+                                 "score": classifier.predict_score(doc.text)}))
             fh.write("\n")
             n += 1
-    return _input_corpus_paths(prefix) + [model_path], [out], {"scored": n}
+    return [out], {"scored": n}
 
 
-def _stage_filter(stage, ctx):
-    prefix = _resolve(ctx["workspace"], _require(stage, "corpus", "filter"))
-    scores_path = _resolve(ctx["workspace"], _require(stage, "scores", "filter"))
-    _check_input(prefix, "stages[filter].corpus")
-    _check_input(scores_path, "stages[filter].scores")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "filter"))
-    fraction = float(_require(stage, "keep_fraction", "filter"))
-    scores = {}
-    with open(scores_path, encoding="utf-8") as fh:
+def _filter(run, corpus=INPUT, scores=INPUT, out=OUTPUT,
+            keep_fraction=Field(float)):
+    score_of = {}
+    with open(scores, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 obj = json.loads(line)
-                scores[obj["id"]] = float(obj["score"])
-    scored = [(doc, scores[doc.id]) for doc in read_corpus(prefix)
-              if doc.id in scores]
-    kept = quality_mod.filter_by_rank(scored, fraction)
+                score_of[obj["id"]] = float(obj["score"])
+    scored = [(doc, score_of[doc.id]) for doc in read_corpus(corpus)
+              if doc.id in score_of]
+    kept = quality_mod.filter_by_rank(scored, keep_fraction)
     paths = write_corpus(kept, out)
     kept_tokens = sum(d.token_count for d in kept)
-    return (_input_corpus_paths(prefix) + [scores_path], paths,
-            {"kept_docs": len(kept), "kept_tokens": kept_tokens})
+    return paths, {"kept_docs": len(kept), "kept_tokens": kept_tokens}
 
 
-def _stage_fit(stage, ctx):
-    obs_path = _resolve(ctx["workspace"], _require(stage, "obs", "fit"))
-    _check_input(obs_path, "stages[fit].obs")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "fit"))
-    benchmark = stage.get("benchmark")
-    obs = scaling_mod.load_observations(obs_path)
-    curve = scaling_mod.fit_power_law(obs, benchmark)
+def _fit(run, obs=INPUT, out=OUTPUT, benchmark=Field(str, None)):
+    observations = scaling_mod.load_observations(obs)
+    curve = scaling_mod.fit_power_law(observations, benchmark)
     payload = curve.to_json()
-    payload["n_obs"] = len([o for o in obs
+    payload["n_obs"] = len([o for o in observations
                             if benchmark is None or o.benchmark == benchmark])
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return [obs_path], [out], payload
+    _write_json(out, payload)
+    return [out], payload
 
 
-def _stage_optimize(stage, ctx):
-    fit_paths = [_resolve(ctx["workspace"], p)
-                 for p in _require(stage, "fits", "optimize")]
-    for p in fit_paths:
-        _check_input(p, "stages[optimize].fits")
-    out = _resolve(ctx["workspace"], _require(stage, "out", "optimize"))
+def _optimize(run, fits=Field(list, flag=None), out=OUTPUT,
+              weights=Field(_listed(float), None),
+              domain=Field(_span, "0.05:0.6"), step=Field(float, 1e-3)):
     curves = []
-    for p in fit_paths:
-        with open(p, encoding="utf-8") as fh:
+    for p in fits:
+        with open(run.input(p, "fits"), encoding="utf-8") as fh:
             obj = json.load(fh)
         curves.append(scaling_mod.ScalingCurve(
             obj["c"], obj["k"], obj["alpha"], obj.get("rmse", 0.0),
             obj.get("benchmark", "")))
-    weights = stage.get("weights", [1.0] * len(curves))
-    if isinstance(weights, str):
-        weights = [float(w) for w in weights.split(",")]
-    domain = stage.get("domain", "0.05:0.6")
-    if isinstance(domain, str):
-        lo, hi = (float(v) for v in domain.split(":"))
-    else:
-        lo, hi = float(domain[0]), float(domain[1])
-    step = float(stage.get("step", 1e-3))
-    x_star, loss = scaling_mod.optimal_mix_ratio(curves, weights, (lo, hi), step)
+    if weights is None:
+        weights = [1.0] * len(curves)
+    x_star, loss = scaling_mod.optimal_mix_ratio(curves, weights,
+                                                 tuple(domain), step)
     payload = {"x_star": x_star, "aggregate_loss": loss,
-               "weights": weights, "domain": [lo, hi], "step": step}
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return fit_paths, [out], payload
+               "weights": weights, "domain": domain, "step": step}
+    _write_json(out, payload)
+    return [out], payload
 
 
-def _stage_mix(stage, ctx):
-    spec_path = _resolve(ctx["workspace"], _require(stage, "spec", "mix"))
-    _check_input(spec_path, "stages[mix].spec")
-    out_dir = _resolve(ctx["workspace"], _require(stage, "out", "mix"))
-    pool_cfg = _require(stage, "pools", "mix")
-    pools = {}
-    inputs = [spec_path]
-    for name, prefix in pool_cfg.items():
-        prefix = _resolve(ctx["workspace"], prefix)
-        _check_input(prefix, f"stages[mix].pools.{name}")
-        pools[name] = list(read_corpus(prefix))
-        inputs.extend(_input_corpus_paths(prefix))
-    spec = mix_mod.MixSpec.from_file(spec_path)
-    manifest, paths = mix_mod.compose_to_dir(pools, spec, out_dir)
+def _mix(run, spec=INPUT, pools=Field(dict, flag=None), out=OUTPUT):
+    corpora = {name: list(read_corpus(run.input(prefix, f"pools.{name}")))
+               for name, prefix in pools.items()}
+    manifest, _ = mix_mod.compose_to_dir(
+        corpora, mix_mod.MixSpec.from_file(spec), out)
     realized = {n: e["realized_tokens"] for n, e in manifest.per_class.items()}
-    return inputs, [out_dir], {"realized_tokens": realized}
+    return [out], {"realized_tokens": realized}
 
 
-STAGES = {
-    "stats": _stage_stats,
-    "ingest": _stage_ingest,
-    "frontier": _stage_frontier,
-    "embed": _stage_embed,
-    "retrieve": _stage_retrieve,
-    "prune": _stage_prune,
-    "annotate": _stage_annotate,
-    "train-filter": _stage_train_filter,
-    "score": _stage_score,
-    "filter": _stage_filter,
-    "fit": _stage_fit,
-    "optimize": _stage_optimize,
-    "mix": _stage_mix,
-}
+STAGES = {name: Stage(name, help, body) for name, help, body in (
+    ("stats", "per-class token statistics", _stats),
+    ("ingest", "build a corpus from a source manifest", _ingest),
+    ("frontier", "expand a URL frontier over a link graph", _frontier),
+    ("embed", "embed a corpus into JSONL vectors", _embed),
+    ("retrieve", "top-K retrieval against seed vectors", _retrieve),
+    ("prune", "greedy redundancy pruning", _prune),
+    ("annotate", "label documents via a backend", _annotate),
+    ("train-filter", "train the quality classifier", _train_filter),
+    ("score", "score a corpus with a trained filter", _score),
+    ("filter", "rank-and-keep token-budget filtering", _filter),
+    ("fit", "fit a power-law scaling curve", _fit),
+    ("optimize", "find the loss-minimizing mix ratio", _optimize),
+    ("mix", "compose a training mixture", _mix),
+)}
 
 
 def validate_config(config: dict) -> dict:
@@ -420,17 +418,10 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
     validate_config(config)
     workspace = workspace or config.get("workspace", ".")
     os.makedirs(workspace, exist_ok=True)
-    ctx = {"workspace": workspace,
-           "rng_seed": int(config.get("rng_seed", 0)),
-           "workers": worker_count(config)}
+    ctx = {"workspace": workspace, "rng_seed": int(config.get("rng_seed", 0))}
 
     report = {"rng_seed": ctx["rng_seed"], "workspace": workspace, "stages": []}
     report_path = os.path.join(workspace, config.get("report", "run_report.json"))
-
-    def write_report():
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
 
     for stage in config["stages"]:
         name = stage["name"]
@@ -439,12 +430,12 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
         try:
             inputs, outputs, stats = STAGES[name](stage, ctx)
         except ConfigError:
-            write_report()
+            _write_json(report_path, report)
             raise
         except Exception as exc:
             report["stages"].append({"name": name, "status": "failed",
                                      "error": str(exc)})
-            write_report()
+            _write_json(report_path, report)
             err = StageError(f"stage {name!r} failed: {exc}")
             err.report = report
             raise err from exc
@@ -459,5 +450,5 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
         report["stages"].append(entry)
         log_event(event="stage_done", stage=name,
                   duration_s=entry["duration_s"])
-    write_report()
+    _write_json(report_path, report)
     return report

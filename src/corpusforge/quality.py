@@ -17,7 +17,6 @@ import requests
 from .classifier import LABELS
 
 ANNOTATOR_PROMPT_ASSET = "llm_annotator.txt"
-CODE_TO_TEXT_PROMPT_ASSET = "code_to_text.txt"
 
 _VERDICT_RE = re.compile(r"[a-zA-Z]+")
 
@@ -121,7 +120,12 @@ class HttpAnnotationBackend:
                 resp = requests.post(self.url, json={"prompt": prompt},
                                      timeout=self.timeout)
                 resp.raise_for_status()
-                completion = resp.json().get("completion", "")
+                reply = resp.json()
+                completion = (reply.get("completion", "")
+                              if isinstance(reply, dict) else None)
+                if not isinstance(completion, str):
+                    raise QualityError("annotation reply has no completion "
+                                       f"string: {reply!r:.200}")
                 return parse_verdict(completion), self.annotator_name
             except (requests.RequestException, ValueError) as exc:
                 last_exc = exc

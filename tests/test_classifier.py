@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,26 @@ class TestModelFile:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"XXXX{}\n")
         with pytest.raises(ClassifierError, match="not a classifier"):
+            load_model(str(path))
+
+    # Cut points measured from the end of the file: inside the output
+    # weights (misaligned and on a float boundary), and inside the last
+    # embedding row once the weights are gone.
+    @pytest.mark.parametrize("cut", [3, 8, 8 * HP.dims * 2 + 8])
+    def test_truncated_file_rejected(self, trained, tmp_path, cut):
+        model, _, _ = trained
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ClassifierError, match=re.escape(str(path))):
+            load_model(str(path))
+
+    def test_trailing_bytes_rejected(self, trained, tmp_path):
+        model, _, _ = trained
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(ClassifierError, match="trailing bytes"):
             load_model(str(path))
 
     def test_untouched_rows_regenerate_after_load(self, trained, tmp_path):

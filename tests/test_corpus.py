@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, strategies as st
@@ -142,6 +143,18 @@ class TestShardIO:
         assert [p.split("/")[-1] for p in paths] == [
             "corpus.00000.jsonl", "corpus.00001.jsonl", "corpus.00002.jsonl"]
         assert list(read_corpus(prefix)) == docs
+
+    def test_rewrite_deletes_stale_higher_shards(self, tmp_path):
+        prefix = str(tmp_path / "c")
+        write_corpus(make_random_docs(30, seed=1), prefix, docs_per_shard=10)
+        docs = make_random_docs(5, seed=3)
+        paths = write_corpus(docs, prefix, docs_per_shard=10)
+        assert [p.split("/")[-1] for p in paths] == ["c.00000.jsonl"]
+        assert list(read_corpus(prefix)) == docs
+        # Another corpus whose name extends the prefix is not a stale shard.
+        sibling = write_corpus(make_random_docs(3, seed=2), prefix + ".extra")
+        write_corpus(docs, prefix, docs_per_shard=10)
+        assert all(os.path.exists(p) for p in sibling)
 
     def test_empty_corpus_still_writes_one_shard(self, tmp_path):
         paths = write_corpus([], str(tmp_path / "empty"), docs_per_shard=10)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from corpusforge import cli
 from corpusforge.cli import main
 from corpusforge.pipeline import (
     ConfigError,
@@ -32,6 +33,24 @@ class TestValidation:
     def test_rejects_unknown_stage(self):
         with pytest.raises(ConfigError, match="unknown stage"):
             validate_config({"stages": [{"name": "teleport"}]})
+
+    def test_missing_required_field_is_config_error(self, tmp_path):
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "retrieve", "seeds": "a.jsonl",
+                              "candidates": "a.jsonl", "out": "h.jsonl"}]}
+        (tmp_path / "a.jsonl").write_text("")
+        with pytest.raises(ConfigError, match=r"stages\[retrieve\]\.k"):
+            run_pipeline(config)
+
+    def test_missing_ingest_origin_is_config_error(self, tmp_path):
+        (tmp_path / "m.json").write_text(json.dumps([
+            {"name": "s", "kind": "text", "format": "plain_text",
+             "origin": "absent.jsonl"}]))
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "ingest", "manifest": "m.json",
+                              "out": "seed"}]}
+        with pytest.raises(ConfigError, match=r"stages\[ingest\]\.origin"):
+            run_pipeline(config)
 
     def test_missing_input_is_config_error(self, tmp_path):
         config = {"workspace": str(tmp_path),
@@ -157,11 +176,112 @@ class TestCli:
                      "--report", str(tmp_path / "r2.json")]) == 0
         assert abs(json.load(open(opt_out))["x_star"] - 0.6) < 1e-6
 
-    def test_workers_env_validation(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FORGE_WORKERS", "not-a-number")
-        docs = make_random_docs(2, seed=6)
-        write_corpus(docs, str(tmp_path / "c"))
-        code = main(["stats", "--corpus", str(tmp_path / "c"),
-                     "--out", str(tmp_path / "s.json"),
-                     "--report", str(tmp_path / "report.json")])
-        assert code == 2
+
+# The config `forge <stage>` builds for each subcommand form, stage keys
+# with null values dropped; top-level keys other than the defaults below
+# are given per case.
+CLI_CASES = [
+    (["stats", "--corpus", "c", "--out", "s.json"],
+     {"name": "stats", "corpus": "c", "out": "s.json"}, {}),
+    (["ingest", "--manifest", "m.json", "--out", "seed"],
+     {"name": "ingest", "manifest": "m.json", "out": "seed"}, {}),
+    (["frontier", "--seeds", "u.txt", "--graph", "g.jsonl", "--out", "f.json"],
+     {"name": "frontier", "seeds": "u.txt", "graph": "g.jsonl",
+      "out": "f.json", "levels": 3, "keywords": "doc,guide,reference",
+      "filter_final": True}, {}),
+    (["frontier", "--seeds", "u.txt", "--graph", "g.jsonl", "--levels", "2",
+      "--keywords", "api,doc", "--no-filter", "--out", "f.json"],
+     {"name": "frontier", "seeds": "u.txt", "graph": "g.jsonl",
+      "out": "f.json", "levels": 2, "keywords": "api,doc",
+      "filter_final": False}, {}),
+    (["embed", "--corpus", "c", "--out", "v.jsonl", "--dims", "64",
+      "--ngrams", "2:4", "--seed", "7"],
+     {"name": "embed", "corpus": "c", "out": "v.jsonl", "dims": 64,
+      "ngram_min": 2, "ngram_max": 4, "seed": 7}, {"rng_seed": 7}),
+    (["embed", "--corpus", "c", "--out", "v.jsonl"],
+     {"name": "embed", "corpus": "c", "out": "v.jsonl", "dims": 256,
+      "ngram_min": 3, "ngram_max": 5, "seed": 0}, {}),
+    (["retrieve", "--seeds", "a.jsonl", "--candidates", "b.jsonl", "--k", "5",
+      "--out", "h.jsonl"],
+     {"name": "retrieve", "seeds": "a.jsonl", "candidates": "b.jsonl",
+      "k": 5, "out": "h.jsonl"}, {}),
+    (["prune", "--vecs", "v.jsonl", "--threshold", "0.9",
+      "--report-out", "p.json", "--report", "r.json"],
+     {"name": "prune", "vecs": "v.jsonl", "threshold": 0.9,
+      "report": "p.json"}, {"report": "r.json"}),
+    (["prune", "--vecs", "v.jsonl", "--report-out", "p.json"],
+     {"name": "prune", "vecs": "v.jsonl", "threshold": 0.95,
+      "report": "p.json"}, {}),
+    (["annotate", "--corpus", "c", "--labels", "l.jsonl", "--out", "a.jsonl"],
+     {"name": "annotate", "corpus": "c", "out": "a.jsonl",
+      "backend": {"kind": "file", "labels": "l.jsonl"}}, {}),
+    (["annotate", "--corpus", "c", "--url", "http://127.0.0.1:9/",
+      "--out", "a.jsonl"],
+     {"name": "annotate", "corpus": "c", "out": "a.jsonl",
+      "backend": {"kind": "http", "url": "http://127.0.0.1:9/"}}, {}),
+    (["train-filter", "--corpus", "c", "--labels", "l.jsonl", "--out", "m.bin",
+      "--dims", "32", "--lr", "0.2", "--word-ngram-max", "2",
+      "--min-count", "1", "--epochs", "4", "--buckets", "1000",
+      "--seed", "3"],
+     {"name": "train-filter", "corpus": "c", "labels": "l.jsonl",
+      "out": "m.bin", "dims": 32, "learning_rate": 0.2, "word_ngram_max": 2,
+      "min_count": 1, "epochs": 4, "bucket_count": 1000, "seed": 3},
+     {"rng_seed": 3}),
+    (["train-filter", "--corpus", "c", "--labels", "l.jsonl", "--out", "m.bin"],
+     {"name": "train-filter", "corpus": "c", "labels": "l.jsonl",
+      "out": "m.bin", "dims": 256, "learning_rate": 0.1, "word_ngram_max": 3,
+      "min_count": 3, "epochs": 3, "bucket_count": 2_000_000, "seed": 0},
+     {}),
+    (["score", "--model", "m.bin", "--corpus", "c", "--out", "s.jsonl"],
+     {"name": "score", "model": "m.bin", "corpus": "c", "out": "s.jsonl"},
+     {}),
+    (["filter", "--corpus", "c", "--scores", "s.jsonl",
+      "--keep-fraction", "0.4", "--out", "kept"],
+     {"name": "filter", "corpus": "c", "scores": "s.jsonl",
+      "keep_fraction": 0.4, "out": "kept"}, {}),
+    (["fit", "--obs", "o.jsonl", "--benchmark", "b", "--out", "fit.json"],
+     {"name": "fit", "obs": "o.jsonl", "benchmark": "b", "out": "fit.json"},
+     {}),
+    (["fit", "--obs", "o.jsonl", "--out", "fit.json"],
+     {"name": "fit", "obs": "o.jsonl", "out": "fit.json"}, {}),
+    (["optimize", "--fits", "a.json,b.json", "--weights", "1,2",
+      "--domain", "0.1:0.5", "--step", "0.01", "--out", "o.json"],
+     {"name": "optimize", "fits": ["a.json", "b.json"], "weights": "1,2",
+      "domain": "0.1:0.5", "step": 0.01, "out": "o.json"}, {}),
+    (["optimize", "--fits", "a.json", "--out", "o.json"],
+     {"name": "optimize", "fits": ["a.json"], "domain": "0.05:0.6",
+      "step": 0.001, "out": "o.json"}, {}),
+    (["mix", "--spec", "spec.json", "--pool", "agent=kept",
+      "--pool", "text=t", "--out", "mixdir"],
+     {"name": "mix", "spec": "spec.json",
+      "pools": {"agent": "kept", "text": "t"}, "out": "mixdir"}, {}),
+]
+
+
+class TestCliConfig:
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        configs = []
+        monkeypatch.setattr(cli, "run_pipeline", configs.append)
+        return configs
+
+    @pytest.mark.parametrize("argv,stage,top", CLI_CASES,
+                             ids=[" ".join(c[0]) for c in CLI_CASES])
+    def test_subcommand_builds_config(self, captured, argv, stage, top):
+        assert main(argv) == 0
+        (config,) = captured
+        config["stages"] = [{k: v for k, v in s.items() if v is not None}
+                            for s in config["stages"]]
+        expected = {"workspace": ".", "rng_seed": 0,
+                    "report": "run_report.json", **top, "stages": [stage]}
+        assert config == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["annotate", "--corpus", "c", "--out", "a.jsonl"],
+        ["annotate", "--corpus", "c", "--labels", "l", "--url", "u",
+         "--out", "a.jsonl"],
+        ["mix", "--spec", "s.json", "--pool", "bad", "--out", "m"],
+    ])
+    def test_bad_hook_flags_exit_2(self, captured, argv):
+        assert main(argv) == 2
+        assert captured == []

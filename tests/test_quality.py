@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from corpusforge import quality
 from corpusforge.classifier import FilterHyperparams, train_filter
 from corpusforge.corpus import make_document
 from corpusforge.quality import (
@@ -138,6 +139,25 @@ class TestAnnotateBatch:
         samples, errors = annotate_batch(self._docs(2), backend)
         assert samples == []
         assert len(errors) == 2
+
+    @pytest.mark.parametrize("reply", [["agent"], "agent", {"completion": 5}])
+    def test_http_reply_without_completion_string_recorded_per_doc(
+            self, monkeypatch, reply):
+        class Response:
+            def raise_for_status(self):
+                pass
+
+            def json(self):
+                return reply
+
+        monkeypatch.setattr(quality.requests, "post",
+                            lambda *args, **kwargs: Response())
+        backend = HttpAnnotationBackend("http://annotator.invalid/",
+                                        retries=0)
+        samples, errors = annotate_batch(self._docs(2), backend)
+        assert samples == []
+        assert [doc_id for doc_id, _ in errors] == ["d0", "d1"]
+        assert all("completion" in why for _, why in errors)
 
     def test_labels_file_round_trip(self, tmp_path):
         samples = [LabeledSample("d0", "agent", "test")]
