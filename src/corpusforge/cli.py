@@ -24,7 +24,11 @@ EXIT_CONFIG_ERROR = 2
 # values of the stage's fields that have no flag of their own.
 
 def _ngrams(args):
-    lo, hi = (int(v) for v in args.ngrams.split(":"))
+    try:
+        lo, hi = (int(v) for v in args.ngrams.split(":"))
+    except ValueError:
+        raise ConfigError("embed.ngrams",
+                          f"expected MIN:MAX, got {args.ngrams!r}") from None
     return {"ngram_min": lo, "ngram_max": hi}
 
 

@@ -187,9 +187,24 @@ def read_jsonl(path: str) -> Iterator[Document]:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
 
 
+def _numbered_shards(corpus_prefix: str) -> list:
+    """(index, path) of each `<prefix>.NNNNN.jsonl` file, in index order.
+
+    Exact names only: corpus "c" does not own the shards of "c.extra".
+    """
+    name = re.compile(
+        re.escape(os.path.basename(corpus_prefix)) + r"\.(\d{5,})\.jsonl")
+    shards = []
+    for path in glob.glob(f"{glob.escape(corpus_prefix)}.*.jsonl"):
+        match = name.fullmatch(os.path.basename(path))
+        if match:
+            shards.append((int(match.group(1)), path))
+    return sorted(shards)
+
+
 def shard_paths(corpus_prefix: str) -> list:
     """All shard files for a corpus prefix, in shard order."""
-    paths = sorted(glob.glob(f"{corpus_prefix}.*.jsonl"))
+    paths = [path for _, path in _numbered_shards(corpus_prefix)]
     if paths:
         return paths
     if os.path.isdir(corpus_prefix):
@@ -239,10 +254,7 @@ def write_corpus(docs: Iterable[Document], corpus_prefix: str,
 
     # Shards an earlier, larger write left under this prefix would be read
     # back as part of this corpus: delete every higher-index one.
-    shard_name = re.compile(
-        re.escape(os.path.basename(corpus_prefix)) + r"\.(\d{5,})\.jsonl")
-    for path in glob.glob(f"{corpus_prefix}.*.jsonl"):
-        match = shard_name.fullmatch(os.path.basename(path))
-        if match and int(match.group(1)) >= len(paths):
+    for index, path in _numbered_shards(corpus_prefix):
+        if index >= len(paths):
             os.remove(path)
     return paths

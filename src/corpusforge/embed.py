@@ -1,4 +1,4 @@
-"""Deterministic document embeddings and exact cosine similarity.
+"""Deterministic document embeddings as one unit-row matrix per corpus.
 
 The built-in embedder hashes character n-grams into a fixed number of
 buckets with signed hashing and L2-normalizes the bucket counts. It is a
@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-NORM_TOL = 1e-9
 
 
 class EmbedError(Exception):
@@ -40,26 +38,40 @@ class EmbedderConfig:
             raise EmbedError("ngram range must satisfy 1 <= min <= max")
 
 
-@dataclass
-class EmbeddingVector:
-    values: np.ndarray
-    norm: float
+def unit_row(row: np.ndarray) -> np.ndarray:
+    """The row divided by its L2 norm, or all zeros when the norm is 0."""
+    norm = np.linalg.norm(row)
+    return row / norm if norm > 0.0 else np.zeros_like(row)
 
-    @property
-    def dims(self) -> int:
-        return len(self.values)
+
+@dataclass(frozen=True, eq=False)
+class Embeddings:
+    """The vectors of a set of documents: `ids` unique and ascending, and
+    one float64 `matrix` row per id, unit-norm or all zeros (no content).
+    Rows are normalized once, by `embed_text` or on load.
+    """
+
+    ids: list
+    matrix: np.ndarray
 
     @classmethod
-    def from_values(cls, values) -> "EmbeddingVector":
-        arr = np.asarray(values, dtype=np.float64)
-        return cls(arr, float(np.linalg.norm(arr)))
+    def from_rows(cls, rows: dict, dims: int) -> "Embeddings":
+        """Stack unit-or-zero rows, keyed by id, in ascending id order."""
+        ids = sorted(rows)
+        matrix = np.array([rows[i] for i in ids], dtype=np.float64)
+        return cls(ids, matrix.reshape(len(ids), dims))
 
-    @property
-    def is_zero(self) -> bool:
-        return self.norm == 0.0
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def nonzero(self) -> "Embeddings":
+        """The rows that are not all zeros."""
+        keep = self.matrix.any(axis=1)
+        return Embeddings([i for i, k in zip(self.ids, keep) if k],
+                          self.matrix[keep])
 
 
-def embed_text(text: str, cfg: EmbedderConfig) -> EmbeddingVector:
+def embed_text(text: str, cfg: EmbedderConfig) -> np.ndarray:
     """Signed-hashing character n-gram TF vector, L2-normalized.
 
     Empty or whitespace-only text has no n-grams and maps to the zero
@@ -75,37 +87,21 @@ def embed_text(text: str, cfg: EmbedderConfig) -> EmbeddingVector:
             bucket = h % cfg.dims
             sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
             vec[bucket] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-        norm = 1.0
-    return EmbeddingVector(vec, norm)
+    return unit_row(vec)
 
 
-def embed_document(doc, cfg: EmbedderConfig) -> EmbeddingVector:
+def embed_document(doc, cfg: EmbedderConfig) -> np.ndarray:
     return embed_text(doc.text, cfg)
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Exact cosine, clamped to [-1, 1] against floating-point rounding."""
-    if a.dims != b.dims:
-        raise EmbedError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    if a.is_zero or b.is_zero:
-        raise EmbedError("cosine similarity of a zero vector is undefined")
-    if a.values is b.values or np.array_equal(a.values, b.values):
-        return 1.0  # identity holds exactly, not just within rounding
-    value = float(np.dot(a.values, b.values)) / (a.norm * b.norm)
-    return max(-1.0, min(1.0, value))
-
-
-def load_external_embeddings(path: str) -> dict:
+def load_external_embeddings(path: str) -> Embeddings:
     """Load a JSONL embedding file: {"id": ..., "v": [floats]} per line.
 
     Dims are inferred from the first record and enforced for the rest;
-    norms are recomputed on load.
+    each row is unit-normalized on load.
     """
-    vectors = {}
-    dims = None
+    rows = {}
+    dims = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -113,24 +109,23 @@ def load_external_embeddings(path: str) -> dict:
                 continue
             try:
                 obj = json.loads(line)
-                doc_id, values = obj["id"], obj["v"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                doc_id, row = obj["id"], np.asarray(obj["v"], dtype=np.float64)
+            except (ValueError, KeyError, TypeError) as exc:
                 raise EmbedError(f"{path}:{lineno}: bad embedding record: {exc}")
-            if doc_id in vectors:
+            if doc_id in rows:
                 raise EmbedError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-            vec = EmbeddingVector.from_values(values)
-            if dims is None:
-                dims = vec.dims
-            elif vec.dims != dims:
+            if row.ndim != 1 or not np.isfinite(np.linalg.norm(row)):
+                raise EmbedError(f"{path}:{lineno}: not a finite vector")
+            if rows and len(row) != dims:
                 raise EmbedError(
-                    f"{path}:{lineno}: dims {vec.dims} != expected {dims}")
-            vectors[doc_id] = vec
-    return vectors
+                    f"{path}:{lineno}: dims {len(row)} != expected {dims}")
+            dims = len(row)
+            rows[doc_id] = unit_row(row)
+    return Embeddings.from_rows(rows, dims)
 
 
-def save_embeddings(vectors: dict, path: str) -> None:
+def save_embeddings(vectors: Embeddings, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for doc_id in sorted(vectors):
-            vec = vectors[doc_id]
-            fh.write(json.dumps({"id": doc_id, "v": vec.values.tolist()}))
+        for doc_id, row in zip(vectors.ids, vectors.matrix):
+            fh.write(json.dumps({"id": doc_id, "v": row.tolist()}))
             fh.write("\n")

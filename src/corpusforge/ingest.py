@@ -61,9 +61,6 @@ class SourceRegistry:
             raise IngestError(f"source {spec.name!r} already registered")
         self._specs[spec.name] = spec
 
-    def get(self, name: str) -> SourceSpec:
-        return self._specs[name]
-
     def __len__(self):
         return len(self._specs)
 

@@ -203,7 +203,16 @@ def _ingest(run, manifest=INPUT, out=OUTPUT):
                     line = line.strip()
                     if not line:
                         continue
-                    obj = json.loads(line)
+                    try:
+                        obj = json.loads(line)
+                    except ValueError:
+                        obj = None
+                    if not (isinstance(obj, dict)
+                            and isinstance(obj.get("text"), str)
+                            and isinstance(obj.get("id", ""), str)):
+                        raise ingest_mod.IngestError(
+                            f'{origin}:{lineno}: expected a JSON object with '
+                            f'a string "text" and an optional string "id"')
                     yield make_document(
                         id=obj.get("id", f"{spec.name}:{lineno}"),
                         source_id=spec.name,
@@ -244,9 +253,9 @@ def _embed(run, corpus=INPUT, out=OUTPUT, dims=Field(int, 256),
            seed=Field(int, RUN_SEED, flag=None)):
     cfg = embed_mod.EmbedderConfig(dims=dims, ngram_min=ngram_min,
                                    ngram_max=ngram_max, hash_seed=seed)
-    vectors = {}
-    for doc in read_corpus(corpus):
-        vectors[doc.id] = embed_mod.embed_document(doc, cfg)
+    vectors = embed_mod.Embeddings.from_rows(
+        {doc.id: embed_mod.embed_document(doc, cfg)
+         for doc in read_corpus(corpus)}, dims)
     embed_mod.save_embeddings(vectors, out)
     return [out], {"vectors": len(vectors)}
 

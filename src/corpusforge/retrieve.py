@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embed import EmbedError
+from .embed import EmbedError, Embeddings
 
 
 class RetrieveError(Exception):
@@ -42,61 +42,40 @@ class PruneReport:
         }
 
 
-def _unit_matrix(vecs: dict, label: str):
-    """Stack unit-normalized vectors in ascending id order, dropping zeros."""
-    ids = sorted(vecs)
-    rows = []
-    kept = []
-    dims = None
-    for vid in ids:
-        vec = vecs[vid]
-        if dims is None:
-            dims = vec.dims
-        elif vec.dims != dims:
-            raise EmbedError(f"{label} vector {vid!r}: dims {vec.dims} != {dims}")
-        if vec.is_zero:
-            continue
-        rows.append(vec.values / vec.norm)
-        kept.append(vid)
-    if not rows:
-        raise RetrieveError(f"no nonzero {label} vectors")
-    return kept, np.vstack(rows)
-
-
-def retrieve_top_k(seed_vecs: dict, cand_vecs: dict, k: int) -> list:
+def retrieve_top_k(seeds: Embeddings, cands: Embeddings, k: int) -> list:
     """Top-K candidates by max-over-seeds cosine similarity.
 
     Output is sorted by (score desc, candidate_id asc); ties among seeds
-    resolve to the lexicographically smallest seed id. Exact by
-    construction: a full seeds-by-candidates similarity matrix.
+    resolve to the lexicographically smallest seed id; zero vectors are
+    left out. Exact by construction: a full seeds-by-candidates matrix.
     """
     if k < 1:
         raise RetrieveError("k must be >= 1")
-    if not seed_vecs:
-        raise RetrieveError("seed vector map is empty")
-    if not cand_vecs:
+    seeds = seeds.nonzero()
+    if not len(seeds):
+        raise RetrieveError("no nonzero seed vectors")
+    if not len(cands):
         return []
+    cands = cands.nonzero()
+    if not len(cands):
+        raise RetrieveError("no nonzero candidate vectors")
+    if seeds.matrix.shape[1] != cands.matrix.shape[1]:
+        raise EmbedError(f"dimension mismatch: seeds {seeds.matrix.shape[1]} "
+                         f"vs candidates {cands.matrix.shape[1]}")
 
-    seed_ids, seeds = _unit_matrix(seed_vecs, "seed")
-    cand_ids, cands = _unit_matrix(cand_vecs, "candidate")
-
-    if seeds.shape[1] != cands.shape[1]:
-        raise EmbedError(
-            f"dimension mismatch: seeds {seeds.shape[1]} vs candidates {cands.shape[1]}")
-
-    sims = np.clip(cands @ seeds.T, -1.0, 1.0)
+    sims = np.clip(cands.matrix @ seeds.matrix.T, -1.0, 1.0)
     best = sims.max(axis=1)
-    # argmax returns the first maximal column; seed_ids is sorted ascending,
-    # so ties already resolve to the smallest seed id.
+    # argmax returns the first maximal column; seed ids are ascending, so
+    # ties already resolve to the smallest seed id.
     best_seed = sims.argmax(axis=1)
 
-    hits = [RetrievalHit(cand_ids[i], seed_ids[best_seed[i]], float(best[i]))
-            for i in range(len(cand_ids))]
+    hits = [RetrievalHit(cid, seeds.ids[best_seed[i]], float(best[i]))
+            for i, cid in enumerate(cands.ids)]
     hits.sort(key=lambda h: (-h.score, h.candidate_id))
     return hits[:k]
 
 
-def prune_redundant(vecs: dict, threshold: float) -> PruneReport:
+def prune_redundant(vecs: Embeddings, threshold: float) -> PruneReport:
     """Greedy redundancy pruning in ascending id order.
 
     A document is removed iff its cosine to some already-retained document
@@ -107,27 +86,23 @@ def prune_redundant(vecs: dict, threshold: float) -> PruneReport:
     if not 0.0 < threshold <= 1.0:
         raise RetrieveError(f"threshold must be in (0, 1], got {threshold}")
 
-    ids = sorted(vecs)
+    live = vecs.nonzero()
+    retained = np.empty_like(live.matrix)  # rows of retained_ids, in order
     retained_ids = []
-    retained_rows = []
     removed_pairs = []
-    zero_ids = []
-    for vid in ids:
-        vec = vecs[vid]
-        if vec.is_zero:
-            zero_ids.append(vid)
-            continue
-        unit = vec.values / vec.norm
-        if retained_rows:
-            sims = np.clip(np.vstack(retained_rows) @ unit, -1.0, 1.0)
+    for vid, row in zip(live.ids, live.matrix):
+        r = len(retained_ids)
+        if r:
+            sims = np.clip(retained[:r] @ row, -1.0, 1.0)
             best = int(sims.argmax())
             if sims[best] >= threshold:
                 removed_pairs.append((retained_ids[best], vid, float(sims[best])))
                 continue
+        retained[r] = row
         retained_ids.append(vid)
-        retained_rows.append(unit)
 
     # Zero vectors carry no semantic content; retain them untouched.
+    zero_ids = sorted(set(vecs.ids).difference(live.ids))
     return PruneReport(retained_ids + zero_ids, removed_pairs, threshold)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from corpusforge.corpus import make_document
-from corpusforge.embed import EmbeddingVector
+from corpusforge.embed import Embeddings, unit_row
 
 AGENT_VOCAB = [
     "invoke_api", "tool_call", "endpoint", "parameter", "function_call",
@@ -46,10 +46,18 @@ def make_random_docs(n, seed=7, classes=("agent_doc", "agent_traj", "code", "tex
     return docs
 
 
+def make_embeddings(rows):
+    """Embeddings of raw rows by id, normalized as loading normalizes them."""
+    rows = {vid: unit_row(np.asarray(v, dtype=np.float64))
+            for vid, v in rows.items()}
+    dims = len(next(iter(rows.values()))) if rows else 0
+    return Embeddings.from_rows(rows, dims)
+
+
 def make_random_vectors(n, dims, seed=0, prefix="v"):
     rng = np.random.default_rng(seed)
-    return {f"{prefix}{i:05d}": EmbeddingVector.from_values(
-        rng.standard_normal(dims)) for i in range(n)}
+    return make_embeddings({f"{prefix}{i:05d}": rng.standard_normal(dims)
+                            for i in range(n)})
 
 
 @pytest.fixture

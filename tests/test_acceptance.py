@@ -58,11 +58,12 @@ def test_02_prune_soundness():
     started = time.monotonic()
     vecs = make_random_vectors(500, 8, seed=303)
     report = prune_redundant(vecs, 0.9)
-    retained = [vecs[i] for i in report.retained_ids]
+    rows = dict(zip(vecs.ids, vecs.matrix))
+    retained = [rows[i] for i in report.retained_ids]
     for i in range(len(retained)):
-        vi = retained[i].values / retained[i].norm
+        vi = retained[i] / np.linalg.norm(retained[i])
         for j in range(i + 1, len(retained)):
-            vj = retained[j].values / retained[j].norm
+            vj = retained[j] / np.linalg.norm(retained[j])
             assert float(np.dot(vi, vj)) < 0.9
     assert time.monotonic() - started < 10.0
     passed(2, "prune soundness at threshold 0.9")

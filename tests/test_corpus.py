@@ -156,6 +156,13 @@ class TestShardIO:
         write_corpus(docs, prefix, docs_per_shard=10)
         assert all(os.path.exists(p) for p in sibling)
 
+    def test_prefix_does_not_read_a_longer_corpus_name(self, tmp_path):
+        prefix = str(tmp_path / "c")
+        docs = make_random_docs(5, seed=1)
+        write_corpus(docs, prefix)
+        write_corpus(make_random_docs(3, seed=2), prefix + ".extra")
+        assert list(read_corpus(prefix)) == docs
+
     def test_empty_corpus_still_writes_one_shard(self, tmp_path):
         paths = write_corpus([], str(tmp_path / "empty"), docs_per_shard=10)
         assert len(paths) == 1

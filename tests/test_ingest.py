@@ -22,7 +22,7 @@ class TestRegistry:
                           declared_tokens=530_000_000,
                           origin="https://github.com/OpenBMB/ToolBench")
         registry.register(spec)
-        assert registry.get("ToolBench") is spec
+        assert list(registry) == [spec]
         assert len(registry) == 1
 
     def test_duplicate_name_rejected(self):

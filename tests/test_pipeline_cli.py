@@ -14,6 +14,7 @@ from corpusforge.pipeline import (
 
 from conftest import build_pipeline_fixture, make_random_docs
 from corpusforge.corpus import write_corpus
+from corpusforge.ingest import IngestError
 
 
 def output_hashes(report):
@@ -51,6 +52,20 @@ class TestValidation:
                               "out": "seed"}]}
         with pytest.raises(ConfigError, match=r"stages\[ingest\]\.origin"):
             run_pipeline(config)
+
+    @pytest.mark.parametrize("bad", ["not json", '{"id": "x"}',
+                                     '{"text": 5}', '["text"]'])
+    def test_bad_origin_line_names_file_and_line(self, tmp_path, bad):
+        (tmp_path / "m.json").write_text(json.dumps([
+            {"name": "s", "kind": "text", "format": "plain_text",
+             "origin": "o.jsonl"}]))
+        (tmp_path / "o.jsonl").write_text('{"text": "fine"}\n' + bad + "\n")
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "ingest", "manifest": "m.json",
+                              "out": "seed"}]}
+        with pytest.raises(StageError, match=r"o\.jsonl:2: ") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, IngestError)
 
     def test_missing_input_is_config_error(self, tmp_path):
         config = {"workspace": str(tmp_path),
@@ -281,6 +296,8 @@ class TestCliConfig:
         ["annotate", "--corpus", "c", "--labels", "l", "--url", "u",
          "--out", "a.jsonl"],
         ["mix", "--spec", "s.json", "--pool", "bad", "--out", "m"],
+        ["embed", "--corpus", "c", "--out", "v", "--ngrams", "3"],
+        ["embed", "--corpus", "c", "--out", "v", "--ngrams", "x:5"],
     ])
     def test_bad_hook_flags_exit_2(self, captured, argv):
         assert main(argv) == 2

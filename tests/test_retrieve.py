@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from corpusforge.embed import EmbedError, EmbeddingVector
+from corpusforge.embed import EmbedError
 from corpusforge.retrieve import (
     PruneReport,
     RetrieveError,
@@ -13,24 +13,24 @@ from corpusforge.retrieve import (
     save_hits,
 )
 
-from conftest import make_random_vectors
+from conftest import make_embeddings, make_random_vectors
 
 
 def brute_force_top_k(seed_vecs, cand_vecs, k):
     """O(S*C) double loop with fsum-based cosines; the retrieval oracle."""
     def cos(a, b):
-        dot = math.fsum(x * y for x, y in zip(a.values, b.values))
-        return max(-1.0, min(1.0, dot / (a.norm * b.norm)))
+        dot = math.fsum(x * y for x, y in zip(a, b))
+        norms = math.sqrt(math.fsum(x * x for x in a)) \
+            * math.sqrt(math.fsum(y * y for y in b))
+        return max(-1.0, min(1.0, dot / norms))
 
     hits = []
-    for cid in sorted(cand_vecs):
-        cv = cand_vecs[cid]
-        if cv.norm == 0.0:
+    for cid, cv in sorted(zip(cand_vecs.ids, cand_vecs.matrix)):
+        if not cv.any():
             continue
         best_score, best_seed = -2.0, None
-        for sid in sorted(seed_vecs):
-            sv = seed_vecs[sid]
-            if sv.norm == 0.0:
+        for sid, sv in sorted(zip(seed_vecs.ids, seed_vecs.matrix)):
+            if not sv.any():
                 continue
             s = cos(cv, sv)
             if s > best_score:
@@ -42,9 +42,8 @@ def brute_force_top_k(seed_vecs, cand_vecs, k):
 
 class TestRetrieveTopK:
     def test_duplicate_beats_orthogonal(self):
-        seed = {"s0": EmbeddingVector.from_values([1.0, 0.0])}
-        cands = {"dup": EmbeddingVector.from_values([2.0, 0.0]),
-                 "orth": EmbeddingVector.from_values([0.0, 1.0])}
+        seed = make_embeddings({"s0": [1.0, 0.0]})
+        cands = make_embeddings({"dup": [2.0, 0.0], "orth": [0.0, 1.0]})
         hits = retrieve_top_k(seed, cands, 1)
         assert len(hits) == 1
         assert hits[0].candidate_id == "dup"
@@ -78,14 +77,13 @@ class TestRetrieveTopK:
 
     def test_zero_candidates_excluded(self):
         seeds = make_random_vectors(2, 4, seed=5, prefix="s")
-        cands = {"zero": EmbeddingVector.from_values([0.0] * 4),
-                 "live": EmbeddingVector.from_values([1.0, 0, 0, 0])}
+        cands = make_embeddings({"zero": [0.0] * 4, "live": [1.0, 0, 0, 0]})
         hits = retrieve_top_k(seeds, cands, 10)
         assert [h.candidate_id for h in hits] == ["live"]
 
     def test_empty_seed_map_error(self):
         with pytest.raises(RetrieveError):
-            retrieve_top_k({}, make_random_vectors(3, 4), 1)
+            retrieve_top_k(make_embeddings({}), make_random_vectors(3, 4), 1)
 
     def test_dims_mismatch_error(self):
         seeds = make_random_vectors(2, 4, seed=1, prefix="s")
@@ -104,34 +102,34 @@ class TestRetrieveTopK:
 
 class TestPruneRedundant:
     def test_exact_duplicate_removed(self):
-        vecs = {"a": EmbeddingVector.from_values([1.0, 0.0]),
-                "b": EmbeddingVector.from_values([2.0, 0.0])}
+        vecs = make_embeddings({"a": [1.0, 0.0], "b": [2.0, 0.0]})
         report = prune_redundant(vecs, 0.95)
         assert report.retained_ids == ["a"]
         assert report.removed_pairs == [("a", "b", 1.0)]
 
     def test_orthogonal_set_all_retained(self):
-        vecs = {f"v{i}": EmbeddingVector.from_values(np.eye(4)[i])
-                for i in range(4)}
+        vecs = make_embeddings({f"v{i}": np.eye(4)[i] for i in range(4)})
         report = prune_redundant(vecs, 0.01)
-        assert sorted(report.retained_ids) == sorted(vecs)
+        assert sorted(report.retained_ids) == vecs.ids
         assert report.removed_pairs == []
 
     def test_all_pairs_soundness(self):
         vecs = make_random_vectors(500, 8, seed=42)
         report = prune_redundant(vecs, 0.9)
-        retained = [vecs[i] for i in report.retained_ids]
+        rows = dict(zip(vecs.ids, vecs.matrix))
+        retained = [rows[i] for i in report.retained_ids]
         for i in range(len(retained)):
             for j in range(i + 1, len(retained)):
-                dot = float(np.dot(retained[i].values, retained[j].values))
-                cos = dot / (retained[i].norm * retained[j].norm)
+                dot = float(np.dot(retained[i], retained[j]))
+                cos = dot / (np.linalg.norm(retained[i])
+                             * np.linalg.norm(retained[j]))
                 assert cos < 0.9
 
     def test_partition_of_input(self):
         vecs = make_random_vectors(200, 4, seed=8)
         report = prune_redundant(vecs, 0.8)
         removed = {pair[1] for pair in report.removed_pairs}
-        assert set(report.retained_ids) | removed == set(vecs)
+        assert set(report.retained_ids) | removed == set(vecs.ids)
         assert not set(report.retained_ids) & removed
 
     def test_removed_pairs_meet_threshold(self):
