@@ -1,8 +1,8 @@
-"""Canonical document model, token accounting, and sharded JSONL corpus I/O.
+"""Canonical document model, token accounting, and JSON Lines file I/O.
 
-Every other stage of the pipeline reads and writes corpora through this
-module. Documents are immutable after parse; all operations here are safe
-to run data-parallel over disjoint shards.
+Every stage of the pipeline reads and writes its JSON Lines and JSON files
+through this module. Documents are immutable after parse; all operations
+here are safe to run data-parallel over disjoint shards.
 """
 
 import glob
@@ -10,13 +10,12 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 DATA_CLASSES = ("agent_doc", "agent_traj", "code", "text")
 
 SHARD_PATTERN = "{corpus}.{index:05d}.jsonl"
-
-_DOC_FIELDS = ("id", "source_id", "data_class", "text", "token_count", "meta")
 
 
 class CorpusError(Exception):
@@ -88,6 +87,10 @@ def parse_document_record(line: str) -> Document:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON record: {exc}") from exc
+    return _document(obj)
+
+
+def _document(obj, _lineno: int = 0) -> Document:
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object")
 
@@ -175,16 +178,51 @@ def compute_stats(docs: Iterable[Document]) -> CorpusStats:
     return stats
 
 
-def read_jsonl(path: str) -> Iterator[Document]:
+def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
+    """Yield parse(decoded line, physical line number) for each non-blank
+    line of a UTF-8 JSON Lines file.
+
+    A line that is not JSON, or whose parse raises KeyError, TypeError or
+    ValueError, raises `error`; an `error` or CorpusError from parse keeps
+    its type. Either way the message starts with `path:lineno:`.
+    """
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield parse_document_record(line)
-            except CorpusError as exc:
+                record = parse(json.loads(line), lineno)
+            except (error, CorpusError) as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+            except (KeyError, TypeError, ValueError) as exc:
+                raise error(f"{path}:{lineno}: {exc!r}") from exc
+            yield record
+
+
+def write_lines(path: str, lines: Iterable[str]) -> int:
+    """Write one text line per item and return the count.
+
+    The lines go to `<path>.tmp`, which no shard or *.jsonl glob matches,
+    and replace `path` once all are written: a failure leaves the previous
+    file as it was and no temp file behind.
+    """
+    tmp = path + ".tmp"
+    count = 0
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for count, line in enumerate(lines, start=1):
+                fh.write(line + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return count
+
+
+def write_json(path: str, payload) -> None:
+    """Write one JSON value, sorted keys and 2-space indent, atomically."""
+    write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
 
 
 def _numbered_shards(corpus_prefix: str) -> list:
@@ -223,7 +261,7 @@ def read_corpus(corpus_prefix: str) -> Iterator[Document]:
     if not paths:
         raise CorpusError(f"no corpus shards found at {corpus_prefix!r}")
     for path in paths:
-        yield from read_jsonl(path)
+        yield from read_jsonl(path, _document, ParseError)
 
 
 def write_corpus(docs: Iterable[Document], corpus_prefix: str,
@@ -232,25 +270,16 @@ def write_corpus(docs: Iterable[Document], corpus_prefix: str,
     parent = os.path.dirname(corpus_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    paths = []
-    buf = []
-
-    def flush():
-        index = len(paths)
-        path = SHARD_PATTERN.format(corpus=corpus_prefix, index=index)
-        with open(path, "w", encoding="utf-8") as fh:
-            for doc in buf:
-                fh.write(serialize_document(doc))
-                fh.write("\n")
+    if docs_per_shard < 1:
+        raise CorpusError(f"docs_per_shard must be >= 1, got {docs_per_shard}")
+    docs, paths = iter(docs), []
+    while True:
+        batch = list(islice(docs, docs_per_shard))
+        if paths and not batch:
+            break
+        path = SHARD_PATTERN.format(corpus=corpus_prefix, index=len(paths))
+        write_lines(path, map(serialize_document, batch))
         paths.append(path)
-        buf.clear()
-
-    for doc in docs:
-        buf.append(doc)
-        if len(buf) >= docs_per_shard:
-            flush()
-    if buf or not paths:
-        flush()
 
     # Shards an earlier, larger write left under this prefix would be read
     # back as part of this corpus: delete every higher-index one.

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import read_jsonl, write_lines
+
 
 class EmbedError(Exception):
     pass
@@ -95,37 +97,31 @@ def embed_document(doc, cfg: EmbedderConfig) -> np.ndarray:
 
 
 def load_external_embeddings(path: str) -> Embeddings:
-    """Load a JSONL embedding file: {"id": ..., "v": [floats]} per line.
+    """Load a JSONL embedding file: {"id": "...", "v": [floats]} per line.
 
     Dims are inferred from the first record and enforced for the rest;
     each row is unit-normalized on load.
     """
     rows = {}
-    dims = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                doc_id, row = obj["id"], np.asarray(obj["v"], dtype=np.float64)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise EmbedError(f"{path}:{lineno}: bad embedding record: {exc}")
-            if doc_id in rows:
-                raise EmbedError(f"{path}:{lineno}: duplicate id {doc_id!r}")
-            if row.ndim != 1 or not np.isfinite(np.linalg.norm(row)):
-                raise EmbedError(f"{path}:{lineno}: not a finite vector")
-            if rows and len(row) != dims:
-                raise EmbedError(
-                    f"{path}:{lineno}: dims {len(row)} != expected {dims}")
-            dims = len(row)
-            rows[doc_id] = unit_row(row)
-    return Embeddings.from_rows(rows, dims)
+
+    def parse(obj, _):
+        doc_id, row = obj["id"], np.asarray(obj["v"], dtype=np.float64)
+        if not isinstance(doc_id, str):
+            raise EmbedError(f"id must be a string, got {doc_id!r}")
+        if doc_id in rows:
+            raise EmbedError(f"duplicate id {doc_id!r}")
+        if row.ndim != 1 or not np.isfinite(np.linalg.norm(row)):
+            raise EmbedError("not a finite vector")
+        dims = len(next(iter(rows.values()), row))
+        if len(row) != dims:
+            raise EmbedError(f"dims {len(row)} != expected {dims}")
+        return doc_id, unit_row(row)
+
+    for doc_id, row in read_jsonl(path, parse, EmbedError):
+        rows[doc_id] = row
+    return Embeddings.from_rows(rows, len(next(iter(rows.values()), ())))
 
 
 def save_embeddings(vectors: Embeddings, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id, row in zip(vectors.ids, vectors.matrix):
-            fh.write(json.dumps({"id": doc_id, "v": row.tolist()}))
-            fh.write("\n")
+    write_lines(path, (json.dumps({"id": doc_id, "v": row.tolist()})
+                       for doc_id, row in zip(vectors.ids, vectors.matrix)))

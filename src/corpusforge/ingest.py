@@ -9,6 +9,8 @@ import json
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
+from .corpus import read_jsonl
+
 SOURCE_KINDS = ("documentation", "trajectory", "code", "text")
 SOURCE_FORMATS = ("dialog", "react", "nl_plan", "api_seq", "json", "qa",
                   "plain_text", "code")
@@ -144,15 +146,11 @@ def filter_doc_urls(urls, keywords) -> set:
 
 def load_link_graph(path: str) -> dict:
     """Read a JSONL link graph: one {"url": ..., "out": [...]} per line."""
-    graph = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                graph[obj["url"]] = list(obj["out"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise IngestError(f"{path}:{lineno}: bad link-graph record: {exc}")
-    return graph
+    def parse(obj, _):
+        url, out = obj["url"], obj["out"]
+        if not (isinstance(url, str) and isinstance(out, list)
+                and all(isinstance(u, str) for u in out)):
+            raise IngestError('expected a string "url" and an array of '
+                              'string "out" URLs')
+        return url, out
+    return dict(read_jsonl(path, parse, IngestError))

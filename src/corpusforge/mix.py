@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus as corpus_mod
-from .corpus import Document, write_corpus
+from .corpus import Document, write_corpus, write_json
 
 
 class MixError(Exception):
@@ -162,10 +162,7 @@ def compose_to_dir(pools: dict, spec: MixSpec, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     paths = write_corpus(docs, os.path.join(out_dir, "mix"),
                          docs_per_shard=docs_per_shard)
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest.to_json())
     return manifest, paths
 
 

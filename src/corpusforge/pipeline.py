@@ -24,7 +24,8 @@ from . import quality as quality_mod
 from . import retrieve as retrieve_mod
 from . import scaling as scaling_mod
 from .classifier import FilterHyperparams, load_model, save_model, train_filter
-from .corpus import compute_stats, make_document, read_corpus, write_corpus
+from .corpus import (compute_stats, make_document, read_corpus, read_jsonl,
+                     write_corpus, write_json, write_lines)
 
 
 class ConfigError(Exception):
@@ -62,12 +63,6 @@ def _hash_outputs(paths):
         elif os.path.isfile(path):
             out[path] = sha256_file(path)
     return out
-
-
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +180,7 @@ def _span(value):
 
 def _stats(run, corpus=INPUT, out=OUTPUT):
     stats = compute_stats(read_corpus(corpus)).to_json()
-    _write_json(out, stats)
+    write_json(out, stats)
     return [out], stats
 
 
@@ -196,30 +191,25 @@ def _ingest(run, manifest=INPUT, out=OUTPUT):
         for spec in sorted(registry, key=lambda s: s.name):
             if not spec.origin:
                 continue
-            origin = run.input(spec.origin, "origin")
             data_class = ingest_mod.assign_data_class(spec)
-            with open(origin, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        obj = json.loads(line)
-                    except ValueError:
-                        obj = None
-                    if not (isinstance(obj, dict)
-                            and isinstance(obj.get("text"), str)
-                            and isinstance(obj.get("id", ""), str)):
-                        raise ingest_mod.IngestError(
-                            f'{origin}:{lineno}: expected a JSON object with '
-                            f'a string "text" and an optional string "id"')
-                    yield make_document(
-                        id=obj.get("id", f"{spec.name}:{lineno}"),
-                        source_id=spec.name,
-                        data_class=data_class,
-                        text=obj["text"],
-                        meta={"origin": spec.origin},
-                    )
+
+            def parse(obj, lineno):
+                if not (isinstance(obj, dict)
+                        and isinstance(obj.get("text"), str)
+                        and isinstance(obj.get("id", ""), str)):
+                    raise ingest_mod.IngestError(
+                        'expected a JSON object with a string "text" and an '
+                        'optional string "id"')
+                # Default ids count physical lines, blank ones included.
+                return make_document(
+                    id=obj.get("id", f"{spec.name}:{lineno}"),
+                    source_id=spec.name,
+                    data_class=data_class,
+                    text=obj["text"],
+                    meta={"origin": spec.origin},
+                )
+            yield from read_jsonl(run.input(spec.origin, "origin"), parse,
+                                  ingest_mod.IngestError)
 
     paths = write_corpus(docs(), out)
     return paths, {"sources": len(registry), "shards": len(paths)}
@@ -238,7 +228,7 @@ def _frontier(run, seeds=INPUT, graph=INPUT, out=OUTPUT,
     all_urls = frontier.all_urls()
     kept = (ingest_mod.filter_doc_urls(all_urls, keywords)
             if filter_final else all_urls)
-    _write_json(out, {
+    write_json(out, {
         "levels": [sorted(level) for level in frontier.levels],
         "rejected_seeds": frontier.rejected_seeds,
         "doc_urls": sorted(kept),
@@ -272,7 +262,7 @@ def _prune(run, vecs=INPUT, report=Field(kind=OUT, flag="--report-out"),
            threshold=Field(float, 0.95)):
     result = retrieve_mod.prune_redundant(
         embed_mod.load_external_embeddings(vecs), threshold)
-    _write_json(report, result.to_json())
+    write_json(report, result.to_json())
     return [report], {"retained": len(result.retained_ids),
                       "removed": len(result.removed_pairs)}
 
@@ -319,25 +309,16 @@ def _train_filter(run, corpus=INPUT, labels=INPUT, out=OUTPUT,
 
 def _score(run, model=INPUT, corpus=INPUT, out=OUTPUT):
     classifier = load_model(model)
-    n = 0
-    with open(out, "w", encoding="utf-8") as fh:
-        for doc in read_corpus(corpus):
-            fh.write(json.dumps({"id": doc.id,
-                                 "score": classifier.predict_score(doc.text)}))
-            fh.write("\n")
-            n += 1
+    n = write_lines(out, (json.dumps({"id": doc.id,
+                                      "score": classifier.predict_score(doc.text)})
+                          for doc in read_corpus(corpus)))
     return [out], {"scored": n}
 
 
 def _filter(run, corpus=INPUT, scores=INPUT, out=OUTPUT,
             keep_fraction=Field(float)):
-    score_of = {}
-    with open(scores, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                score_of[obj["id"]] = float(obj["score"])
+    score_of = dict(read_jsonl(scores, lambda obj, _: (
+        obj["id"], float(obj["score"])), quality_mod.QualityError))
     scored = [(doc, score_of[doc.id]) for doc in read_corpus(corpus)
               if doc.id in score_of]
     kept = quality_mod.filter_by_rank(scored, keep_fraction)
@@ -352,7 +333,7 @@ def _fit(run, obs=INPUT, out=OUTPUT, benchmark=Field(str, None)):
     payload = curve.to_json()
     payload["n_obs"] = len([o for o in observations
                             if benchmark is None or o.benchmark == benchmark])
-    _write_json(out, payload)
+    write_json(out, payload)
     return [out], payload
 
 
@@ -372,7 +353,7 @@ def _optimize(run, fits=Field(list, flag=None), out=OUTPUT,
                                                  tuple(domain), step)
     payload = {"x_star": x_star, "aggregate_loss": loss,
                "weights": weights, "domain": domain, "step": step}
-    _write_json(out, payload)
+    write_json(out, payload)
     return [out], payload
 
 
@@ -439,12 +420,12 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
         try:
             inputs, outputs, stats = STAGES[name](stage, ctx)
         except ConfigError:
-            _write_json(report_path, report)
+            write_json(report_path, report)
             raise
         except Exception as exc:
             report["stages"].append({"name": name, "status": "failed",
                                      "error": str(exc)})
-            _write_json(report_path, report)
+            write_json(report_path, report)
             err = StageError(f"stage {name!r} failed: {exc}")
             err.report = report
             raise err from exc
@@ -459,5 +440,5 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
         report["stages"].append(entry)
         log_event(event="stage_done", stage=name,
                   duration_s=entry["duration_s"])
-    _write_json(report_path, report)
+    write_json(report_path, report)
     return report

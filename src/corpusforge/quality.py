@@ -9,12 +9,13 @@ completion containing a binary verdict.
 import json
 import re
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 import requests
 
 from .classifier import LABELS
+from .corpus import read_jsonl, write_lines
 
 ANNOTATOR_PROMPT_ASSET = "llm_annotator.txt"
 
@@ -32,6 +33,8 @@ class LabeledSample:
     annotator: str
 
     def __post_init__(self):
+        if not isinstance(self.doc_id, str):
+            raise QualityError(f"doc_id must be a string, got {self.doc_id!r}")
         if self.label not in LABELS:
             raise QualityError(f"label must be one of {LABELS}, got {self.label!r}")
 
@@ -79,20 +82,11 @@ class FileLabelBackend:
     def __init__(self, path: str):
         self.labels = {}
         self.annotators = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    doc_id, label = obj["doc_id"], obj["label"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise QualityError(f"{path}:{lineno}: bad label record: {exc}")
-                if label not in LABELS:
-                    raise QualityError(f"{path}:{lineno}: unknown label {label!r}")
-                self.labels[doc_id] = label
-                self.annotators[doc_id] = obj.get("annotator", "file")
+        for s in read_jsonl(path, lambda obj, _: LabeledSample(
+                obj["doc_id"], obj["label"], obj.get("annotator", "file")),
+                QualityError):
+            self.labels[s.doc_id] = s.label
+            self.annotators[s.doc_id] = s.annotator
 
     def annotate(self, doc, prompt: str):
         label = self.labels.get(doc.id)
@@ -226,8 +220,4 @@ def filter_by_rank(scored, keep_token_fraction: float) -> list:
 
 
 def save_labels(samples, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps({"doc_id": s.doc_id, "label": s.label,
-                                 "annotator": s.annotator}))
-            fh.write("\n")
+    write_lines(path, (json.dumps(asdict(s)) for s in samples))

@@ -5,10 +5,11 @@ reproduce this module's output bit for bit on the acceptance suite.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .corpus import read_jsonl, write_lines
 from .embed import EmbedError, Embeddings
 
 
@@ -21,11 +22,6 @@ class RetrievalHit:
     candidate_id: str
     best_seed_id: str
     score: float
-
-    def to_json(self) -> dict:
-        return {"candidate_id": self.candidate_id,
-                "best_seed_id": self.best_seed_id,
-                "score": self.score}
 
 
 @dataclass
@@ -107,19 +103,9 @@ def prune_redundant(vecs: Embeddings, threshold: float) -> PruneReport:
 
 
 def save_hits(hits, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for hit in hits:
-            fh.write(json.dumps(hit.to_json()))
-            fh.write("\n")
+    write_lines(path, (json.dumps(asdict(hit)) for hit in hits))
 
 
 def load_hits(path: str) -> list:
-    hits = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                obj = json.loads(line)
-                hits.append(RetrievalHit(obj["candidate_id"],
-                                         obj["best_seed_id"], obj["score"]))
-    return hits
+    return list(read_jsonl(path, lambda obj, _: RetrievalHit(**obj),
+                           RetrieveError))

@@ -8,11 +8,12 @@ opposing curves (agent benchmarks improving with x, general benchmarks
 degrading); optimal_mix_ratio minimizes a weighted sum of curves.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .corpus import read_jsonl
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -191,19 +192,7 @@ def compute_budget(spec: BudgetSpec):
 
 
 def load_observations(path: str) -> list:
-    obs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                o = json.loads(line)
-                obs.append(MixObservation(
-                    x=float(o["x"]), loss=float(o["loss"]),
-                    benchmark=o["benchmark"],
-                    model_params=o.get("model_params"),
-                    tokens=o.get("tokens")))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ScalingError(f"{path}:{lineno}: bad observation: {exc}")
-    return obs
+    return list(read_jsonl(path, lambda o, _: MixObservation(
+        x=float(o["x"]), loss=float(o["loss"]), benchmark=o["benchmark"],
+        model_params=o.get("model_params"), tokens=o.get("tokens")),
+        ScalingError))

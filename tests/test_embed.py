@@ -101,6 +101,14 @@ class TestExternalEmbeddings:
         with pytest.raises(EmbedError, match=":2:"):
             load_external_embeddings(str(path))
 
+    @pytest.mark.parametrize("doc_id", ['["a"]', "1", "null"])
+    def test_non_string_id_names_line(self, tmp_path, doc_id):
+        path = tmp_path / "vecs.jsonl"
+        path.write_text(json.dumps({"id": "a", "v": [1.0, 0.0]}) + "\n"
+                        + '{"id": %s, "v": [0.0, 1.0]}\n' % doc_id)
+        with pytest.raises(EmbedError, match=r"vecs\.jsonl:2: .*string"):
+            load_external_embeddings(str(path))
+
     def test_norms_recomputed_on_load(self, tmp_path):
         vecs = make_random_vectors(1000, 8, seed=5)
         path = tmp_path / "vecs.jsonl"

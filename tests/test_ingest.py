@@ -145,3 +145,13 @@ class TestLinkGraphFile:
         path.write_text('{"url": "https://a.com"}\n')
         with pytest.raises(IngestError, match=":1:"):
             load_link_graph(str(path))
+
+    @pytest.mark.parametrize("record", [
+        {"url": "https://a.com", "out": "https://b.com"},
+        {"url": "https://a.com", "out": [1]},
+        {"url": 5, "out": []}])
+    def test_urls_must_be_strings_in_an_array(self, tmp_path, record):
+        path = tmp_path / "graph.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(IngestError, match=r"graph\.jsonl:1: .*array"):
+            load_link_graph(str(path))

@@ -13,8 +13,9 @@ from corpusforge.pipeline import (
 )
 
 from conftest import build_pipeline_fixture, make_random_docs
-from corpusforge.corpus import write_corpus
+from corpusforge.corpus import read_corpus, write_corpus
 from corpusforge.ingest import IngestError
+from corpusforge.quality import QualityError
 
 
 def output_hashes(report):
@@ -66,6 +67,31 @@ class TestValidation:
         with pytest.raises(StageError, match=r"o\.jsonl:2: ") as info:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, IngestError)
+
+    def test_default_ids_count_physical_lines(self, tmp_path):
+        (tmp_path / "m.json").write_text(json.dumps([
+            {"name": "s", "kind": "text", "format": "plain_text",
+             "origin": "o.jsonl"}]))
+        (tmp_path / "o.jsonl").write_text('{"text": "a"}\n\n{"text": "b"}\n')
+        run_pipeline({"workspace": str(tmp_path),
+                      "stages": [{"name": "ingest", "manifest": "m.json",
+                                  "out": "seed"}]})
+        docs = read_corpus(str(tmp_path / "seed"))
+        assert [(d.id, d.text) for d in docs] == [("s:1", "a"), ("s:3", "b")]
+
+    @pytest.mark.parametrize("bad", ['{"id": "d1"}', "not json"])
+    def test_bad_scores_line_names_file_and_line(self, tmp_path, bad):
+        docs = make_random_docs(3, seed=4)
+        write_corpus(docs, str(tmp_path / "c"))
+        (tmp_path / "scores.jsonl").write_text(
+            json.dumps({"id": docs[0].id, "score": 0.5}) + "\n" + bad + "\n")
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "filter", "corpus": "c",
+                              "scores": "scores.jsonl", "keep_fraction": 0.5,
+                              "out": "kept"}]}
+        with pytest.raises(StageError, match=r"scores\.jsonl:2: ") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, QualityError)
 
     def test_missing_input_is_config_error(self, tmp_path):
         config = {"workspace": str(tmp_path),

@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -165,6 +166,28 @@ class TestAnnotateBatch:
         save_labels(samples, str(path))
         backend = FileLabelBackend(str(path))
         assert backend.labels == {"d0": "agent"}
+
+    @pytest.mark.parametrize("doc_id", ['["d0"]', "7"])
+    def test_non_string_doc_id_names_line(self, tmp_path, doc_id):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"doc_id": "d1", "label": "agent"}\n'
+                        '{"doc_id": %s, "label": "agent"}\n' % doc_id)
+        with pytest.raises(QualityError, match=r"labels\.jsonl:2: .*string"):
+            FileLabelBackend(str(path))
+
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        save_labels([LabeledSample("d0", "agent", "test")], str(path))
+        before = path.read_bytes()
+
+        def samples():
+            yield LabeledSample("d1", "general", "test")
+            raise RuntimeError("annotator went away")
+
+        with pytest.raises(RuntimeError, match="went away"):
+            save_labels(samples(), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["labels.jsonl"]
 
     def test_invalid_label_rejected(self):
         with pytest.raises(QualityError):

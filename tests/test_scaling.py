@@ -198,3 +198,10 @@ class TestObservationsFile:
         path.write_text('{"x": 0.1}\n')
         with pytest.raises(ScalingError, match=":1:"):
             load_observations(str(path))
+
+    def test_out_of_range_x_names_line(self, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        path.write_text('{"x": 0.5, "loss": 1.0, "benchmark": "b"}\n'
+                        '{"x": 2, "loss": 1.0, "benchmark": "b"}\n')
+        with pytest.raises(ScalingError, match=r"obs\.jsonl:2: .*\[0, 1\]"):
+            load_observations(str(path))
