@@ -199,18 +199,17 @@ def load_model(path: str) -> NgramLinearClassifier:
         magic = fh.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
             raise ClassifierError(f"{path}: not a classifier model file")
-        header_line = bytearray()
-        while True:
-            b = fh.read(1)
-            if not b or b == b"\n":
-                break
-            header_line.extend(b)
-        header = json.loads(header_line.decode("utf-8"))
-        if header["format_version"] != MODEL_FORMAT_VERSION:
-            raise ClassifierError(
-                f"{path}: unsupported format version {header['format_version']}")
-        hp = FilterHyperparams(**header["hyperparams"])
-        model = NgramLinearClassifier(hp, header["vocab"])
+        try:
+            header = json.loads(fh.readline())
+            version = header["format_version"]
+            if version != MODEL_FORMAT_VERSION:
+                raise ClassifierError(
+                    f"{path}: unsupported format version {version}")
+            hp = FilterHyperparams(**header["hyperparams"])
+            model = NgramLinearClassifier(hp, header["vocab"])
+            rows = header["rows"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ClassifierError(f"{path}: bad header: {exc!r}") from exc
 
         def read_floats(count, what):
             data = fh.read(8 * count)
@@ -218,7 +217,7 @@ def load_model(path: str) -> NgramLinearClassifier:
                 raise ClassifierError(f"{path}: truncated {what}")
             return np.frombuffer(data, dtype="<f8").copy()
 
-        for r in header["rows"]:
+        for r in rows:
             model.embedding_rows[r] = read_floats(hp.dims, f"embedding row {r}")
         model.output_weights = read_floats(
             hp.dims * 2, "output weights").reshape(hp.dims, 2)

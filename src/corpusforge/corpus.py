@@ -9,6 +9,7 @@ import glob
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Iterator
@@ -153,14 +154,6 @@ class CorpusStats:
             self.total_docs + other.total_docs,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "tokens_by_class": dict(self.tokens_by_class),
-            "docs_by_class": dict(self.docs_by_class),
-            "total_tokens": self.total_tokens,
-            "total_docs": self.total_docs,
-        }
-
 
 def compute_stats(docs: Iterable[Document]) -> CorpusStats:
     """Single-pass, order-independent corpus statistics.
@@ -169,13 +162,19 @@ def compute_stats(docs: Iterable[Document]) -> CorpusStats:
     would corrupt every downstream token budget.
     """
     stats = CorpusStats.empty()
+    for doc in _unique(docs):
+        stats.add(doc)
+    return stats
+
+
+def _unique(docs: Iterable[Document]) -> Iterator[Document]:
+    """Pass documents through; raise DuplicateIdError at a repeated id."""
     seen = set()
     for doc in docs:
         if doc.id in seen:
             raise DuplicateIdError(f"duplicate document id {doc.id!r}")
         seen.add(doc.id)
-        stats.add(doc)
-    return stats
+        yield doc
 
 
 def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
@@ -200,6 +199,34 @@ def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
             yield record
 
 
+def read_json(path: str, parse: Callable, error: type):
+    """Return parse(value) for the one JSON value in a UTF-8 file.
+
+    Errors are raised as in read_jsonl, with messages starting `path:`.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (error, CorpusError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{path}: {exc!r}") from exc
+
+
+@contextmanager
+def _replacing(paths: list):
+    """Once the block succeeds, move each `<path>.tmp` onto its path (the
+    block may add paths); either way, remove every temp file left."""
+    try:
+        yield
+        for path in paths:
+            os.replace(path + ".tmp", path)
+    finally:
+        for path in paths:
+            if os.path.exists(path + ".tmp"):
+                os.remove(path + ".tmp")
+
+
 def write_lines(path: str, lines: Iterable[str]) -> int:
     """Write one text line per item and return the count.
 
@@ -207,16 +234,10 @@ def write_lines(path: str, lines: Iterable[str]) -> int:
     and replace `path` once all are written: a failure leaves the previous
     file as it was and no temp file behind.
     """
-    tmp = path + ".tmp"
     count = 0
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for count, line in enumerate(lines, start=1):
-                fh.write(line + "\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with _replacing([path]), open(path + ".tmp", "w", encoding="utf-8") as fh:
+        for count, line in enumerate(lines, start=1):
+            fh.write(line + "\n")
     return count
 
 
@@ -266,20 +287,26 @@ def read_corpus(corpus_prefix: str) -> Iterator[Document]:
 
 def write_corpus(docs: Iterable[Document], corpus_prefix: str,
                  docs_per_shard: int = 10000) -> list:
-    """Write documents into zero-padded shard files; returns shard paths."""
+    """Write documents into zero-padded shard files; returns shard paths.
+
+    All shards are written to `<shard>.tmp` before any is replaced, so a
+    failure, a repeated id (DuplicateIdError) included, keeps the old corpus.
+    """
     parent = os.path.dirname(corpus_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
     if docs_per_shard < 1:
         raise CorpusError(f"docs_per_shard must be >= 1, got {docs_per_shard}")
-    docs, paths = iter(docs), []
-    while True:
-        batch = list(islice(docs, docs_per_shard))
-        if paths and not batch:
-            break
-        path = SHARD_PATTERN.format(corpus=corpus_prefix, index=len(paths))
-        write_lines(path, map(serialize_document, batch))
-        paths.append(path)
+    docs, paths = _unique(docs), []
+    with _replacing(paths):
+        while True:
+            batch = list(islice(docs, docs_per_shard))
+            if paths and not batch:
+                break
+            paths.append(SHARD_PATTERN.format(corpus=corpus_prefix,
+                                              index=len(paths)))
+            with open(paths[-1] + ".tmp", "w", encoding="utf-8") as fh:
+                fh.writelines(serialize_document(doc) + "\n" for doc in batch)
 
     # Shards an earlier, larger write left under this prefix would be read
     # back as part of this corpus: delete every higher-index one.

@@ -5,11 +5,10 @@ set of already-fetched seed URLs, and a link graph file, and expands the
 frontier breadth-first with an optional documentation-keyword filter.
 """
 
-import json
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
-from .corpus import read_jsonl
+from .corpus import read_json, read_jsonl
 
 SOURCE_KINDS = ("documentation", "trajectory", "code", "text")
 SOURCE_FORMATS = ("dialog", "react", "nl_plan", "api_seq", "json", "qa",
@@ -72,20 +71,17 @@ class SourceRegistry:
     @classmethod
     def from_manifest(cls, path: str) -> "SourceRegistry":
         """Load a JSON array of SourceSpec objects."""
-        with open(path, encoding="utf-8") as fh:
-            entries = json.load(fh)
-        if not isinstance(entries, list):
-            raise IngestError(f"{path}: manifest must be a JSON array")
-        registry = cls()
-        for entry in entries:
-            registry.register(SourceSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                format=entry["format"],
-                declared_tokens=int(entry.get("declared_tokens", 0)),
-                origin=entry.get("origin", ""),
-            ))
-        return registry
+        def parse(entries):
+            if not isinstance(entries, list):
+                raise IngestError("manifest must be a JSON array")
+            registry = cls()
+            for entry in entries:
+                registry.register(SourceSpec(
+                    entry["name"], entry["kind"], entry["format"],
+                    declared_tokens=int(entry.get("declared_tokens", 0)),
+                    origin=entry.get("origin", "")))
+            return registry
+        return read_json(path, parse, IngestError)
 
 
 def is_valid_url(url: str) -> bool:

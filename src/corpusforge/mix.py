@@ -10,12 +10,12 @@ byte-identical shards and manifest.
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from .corpus import Document, write_corpus, write_json
+from .corpus import Document, read_json, write_corpus, write_json
 
 
 class MixError(Exception):
@@ -48,11 +48,10 @@ class MixSpec:
 
     @classmethod
     def from_file(cls, path: str) -> "MixSpec":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(ratios=dict(obj["ratios"]),
-                   total_token_budget=int(obj["total_token_budget"]),
-                   rng_seed=int(obj.get("rng_seed", 0)))
+        return read_json(path, lambda obj: cls(
+            ratios=dict(obj["ratios"]),
+            total_token_budget=int(obj["total_token_budget"]),
+            rng_seed=int(obj.get("rng_seed", 0))), MixError)
 
 
 @dataclass
@@ -61,15 +60,9 @@ class MixManifest:
     rng_seed: int
     spec_hash: str
 
-    def to_json(self) -> dict:
-        return {"per_class": self.per_class, "rng_seed": self.rng_seed,
-                "spec_hash": self.spec_hash}
-
     @classmethod
     def from_file(cls, path: str) -> "MixManifest":
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        return cls(obj["per_class"], obj["rng_seed"], obj["spec_hash"])
+        return read_json(path, lambda obj: cls(**obj), MixError)
 
 
 def apportion_budget(budget: int, ratios: dict) -> dict:
@@ -162,7 +155,7 @@ def compose_to_dir(pools: dict, spec: MixSpec, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     paths = write_corpus(docs, os.path.join(out_dir, "mix"),
                          docs_per_shard=docs_per_shard)
-    write_json(os.path.join(out_dir, "manifest.json"), manifest.to_json())
+    write_json(os.path.join(out_dir, "manifest.json"), asdict(manifest))
     return manifest, paths
 
 

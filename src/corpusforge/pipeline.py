@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import corpus as corpus_mod
@@ -24,8 +24,8 @@ from . import quality as quality_mod
 from . import retrieve as retrieve_mod
 from . import scaling as scaling_mod
 from .classifier import FilterHyperparams, load_model, save_model, train_filter
-from .corpus import (compute_stats, make_document, read_corpus, read_jsonl,
-                     write_corpus, write_json, write_lines)
+from .corpus import (compute_stats, make_document, read_corpus, read_json,
+                     read_jsonl, write_corpus, write_json, write_lines)
 
 
 class ConfigError(Exception):
@@ -179,7 +179,7 @@ def _span(value):
 
 
 def _stats(run, corpus=INPUT, out=OUTPUT):
-    stats = compute_stats(read_corpus(corpus)).to_json()
+    stats = asdict(compute_stats(read_corpus(corpus)))
     write_json(out, stats)
     return [out], stats
 
@@ -262,7 +262,7 @@ def _prune(run, vecs=INPUT, report=Field(kind=OUT, flag="--report-out"),
            threshold=Field(float, 0.95)):
     result = retrieve_mod.prune_redundant(
         embed_mod.load_external_embeddings(vecs), threshold)
-    write_json(report, result.to_json())
+    write_json(report, asdict(result))
     return [report], {"retained": len(result.retained_ids),
                       "removed": len(result.removed_pairs)}
 
@@ -330,7 +330,7 @@ def _filter(run, corpus=INPUT, scores=INPUT, out=OUTPUT,
 def _fit(run, obs=INPUT, out=OUTPUT, benchmark=Field(str, None)):
     observations = scaling_mod.load_observations(obs)
     curve = scaling_mod.fit_power_law(observations, benchmark)
-    payload = curve.to_json()
+    payload = asdict(curve)
     payload["n_obs"] = len([o for o in observations
                             if benchmark is None or o.benchmark == benchmark])
     write_json(out, payload)
@@ -340,13 +340,10 @@ def _fit(run, obs=INPUT, out=OUTPUT, benchmark=Field(str, None)):
 def _optimize(run, fits=Field(list, flag=None), out=OUTPUT,
               weights=Field(_listed(float), None),
               domain=Field(_span, "0.05:0.6"), step=Field(float, 1e-3)):
-    curves = []
-    for p in fits:
-        with open(run.input(p, "fits"), encoding="utf-8") as fh:
-            obj = json.load(fh)
-        curves.append(scaling_mod.ScalingCurve(
-            obj["c"], obj["k"], obj["alpha"], obj.get("rmse", 0.0),
-            obj.get("benchmark", "")))
+    curves = [read_json(run.input(p, "fits"), lambda o: scaling_mod.ScalingCurve(
+        float(o["c"]), float(o["k"]), float(o["alpha"]),
+        float(o.get("rmse", 0.0)), o.get("benchmark", "")),
+        scaling_mod.ScalingError) for p in fits]
     if weights is None:
         weights = [1.0] * len(curves)
     x_star, loss = scaling_mod.optimal_mix_ratio(curves, weights,

@@ -47,11 +47,6 @@ class FilterMetrics:
     recall: float
     confusion: list  # [[tp, fn], [fp, tn]] with agent as the positive class
 
-    def to_json(self) -> dict:
-        return {"accuracy": self.accuracy, "f1": self.f1,
-                "precision": self.precision, "recall": self.recall,
-                "confusion": self.confusion}
-
 
 def load_prompt_asset(name: str = ANNOTATOR_PROMPT_ASSET) -> str:
     ref = resources.files("corpusforge").joinpath("assets", "prompts", name)

@@ -30,13 +30,6 @@ class PruneReport:
     removed_pairs: list  # (kept_id, removed_id, similarity)
     threshold: float
 
-    def to_json(self) -> dict:
-        return {
-            "retained_ids": list(self.retained_ids),
-            "removed_pairs": [list(p) for p in self.removed_pairs],
-            "threshold": self.threshold,
-        }
-
 
 def retrieve_top_k(seeds: Embeddings, cands: Embeddings, k: int) -> list:
     """Top-K candidates by max-over-seeds cosine similarity.

@@ -50,10 +50,6 @@ class ScalingCurve:
     rmse: float
     benchmark: str
 
-    def to_json(self) -> dict:
-        return {"benchmark": self.benchmark, "c": self.c, "k": self.k,
-                "alpha": self.alpha, "rmse": self.rmse}
-
 
 @dataclass(frozen=True)
 class BudgetSpec:

@@ -160,6 +160,14 @@ class TestModelFile:
         with pytest.raises(ClassifierError, match="trailing bytes"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("header", [
+        b"{bad", b"{}", b'{"format_version": 1}', b"[1]", b"\xff"])
+    def test_bad_header_names_path(self, tmp_path, header):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"CFNG" + header + b"\n")
+        with pytest.raises(ClassifierError, match=re.escape(f"{path}: ")):
+            load_model(str(path))
+
     def test_untouched_rows_regenerate_after_load(self, trained, tmp_path):
         # A word unseen in training hits lazily initialized embedding rows;
         # the loaded model must regenerate them identically.

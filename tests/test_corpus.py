@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,7 +125,7 @@ class TestComputeStats:
         docs = make_random_docs(200, seed=5)
         forward = compute_stats(docs)
         backward = compute_stats(list(reversed(docs)))
-        assert forward.to_json() == backward.to_json()
+        assert forward == backward
 
     def test_shard_merge_associative(self):
         docs = make_random_docs(300, seed=9)
@@ -132,7 +133,7 @@ class TestComputeStats:
         merged = CorpusStats.empty()
         for i in range(0, 300, 100):
             merged = merged.merge(compute_stats(docs[i:i + 100]))
-        assert whole.to_json() == merged.to_json()
+        assert whole == merged
 
 
 class TestShardIO:
@@ -162,6 +163,32 @@ class TestShardIO:
         write_corpus(docs, prefix)
         write_corpus(make_random_docs(3, seed=2), prefix + ".extra")
         assert list(read_corpus(prefix)) == docs
+
+    def test_failed_rewrite_keeps_previous_corpus(self, tmp_path):
+        prefix = str(tmp_path / "c")
+        old = make_random_docs(30, seed=1)
+        write_corpus(old, prefix, docs_per_shard=10)
+
+        def failing_source():
+            for i, doc in enumerate(make_random_docs(30, seed=3)):
+                if i == 15:
+                    raise RuntimeError("source failed at the 16th document")
+                yield doc
+        with pytest.raises(RuntimeError, match="16th"):
+            write_corpus(failing_source(), prefix, docs_per_shard=10)
+        assert list(read_corpus(prefix)) == old
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_duplicate_id_rejected_and_previous_corpus_kept(self, tmp_path):
+        prefix = str(tmp_path / "c")
+        old = make_random_docs(30, seed=1)
+        write_corpus(old, prefix, docs_per_shard=10)
+        docs = make_random_docs(20, seed=3)
+        clash = make_document(docs[2].id, "other", "text", "same id again")
+        with pytest.raises(DuplicateIdError, match=re.escape(repr(clash.id))):
+            write_corpus(docs + [clash], prefix, docs_per_shard=10)
+        assert list(read_corpus(prefix)) == old
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_empty_corpus_still_writes_one_shard(self, tmp_path):
         paths = write_corpus([], str(tmp_path / "empty"), docs_per_shard=10)

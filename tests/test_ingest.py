@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -39,6 +40,14 @@ class TestRegistry:
         path.write_text(json.dumps(entries))
         registry = SourceRegistry.from_manifest(str(path))
         assert len(registry) == 61
+
+    @pytest.mark.parametrize("text", [
+        json.dumps([{"name": "s", "format": "plain_text"}]), "not json"])
+    def test_bad_manifest_names_file(self, tmp_path, text):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=re.escape(f"{path}: ")):
+            SourceRegistry.from_manifest(str(path))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(IngestError):

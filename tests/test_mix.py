@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -62,7 +65,7 @@ class TestComposeMixture:
         spec = MixSpec({"a": 0.5, "b": 0.5}, 5000, rng_seed=7)
         m1, d1 = compose_mixture(pools, spec)
         m2, d2 = compose_mixture(pools, spec)
-        assert m1.to_json() == m2.to_json()
+        assert m1 == m2
         assert d1 == d2
 
     def test_different_seed_changes_sample(self):
@@ -160,4 +163,20 @@ class TestVerifyManifest:
         manifest, prefix, _ = self._compose(tmp_path)
         path = tmp_path / "mix" / "manifest.json"
         loaded = MixManifest.from_file(str(path))
-        assert loaded.to_json() == manifest.to_json()
+        assert loaded == manifest
+
+
+class TestSpecAndManifestFiles:
+    def test_spec_without_budget_names_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"ratios": {"a": 1.0}, "rng_seed": 3}))
+        with pytest.raises(MixError, match=re.escape(f"{path}: ")
+                           + ".*total_token_budget"):
+            MixSpec.from_file(str(path))
+
+    def test_manifest_without_rng_seed_names_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"per_class": {}, "spec_hash": "0" * 64}))
+        with pytest.raises(MixError, match=re.escape(f"{path}: ")
+                           + ".*rng_seed"):
+            MixManifest.from_file(str(path))

@@ -13,9 +13,10 @@ from corpusforge.pipeline import (
 )
 
 from conftest import build_pipeline_fixture, make_random_docs
-from corpusforge.corpus import read_corpus, write_corpus
+from corpusforge.corpus import DuplicateIdError, read_corpus, write_corpus
 from corpusforge.ingest import IngestError
 from corpusforge.quality import QualityError
+from corpusforge.scaling import ScalingError
 
 
 def output_hashes(report):
@@ -92,6 +93,31 @@ class TestValidation:
         with pytest.raises(StageError, match=r"scores\.jsonl:2: ") as info:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, QualityError)
+
+    def test_colliding_source_ids_fail_at_ingest(self, tmp_path):
+        (tmp_path / "m.json").write_text(json.dumps([
+            {"name": name, "kind": "text", "format": "plain_text",
+             "origin": f"{name}.jsonl"} for name in ("a", "b")]))
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.jsonl").write_text(
+                json.dumps({"id": "same", "text": name}) + "\n")
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "ingest", "manifest": "m.json",
+                              "out": "seed"}]}
+        with pytest.raises(StageError, match="'same'") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, DuplicateIdError)
+
+    @pytest.mark.parametrize("fit", [{"k": 0.7, "alpha": -0.3},
+                                     {"c": "x", "k": 0.7, "alpha": -0.3}])
+    def test_bad_fits_file_names_file(self, tmp_path, fit):
+        (tmp_path / "fit_a.json").write_text(json.dumps(fit))
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "optimize", "fits": ["fit_a.json"],
+                              "out": "opt.json"}]}
+        with pytest.raises(StageError, match=r"fit_a\.json: ") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, ScalingError)
 
     def test_missing_input_is_config_error(self, tmp_path):
         config = {"workspace": str(tmp_path),
