@@ -194,6 +194,16 @@ def save_model(model: NgramLinearClassifier, path: str) -> None:
         fh.write(model.output_weights.astype("<f8").tobytes())
 
 
+def _check_rows(rows, bucket_count: int) -> None:
+    """Header rows are what save_model writes: strictly ascending integer
+    bucket ids in [0, bucket_count)."""
+    if not isinstance(rows, list) or not all(
+            type(r) is int and 0 <= r < bucket_count for r in rows):
+        raise ValueError(f"rows must be bucket ids in [0, {bucket_count})")
+    if any(a >= b for a, b in zip(rows, rows[1:])):
+        raise ValueError("rows must be strictly ascending")
+
+
 def load_model(path: str) -> NgramLinearClassifier:
     with open(path, "rb") as fh:
         magic = fh.read(len(MODEL_MAGIC))
@@ -203,12 +213,12 @@ def load_model(path: str) -> NgramLinearClassifier:
             header = json.loads(fh.readline())
             version = header["format_version"]
             if version != MODEL_FORMAT_VERSION:
-                raise ClassifierError(
-                    f"{path}: unsupported format version {version}")
+                raise ValueError(f"unsupported format version {version}")
             hp = FilterHyperparams(**header["hyperparams"])
             model = NgramLinearClassifier(hp, header["vocab"])
             rows = header["rows"]
-        except (KeyError, TypeError, ValueError) as exc:
+            _check_rows(rows, hp.bucket_count)
+        except (ClassifierError, KeyError, TypeError, ValueError) as exc:
             raise ClassifierError(f"{path}: bad header: {exc!r}") from exc
 
         def read_floats(count, what):

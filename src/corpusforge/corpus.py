@@ -78,20 +78,12 @@ def make_document(id: str, source_id: str, data_class: str, text: str,
                     dict(meta or {}))
 
 
-def parse_document_record(line: str) -> Document:
-    """Parse one JSONL record into a Document.
+def _document(obj, _lineno: int) -> Document:
+    """The Document of one decoded corpus record (a read_jsonl parse).
 
     token_count is recomputed when absent; when present it is trusted as-is
     (validated only for sign) so externally counted corpora round-trip.
     """
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON record: {exc}") from exc
-    return _document(obj)
-
-
-def _document(obj, _lineno: int = 0) -> Document:
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object")
 

@@ -269,13 +269,19 @@ def _prune(run, vecs=INPUT, report=Field(kind=OUT, flag="--report-out"),
 
 def _annotate(run, corpus=INPUT, out=OUTPUT,
               backend=Field(dict, flag=None)):
+    def required(key):
+        if backend.get(key) is None:
+            raise ConfigError(f"stages[annotate].backend.{key}",
+                              "missing required field")
+        return backend[key]
+
     kind = backend.get("kind")
     if kind == "file":
         annotator = quality_mod.FileLabelBackend(
-            run.input(backend["labels"], "backend.labels"))
+            run.input(required("labels"), "backend.labels"))
     elif kind == "http":
         annotator = quality_mod.HttpAnnotationBackend(
-            backend["url"],
+            required("url"),
             timeout=float(backend.get("timeout", 30.0)),
             retries=int(backend.get("retries", 2)))
     else:

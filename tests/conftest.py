@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from corpusforge.corpus import make_document
 from corpusforge.embed import Embeddings, unit_row
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, and
+# three times the default number of them.
+settings.register_profile("ci", derandomize=True, max_examples=300)
 
 AGENT_VOCAB = [
     "invoke_api", "tool_call", "endpoint", "parameter", "function_call",

@@ -1,4 +1,6 @@
+import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -165,6 +167,40 @@ class TestModelFile:
     def test_bad_header_names_path(self, tmp_path, header):
         path = tmp_path / "model.bin"
         path.write_bytes(b"CFNG" + header + b"\n")
+        with pytest.raises(ClassifierError, match=re.escape(f"{path}: ")):
+            load_model(str(path))
+
+    @staticmethod
+    def write_model(path, rows, **hyperparams):
+        """A model file whose body fits its header: one zero row per entry
+        of `rows`, then zero output weights."""
+        hp = dict(asdict(FilterHyperparams(dims=2, bucket_count=10)),
+                  **hyperparams)
+        header = {"format_version": 1, "hyperparams": hp,
+                  "vocab": {"a": 3}, "rows": rows}
+        floats = max(hp["dims"], 0) * (len(rows) + 2)
+        path.write_bytes(b"CFNG" + json.dumps(header).encode() + b"\n"
+                         + bytes(8 * floats))
+
+    def test_hand_written_header_loads(self, tmp_path):
+        path = tmp_path / "model.bin"
+        self.write_model(path, [0, 3, 9])
+        assert sorted(load_model(str(path)).embedding_rows) == [0, 3, 9]
+
+    @pytest.mark.parametrize("rows", [
+        ["x"], [1.0], [True], [-1], [10], [3, 1], [2, 2], {"0": 1}])
+    def test_rows_not_ascending_bucket_ids_rejected(self, tmp_path, rows):
+        path = tmp_path / "model.bin"
+        self.write_model(path, rows)
+        with pytest.raises(ClassifierError,
+                           match=re.escape(f"{path}: bad header")):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("bad", [{"dims": 0}, {"epochs": 0},
+                                     {"bucket_count": -1}])
+    def test_invalid_hyperparams_name_path(self, tmp_path, bad):
+        path = tmp_path / "model.bin"
+        self.write_model(path, [], **bad)
         with pytest.raises(ClassifierError, match=re.escape(f"{path}: ")):
             load_model(str(path))
 

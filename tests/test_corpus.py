@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import tempfile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,9 +14,7 @@ from corpusforge.corpus import (
     compute_stats,
     count_tokens,
     make_document,
-    parse_document_record,
     read_corpus,
-    serialize_document,
     write_corpus,
 )
 
@@ -56,40 +55,57 @@ class TestCountTokens:
 
 
 class TestParseDocumentRecord:
-    def test_round_trip(self):
+    """Document records read back through a one-shard corpus."""
+
+    @staticmethod
+    def read_back(docs, root):
+        write_corpus(docs, os.path.join(root, "c"))
+        return list(read_corpus(os.path.join(root, "c")))
+
+    @staticmethod
+    def read_lines(tmp_path, *records):
+        # A valid record first, so an error must name line 2.
+        good = {"id": "d0", "source_id": "s", "data_class": "text", "text": "x"}
+        lines = [json.dumps(good)] + [r if isinstance(r, str) else json.dumps(r)
+                                      for r in records]
+        (tmp_path / "c.00000.jsonl").write_text("\n".join(lines) + "\n")
+        return list(read_corpus(str(tmp_path / "c")))
+
+    def test_round_trip(self, tmp_path):
         doc = make_document("d1", "s1", "agent_doc", "call the api",
                             meta={"url": "https://x"})
-        assert parse_document_record(serialize_document(doc)) == doc
+        assert self.read_back([doc], str(tmp_path)) == [doc]
 
-    def test_token_count_recomputed_when_absent(self):
-        line = json.dumps({"id": "d1", "source_id": "s", "data_class": "text",
-                           "text": "a b c"})
-        assert parse_document_record(line).token_count == 3
+    def test_token_count_recomputed_when_absent(self, tmp_path):
+        docs = self.read_lines(tmp_path, {"id": "d1", "source_id": "s",
+                                          "data_class": "text", "text": "a b c"})
+        assert docs[1].token_count == 3
 
-    def test_unknown_data_class(self):
+    def test_unknown_data_class(self, tmp_path):
         doc = {"id": "d1", "source_id": "s", "data_class": "video", "text": "x"}
-        with pytest.raises(ValidationError):
-            parse_document_record(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"c\.00000\.jsonl:2: "):
+            self.read_lines(tmp_path, doc)
 
-    def test_missing_id(self):
-        with pytest.raises(ParseError, match="id"):
-            parse_document_record(json.dumps(
-                {"source_id": "s", "data_class": "text", "text": "x"}))
+    def test_missing_id(self, tmp_path):
+        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: .*'id'"):
+            self.read_lines(tmp_path, {"source_id": "s", "data_class": "text",
+                                       "text": "x"})
 
-    def test_malformed_json(self):
-        with pytest.raises(ParseError):
-            parse_document_record("{not json")
+    def test_malformed_json(self, tmp_path):
+        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: "):
+            self.read_lines(tmp_path, "{not json")
 
-    def test_bad_meta(self):
+    def test_bad_meta(self, tmp_path):
         doc = {"id": "d", "source_id": "s", "data_class": "text", "text": "x",
                "meta": {"k": 1}}
-        with pytest.raises(ParseError, match="meta"):
-            parse_document_record(json.dumps(doc))
+        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: .*meta"):
+            self.read_lines(tmp_path, doc)
 
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
     def test_round_trip_any_text(self, text):
         doc = make_document("d", "s", "code", text)
-        assert parse_document_record(serialize_document(doc)) == doc
+        with tempfile.TemporaryDirectory() as root:
+            assert self.read_back([doc], root) == [doc]
 
 
 class TestComputeStats:

@@ -1,11 +1,13 @@
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from corpusforge import embed as embed_mod
 from corpusforge.corpus import make_document
 from corpusforge.embed import (
     EmbedError,
@@ -14,11 +16,41 @@ from corpusforge.embed import (
     embed_text,
     load_external_embeddings,
     save_embeddings,
+    stable_hash64,
+    unit_row,
 )
 
 from conftest import make_random_vectors
 
 CFG = EmbedderConfig(dims=64, hash_seed=42)
+
+
+def reference_embed_text(text, cfg):
+    """The embedder as one blake2b call per n-gram occurrence, in text order."""
+    vec = np.zeros(cfg.dims, dtype=np.float64)
+    data = text.encode("utf-8")
+    for n in range(cfg.ngram_min, cfg.ngram_max + 1):
+        if len(data) < n:
+            break
+        for i in range(len(data) - n + 1):
+            h = stable_hash64(data[i:i + n], cfg.hash_seed)
+            bucket = h % cfg.dims
+            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
+            vec[bucket] += sign
+    return unit_row(vec)
+
+
+@st.composite
+def embedder_configs(draw):
+    lo = draw(st.integers(1, 9))
+    return dict(dims=draw(st.integers(2, 300)), ngram_min=lo,
+                ngram_max=draw(st.integers(lo, 9)),
+                hash_seed=draw(st.integers(-2**64, -1) | st.integers(0, 2**64)
+                               | st.sampled_from([2**63, 2**64 - 1])))
+
+
+short_texts = st.text(max_size=12) | st.sampled_from(["", "a", "é", "ab "])
+texts = st.lists(short_texts | st.text(max_size=200), min_size=1, max_size=8)
 
 
 class TestEmbedder:
@@ -55,6 +87,46 @@ class TestEmbedder:
         expected /= np.linalg.norm(expected)
         got = embed_text(text, CFG)
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @given(embedder_configs(), texts)
+    def test_matches_reference_through_shared_config(self, params, batch):
+        # One config for the whole list: later texts hit the memo, and a
+        # merge every 3 new n-grams puts most hits in the sorted arrays.
+        cfg = EmbedderConfig(**params)
+        with mock.patch.object(embed_mod, "_MERGE_EVERY", 3):
+            for text in batch + batch[::-1]:
+                got = embed_text(text, cfg)
+                assert got.tobytes() == reference_embed_text(text, cfg).tobytes()
+
+    @given(embedder_configs(), texts)
+    def test_matches_reference_through_fresh_configs(self, params, batch):
+        for text in batch:
+            cfg = EmbedderConfig(**params)
+            got = embed_text(text, cfg)
+            assert got.tobytes() == reference_embed_text(text, cfg).tobytes()
+
+    def test_matches_reference_across_real_merges(self):
+        # Enough distinct n-grams for several merges at the real batch size.
+        rng = np.random.default_rng(3)
+        words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyzé"), 6))
+                 for _ in range(1500)]
+        cfg = EmbedderConfig(dims=97, ngram_min=2, ngram_max=8, hash_seed=-7)
+        for _ in range(40):
+            text = " ".join(rng.choice(words, 60))
+            assert embed_text(text, cfg).tobytes() == \
+                reference_embed_text(text, cfg).tobytes()
+        # Each n-gram is hashed once: the memo holds it once, in key order.
+        assert len(cfg.memo.keys) > 2 * embed_mod._MERGE_EVERY
+        assert np.all(np.diff(cfg.memo.keys) > 0)
+        assert not cfg.memo.pending.keys() & set(cfg.memo.keys.tolist())
+
+    def test_memo_is_not_part_of_the_config_value(self):
+        used, fresh = (EmbedderConfig(dims=64, hash_seed=42) for _ in "ab")
+        embed_text("call the weather api", used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert len(used.memo.pending) + len(used.memo.keys) > 0
+        assert "memo" not in repr(used)
+        assert repr(used) == repr(fresh)
 
     def test_embed_document_uses_text(self):
         doc = make_document("d", "s", "text", "hello world text")

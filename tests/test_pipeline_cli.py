@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -118,6 +119,22 @@ class TestValidation:
         with pytest.raises(StageError, match=r"fit_a\.json: ") as info:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, ScalingError)
+
+    @pytest.mark.parametrize("backend,field", [
+        ({"kind": "file"}, "labels"), ({"kind": "file", "labels": None}, "labels"),
+        ({"kind": "http"}, "url"), ({"kind": "http", "timeout": 5}, "url")])
+    def test_annotate_backend_without_source_is_config_error(
+            self, tmp_path, backend, field):
+        write_corpus(make_random_docs(1, seed=6), str(tmp_path / "c"))
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "annotate", "corpus": "c",
+                              "backend": backend, "out": "labels.jsonl"}]}
+        with pytest.raises(ConfigError, match=re.escape(
+                f"stages[annotate].backend.{field}")):
+            run_pipeline(config)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 2
 
     def test_missing_input_is_config_error(self, tmp_path):
         config = {"workspace": str(tmp_path),
