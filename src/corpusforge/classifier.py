@@ -7,15 +7,23 @@ a document is the mean of its feature rows, classified by a linear
 softmax head trained with sequential SGD under a linearly decaying
 learning rate. Training is deterministic given (sample order, rng_seed).
 
-The embedding table is stored sparsely: only buckets ever touched get a
-materialized row, and untouched rows are regenerated on demand from a
-per-row seed, so large bucket counts cost nothing at desk scale.
+The embedding table is stored sparsely: only buckets that training
+touches get a stored row, so large bucket counts cost nothing at desk
+scale. A bucket's initial row is default_rng(seed).uniform(-1/dims,
+1/dims, dims) for a per-bucket seed, bit for bit, but built in bulk:
+numpy's SeedSequence is replayed for all buckets at once in uint32
+arithmetic, and only PCG64's draws run per row. Training keeps its rows in
+one dense table. Scoring generates the initial rows of buckets training
+never touched into a cache of their own, so scoring never adds rows to
+a model.
 """
 
 import json
 from dataclasses import dataclass, asdict
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .embed import stable_hash64
 
@@ -79,44 +87,146 @@ def _feature_rows(tokens, vocab, hp: FilterHyperparams) -> list:
     return rows
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default
+# 4-word pool. Each hash call xors with the current hash constant, then
+# multiplies by the next one, and the constants evolve the same way
+# whatever the entropy, so call k's (xor, multiply) pair is a constant.
+_MASK32 = 0xFFFFFFFF
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> list:
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return list(zip(consts, consts[1:]))
+
+
+_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
+_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hash_words(words, consts):
+    xor, mult = consts
+    words = (words ^ np.uint32(xor)) * np.uint32(mult)
+    return words ^ (words >> np.uint32(16))
+
+
+def _mix_words(x, y):
+    words = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return words ^ (words >> np.uint32(16))
+
+
+def _seed_states(seeds):
+    """SeedSequence(s).generate_state(4, np.uint64) for each seed s in
+    [0, 2**64), as one (n, 4) uint64 array.
+
+    A seed below 2**32 is one entropy word, a larger one two; both fill
+    the rest of the pool with hashed zeros, so a zero high word stands
+    for the missing second word.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    pool_hashes = iter(_POOL_HASHES)
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    entropy = (low, (seeds >> np.uint64(32)).astype(np.uint32), zero, zero)
+    pool = [_hash_words(word, next(pool_hashes)) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix_words(
+                    pool[dst], _hash_words(pool[src], next(pool_hashes)))
+    state = np.empty((len(seeds), 8), dtype="<u4")
+    for i, consts in enumerate(_STATE_HASHES):
+        state[:, i] = _hash_words(pool[i % 4], consts)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """Hands PCG64 a SeedSequence state that _seed_states computed."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _seed_rows(seeds, dims: int):
+    """default_rng(s).uniform(-1/dims, 1/dims, dims) for each seed s, bit
+    for bit, as one (n, dims) array."""
+    table = np.empty((len(seeds), dims), dtype=np.float64)
+    for row, state in zip(table, _seed_states(seeds)):
+        Generator(PCG64(_SeedState(state))).random(out=row)
+    # uniform(low, high) draws low + (high - low) * random().
+    bound = 1.0 / dims
+    table *= 2 * bound
+    table += -bound
+    return table
+
+
+def _occurrence_layers(slots):
+    """Split slots into layers of distinct slots, the k-th layer holding
+    each slot's k-th occurrence, so that updating one layer at a time
+    updates a repeated slot once per occurrence, in order."""
+    layers = []
+    while len(slots):
+        layer, first = np.unique(slots, return_index=True)
+        layers.append(layer)
+        slots = np.delete(slots, first)
+    return layers
+
+
 def _softmax2(logits):
     shifted = logits - logits.max()
     e = np.exp(shifted)
     return e / e.sum()
 
 
+def _mean_row(rows):
+    """Mean of the rows, summed one row after another; zeros for none.
+
+    np.add.reduce along axis 0 adds whole rows in turn, but it sums the
+    one column of 1-wide rows pairwise, so those take a running sum.
+    """
+    if not len(rows):
+        return np.zeros(rows.shape[1], dtype=np.float64)
+    if rows.shape[1] == 1:
+        return np.add.accumulate(rows, axis=0)[-1] / len(rows)
+    return np.add.reduce(rows, axis=0) / len(rows)
+
+
 class NgramLinearClassifier:
     def __init__(self, hyperparams: FilterHyperparams, vocab: dict):
         self.hyperparams = hyperparams
         self.vocab = vocab
-        self.embedding_rows = {}  # bucket id -> dims float64 row
+        self.embedding_rows = {}  # trained bucket id -> dims float64 row
+        self._initial_rows = {}   # untrained bucket id -> its initial row
         self.output_weights = np.zeros((hyperparams.dims, 2), dtype=np.float64)
         self.epoch_losses = []
 
-    def _row(self, bucket: int):
-        row = self.embedding_rows.get(bucket)
-        if row is None:
-            seed = stable_hash64(bucket.to_bytes(8, "little"),
-                                 self.hyperparams.rng_seed ^ 0x5EED)
-            bound = 1.0 / self.hyperparams.dims
-            row = np.random.default_rng(seed).uniform(-bound, bound,
-                                                      self.hyperparams.dims)
-            self.embedding_rows[bucket] = row
-        return row
+    def _init_rows(self, buckets):
+        """The initial rows of the buckets, as one (n, dims) array."""
+        salt = self.hyperparams.rng_seed ^ 0x5EED
+        return _seed_rows([stable_hash64(b.to_bytes(8, "little"), salt)
+                           for b in buckets], self.hyperparams.dims)
 
-    def _hidden(self, rows):
-        if not rows:
-            return np.zeros(self.hyperparams.dims, dtype=np.float64)
-        acc = np.zeros(self.hyperparams.dims, dtype=np.float64)
-        for r in rows:
-            acc += self._row(r)
-        return acc / len(rows)
+    def _rows(self, buckets):
+        """The buckets' rows as one (len(buckets), dims) array. A bucket
+        without a trained row gets its initial row, generated once into
+        a cache that save_model never writes."""
+        trained, initial = self.embedding_rows, self._initial_rows
+        missing = sorted({b for b in buckets
+                          if b not in trained and b not in initial})
+        if missing:
+            initial.update(zip(missing, self._init_rows(missing)))
+        return np.array([trained[b] if b in trained else initial[b]
+                         for b in buckets]).reshape(-1, self.hyperparams.dims)
 
     def predict_proba(self, text: str):
         """(p_agent, p_general); featureless text sits at the 0.5 prior."""
         rows = _feature_rows(tokenize(text), self.vocab, self.hyperparams)
-        hidden = self._hidden(rows)
-        return _softmax2(hidden @ self.output_weights)
+        return _softmax2(_mean_row(self._rows(rows)) @ self.output_weights)
 
     def predict_score(self, text: str) -> float:
         """Probability the text is agent-relevant."""
@@ -146,15 +256,22 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
     model = NgramLinearClassifier(hp, vocab)
     featurized = [(_feature_rows(tokenize(text), vocab, hp), LABEL_INDEX[label])
                   for text, label in samples]
+    buckets = sorted({b for rows, _ in featurized for b in rows})
+    table = model._init_rows(buckets)
+    slot_of = {b: slot for slot, b in enumerate(buckets)}
+    docs = []
+    for rows, target in featurized:
+        slots = np.array([slot_of[b] for b in rows], dtype=np.intp)
+        docs.append((slots, _occurrence_layers(slots), target))
 
-    total_updates = hp.epochs * len(featurized)
+    total_updates = hp.epochs * len(docs)
     step = 0
     for _ in range(hp.epochs):
         epoch_loss = 0.0
-        for rows, target in featurized:
+        for slots, layers, target in docs:
             lr = hp.learning_rate * (1.0 - step / total_updates)
             step += 1
-            hidden = model._hidden(rows)
+            hidden = _mean_row(table[slots])
             probs = _softmax2(hidden @ model.output_weights)
             epoch_loss += -np.log(max(probs[target], 1e-300))
 
@@ -162,11 +279,11 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
             grad_logits[target] -= 1.0
             grad_hidden = model.output_weights @ grad_logits
             model.output_weights -= lr * np.outer(hidden, grad_logits)
-            if rows:
-                delta = (lr / len(rows)) * grad_hidden
-                for r in rows:
-                    model.embedding_rows[r] = model._row(r) - delta
-        model.epoch_losses.append(float(epoch_loss) / len(featurized))
+            delta = (lr / max(len(slots), 1)) * grad_hidden
+            for layer in layers:
+                table[layer] -= delta
+        model.epoch_losses.append(float(epoch_loss) / len(docs))
+    model.embedding_rows = dict(zip(buckets, table))
     return model
 
 
@@ -190,8 +307,8 @@ def save_model(model: NgramLinearClassifier, path: str) -> None:
                             separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
         for r in rows:
-            fh.write(model.embedding_rows[r].astype("<f8").tobytes())
-        fh.write(model.output_weights.astype("<f8").tobytes())
+            fh.write(np.ascontiguousarray(model.embedding_rows[r], "<f8"))
+        fh.write(np.ascontiguousarray(model.output_weights, "<f8"))
 
 
 def _check_rows(rows, bucket_count: int) -> None:
@@ -221,16 +338,15 @@ def load_model(path: str) -> NgramLinearClassifier:
         except (ClassifierError, KeyError, TypeError, ValueError) as exc:
             raise ClassifierError(f"{path}: bad header: {exc!r}") from exc
 
-        def read_floats(count, what):
-            data = fh.read(8 * count)
-            if len(data) != 8 * count:
+        def read_floats(shape, what):
+            floats = np.empty(shape, dtype="<f8")
+            if fh.readinto(memoryview(floats).cast("B")) != floats.nbytes:
                 raise ClassifierError(f"{path}: truncated {what}")
-            return np.frombuffer(data, dtype="<f8").copy()
+            return floats
 
-        for r in rows:
-            model.embedding_rows[r] = read_floats(hp.dims, f"embedding row {r}")
-        model.output_weights = read_floats(
-            hp.dims * 2, "output weights").reshape(hp.dims, 2)
+        table = read_floats((len(rows), hp.dims), "embedding rows")
+        model.embedding_rows = dict(zip(rows, table))
+        model.output_weights = read_floats((hp.dims, 2), "output weights")
         if fh.read(1):
             raise ClassifierError(f"{path}: trailing bytes after output weights")
     return model

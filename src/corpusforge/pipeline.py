@@ -323,14 +323,26 @@ def _score(run, model=INPUT, corpus=INPUT, out=OUTPUT):
 
 def _filter(run, corpus=INPUT, scores=INPUT, out=OUTPUT,
             keep_fraction=Field(float)):
-    score_of = dict(read_jsonl(scores, lambda obj, _: (
-        obj["id"], float(obj["score"])), quality_mod.QualityError))
-    scored = [(doc, score_of[doc.id]) for doc in read_corpus(corpus)
-              if doc.id in score_of]
+    score_of = {}
+
+    def parse(obj, _):
+        if obj["id"] in score_of:
+            raise quality_mod.QualityError(f"duplicate score for id {obj['id']!r}")
+        return obj["id"], float(obj["score"])
+
+    for doc_id, score in read_jsonl(scores, parse, quality_mod.QualityError):
+        score_of[doc_id] = score
+    scored, no_score = [], 0
+    for doc in read_corpus(corpus):
+        if doc.id in score_of:
+            scored.append((doc, score_of[doc.id]))
+        else:
+            no_score += 1
     kept = quality_mod.filter_by_rank(scored, keep_fraction)
     paths = write_corpus(kept, out)
     kept_tokens = sum(d.token_count for d in kept)
-    return paths, {"kept_docs": len(kept), "kept_tokens": kept_tokens}
+    return paths, {"kept_docs": len(kept), "kept_tokens": kept_tokens,
+                   "dropped": {"no_score": no_score}}
 
 
 def _fit(run, obs=INPUT, out=OUTPUT, benchmark=Field(str, None)):

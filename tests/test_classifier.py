@@ -4,22 +4,80 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from corpusforge.classifier import (
+    LABEL_INDEX,
+    LABELS,
     ClassifierError,
     FilterHyperparams,
     NgramLinearClassifier,
     _feature_rows,
+    _seed_rows,
+    _softmax2,
     build_vocab,
     load_model,
     save_model,
     tokenize,
     train_filter,
 )
+from corpusforge.embed import stable_hash64
 
 from conftest import make_separable_samples
 
 HP = FilterHyperparams(rng_seed=7)
+
+
+def reference_row(hp, rows, bucket):
+    """A bucket's row in a dict of rows; a missing one starts as
+    default_rng(seed).uniform for the bucket's seed and is stored."""
+    if bucket not in rows:
+        seed = stable_hash64(bucket.to_bytes(8, "little"), hp.rng_seed ^ 0x5EED)
+        bound = 1.0 / hp.dims
+        rows[bucket] = np.random.default_rng(seed).uniform(-bound, bound, hp.dims)
+    return rows[bucket]
+
+
+def reference_train(samples, hp):
+    """Sequential SGD over a dict of rows, one row and one update at a
+    time: each occurrence of a bucket in a document updates its row in
+    turn. Skips train_filter's input checks."""
+    vocab = build_vocab((text for text, _ in samples), hp.min_count)
+    model = NgramLinearClassifier(hp, vocab)
+    featurized = [(_feature_rows(tokenize(text), vocab, hp), LABEL_INDEX[label])
+                  for text, label in samples]
+    total_updates = hp.epochs * len(featurized)
+    step = 0
+    for _ in range(hp.epochs):
+        epoch_loss = 0.0
+        for rows, target in featurized:
+            lr = hp.learning_rate * (1.0 - step / total_updates)
+            step += 1
+            hidden = np.zeros(hp.dims, dtype=np.float64)
+            if rows:
+                for r in rows:
+                    hidden += reference_row(hp, model.embedding_rows, r)
+                hidden = hidden / len(rows)
+            probs = _softmax2(hidden @ model.output_weights)
+            epoch_loss += -np.log(max(probs[target], 1e-300))
+
+            grad_logits = probs.copy()
+            grad_logits[target] -= 1.0
+            grad_hidden = model.output_weights @ grad_logits
+            model.output_weights -= lr * np.outer(hidden, grad_logits)
+            if rows:
+                delta = (lr / len(rows)) * grad_hidden
+                for r in rows:
+                    model.embedding_rows[r] = (
+                        reference_row(hp, model.embedding_rows, r) - delta)
+        model.epoch_losses.append(float(epoch_loss) / len(featurized))
+    return model
+
+
+def model_bytes(model, directory):
+    path = directory / "model.bin"
+    save_model(model, str(path))
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +148,62 @@ class TestTraining:
             FilterHyperparams(epochs=0)
 
 
+# Seeds below 2**32 are one SeedSequence entropy word, larger ones two.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestRowInit:
+    @given(st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1),
+                    max_size=20),
+           st.integers(1, 300))
+    def test_seed_rows_match_default_rng_uniform(self, seeds, dims):
+        seeds = EDGE_SEEDS + seeds
+        expected = np.array([np.random.default_rng(s).uniform(
+            -1 / dims, 1 / dims, dims) for s in seeds])
+        assert _seed_rows(seeds, dims).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dims", [1, 7, 256])
+    def test_no_buckets_no_rows(self, dims):
+        model = NgramLinearClassifier(FilterHyperparams(dims=dims), {})
+        assert model._init_rows([]).shape == (0, dims)
+
+
+WORDS = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def training_runs(draw):
+    """Tiny samples with hyperparams that force bucket collisions and
+    buckets repeated within one document. The empty document and the
+    once-seen "lonely" (unless min_count is 1) keep no tokens."""
+    docs = draw(st.lists(st.tuples(st.lists(st.sampled_from(WORDS), max_size=8),
+                                   st.sampled_from(LABELS)),
+                         min_size=1, max_size=10))
+    samples = [(" ".join(words), label) for words, label in docs]
+    samples = draw(st.permutations(samples + [("", "agent"),
+                                              ("lonely", "general")]))
+    hp = FilterHyperparams(
+        dims=draw(st.integers(1, 16)),
+        learning_rate=draw(st.floats(0.01, 1.0)),
+        word_ngram_max=draw(st.integers(1, 3)),
+        min_count=draw(st.integers(1, 3)),
+        epochs=draw(st.integers(1, 3)),
+        bucket_count=draw(st.integers(1, 64)),
+        rng_seed=draw(st.integers(0, 2**64 - 1)))
+    return samples, hp
+
+
+class TestTrainingOracle:
+    @given(training_runs())
+    def test_matches_per_occurrence_sgd(self, tmp_path_factory, run):
+        samples, hp = run
+        assume(build_vocab((text for text, _ in samples), hp.min_count))
+        model, expected = train_filter(samples, hp), reference_train(samples, hp)
+        directory = tmp_path_factory.mktemp("oracle")
+        assert model.epoch_losses == expected.epoch_losses
+        assert model_bytes(model, directory) == model_bytes(expected, directory)
+
+
 class TestPrediction:
     def test_probabilities_sum_to_one(self, trained):
         model, train, _ = trained
@@ -113,10 +227,12 @@ class TestPrediction:
         # Re-implemented forward pass: featurize, average rows, softmax.
         model, train, _ = trained
         hp = model.hyperparams
+        rows_of = dict(model.embedding_rows)
         for text, _ in train[:100]:
             rows = _feature_rows(tokenize(text), model.vocab, hp)
             if rows:
-                hidden = np.mean([model._row(r) for r in rows], axis=0)
+                hidden = np.mean([reference_row(hp, rows_of, r) for r in rows],
+                                 axis=0)
             else:
                 hidden = np.zeros(hp.dims)
             logits = hidden @ model.output_weights
@@ -203,6 +319,20 @@ class TestModelFile:
         self.write_model(path, [], **bad)
         with pytest.raises(ClassifierError, match=re.escape(f"{path}: ")):
             load_model(str(path))
+
+    def test_scoring_leaves_the_model_file_unchanged(self, tmp_path):
+        samples = make_separable_samples(10)
+        model = train_filter(samples, FilterHyperparams(dims=8, rng_seed=3))
+        text = "endpoint invoke_api garden"
+        assert set(_feature_rows(tokenize(text), model.vocab, model.hyperparams)
+                   ) - set(model.embedding_rows), "text must hit untrained rows"
+        trained = model_bytes(model, tmp_path)
+        rows = len(model.embedding_rows)
+        loaded = load_model(str(tmp_path / "model.bin"))
+        for scored in (model, loaded):
+            scored.predict_score(text)
+            assert len(scored.embedding_rows) == rows
+            assert model_bytes(scored, tmp_path) == trained
 
     def test_untouched_rows_regenerate_after_load(self, trained, tmp_path):
         # A word unseen in training hits lazily initialized embedding rows;

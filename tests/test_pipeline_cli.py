@@ -95,6 +95,34 @@ class TestValidation:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, QualityError)
 
+    @staticmethod
+    def filter_config(tmp_path, docs, scores):
+        write_corpus(docs, str(tmp_path / "c"))
+        (tmp_path / "scores.jsonl").write_text("".join(
+            json.dumps({"id": doc_id, "score": score}) + "\n"
+            for doc_id, score in scores))
+        return {"workspace": str(tmp_path),
+                "stages": [{"name": "filter", "corpus": "c",
+                            "scores": "scores.jsonl", "keep_fraction": 1.0,
+                            "out": "kept"}]}
+
+    def test_repeated_score_id_names_file_and_line(self, tmp_path):
+        docs = make_random_docs(3, seed=4)
+        config = self.filter_config(tmp_path, docs, [
+            (docs[0].id, 0.5), (docs[1].id, 0.5), (docs[0].id, 0.9)])
+        with pytest.raises(StageError, match=r"scores\.jsonl:3: .*duplicate"
+                           ) as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, QualityError)
+
+    def test_filter_counts_docs_without_score(self, tmp_path):
+        docs = make_random_docs(5, seed=4)
+        config = self.filter_config(tmp_path, docs, [
+            (docs[1].id, 0.5), (docs[3].id, 0.7)])
+        stats = run_pipeline(config)["stages"][0]["stats"]
+        assert stats["kept_docs"] == 2
+        assert stats["dropped"] == {"no_score": 3}
+
     def test_colliding_source_ids_fail_at_ingest(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps([
             {"name": name, "kind": "text", "format": "plain_text",
