@@ -19,6 +19,7 @@ a model.
 """
 
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -332,11 +333,18 @@ def load_model(path: str) -> NgramLinearClassifier:
             if version != MODEL_FORMAT_VERSION:
                 raise ValueError(f"unsupported format version {version}")
             hp = FilterHyperparams(**header["hyperparams"])
-            model = NgramLinearClassifier(hp, header["vocab"])
+            vocab = header["vocab"]
             rows = header["rows"]
             _check_rows(rows, hp.bucket_count)
         except (ClassifierError, KeyError, TypeError, ValueError) as exc:
             raise ClassifierError(f"{path}: bad header: {exc!r}") from exc
+        # Check the body size before allocating anything the header sizes.
+        needed = 8 * hp.dims * (len(rows) + 2)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if needed > left:
+            raise ClassifierError(f"{path}: truncated body: the header needs "
+                                  f"{needed} bytes, the file has {left}")
+        model = NgramLinearClassifier(hp, vocab)
 
         def read_floats(shape, what):
             floats = np.empty(shape, dtype="<f8")

@@ -431,7 +431,7 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
     for stage in config["stages"]:
         name = stage["name"]
         log_event(event="stage_start", stage=name)
-        started = time.time()
+        started = time.perf_counter()
         try:
             inputs, outputs, stats = STAGES[name](stage, ctx)
         except ConfigError:
@@ -447,7 +447,7 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
         entry = {
             "name": name,
             "status": "ok",
-            "duration_s": round(time.time() - started, 6),
+            "duration_s": round(time.perf_counter() - started, 6),
             "inputs": _hash_outputs(inputs),
             "outputs": _hash_outputs(outputs),
             "stats": stats,

@@ -21,6 +21,16 @@ ALPHA_GRID_LO = -2.0
 ALPHA_GRID_HI = 2.0
 ALPHA_GRID_STEP = 1e-3
 ALPHA_REFINE_TOL = 1e-6
+# The vectorized grid scan works on blocks of about this many
+# (alpha, observation) elements, so its temporaries stay small.
+ALPHA_SCAN_BLOCK = 1 << 16
+# Rounding margin of a scanned SSE: it and lstsq's SSE at the same alpha
+# are taken to differ by at most RESCORE_REL * sse + RESCORE_ABS * (y @ y)
+# * cond**2, where cond = ||u|| / ||u - mean(u)|| for u = x**alpha measures
+# the cancellation in the residual. Both methods round orders of
+# magnitude below this.
+RESCORE_REL = 1e-9
+RESCORE_ABS = 1e-12
 
 
 class ScalingError(Exception):
@@ -38,8 +48,8 @@ class MixObservation:
     def __post_init__(self):
         if not 0.0 <= self.x <= 1.0:
             raise ScalingError(f"mixing ratio x must be in [0, 1], got {self.x}")
-        if self.loss <= 0.0:
-            raise ScalingError(f"loss must be positive, got {self.loss}")
+        if not 0.0 < self.loss < math.inf:
+            raise ScalingError(f"loss must be positive and finite, got {self.loss}")
 
 
 @dataclass(frozen=True)
@@ -64,20 +74,57 @@ class BudgetSpec:
 
 
 def _linear_fit_at_alpha(x, y, alpha):
-    """Closed-form least-squares (c, k) for fixed alpha; returns (c, k, sse)."""
-    u = np.power(x, alpha)
+    """Closed-form least-squares (c, k) for fixed alpha; returns (c, k, sse).
+
+    An alpha at which x**alpha overflows has sse = inf (and c = k = nan).
+    """
+    with np.errstate(over="ignore"):
+        u = np.power(x, alpha)
+    if not np.isfinite(u).all():
+        return math.nan, math.nan, math.inf
     design = np.column_stack([np.ones_like(u), u])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef
     return float(coef[0]), float(coef[1]), float(resid @ resid)
 
 
+def _scan_grid(x, y, grid):
+    """Least-squares SSE of c + k * x**alpha at every grid alpha, from the
+    closed-form 2x2 normal equations in centered form, and its rounding
+    margin (see RESCORE_REL). Overflow and degenerate columns come out
+    as nan or inf."""
+    n = len(x)
+    per_block = max(1, ALPHA_SCAN_BLOCK // n)
+    yc = y - y.mean()
+    sse, cond2 = np.empty(len(grid)), np.empty(len(grid))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(grid), per_block):
+            block = slice(start, start + per_block)
+            u = np.power(x, grid[block, None])
+            mean = u.mean(axis=1)
+            u -= mean[:, None]
+            sxx = np.einsum("ij,ij->i", u, u)
+            k = (u @ yc) / sxx
+            resid = yc - k[:, None] * u
+            sse[block] = np.einsum("ij,ij->i", resid, resid)
+            cond2[block] = 1.0 + n * mean * mean / sxx
+        margin = RESCORE_REL * sse + RESCORE_ABS * (y @ y) * cond2
+    return sse, margin
+
+
 def fit_power_law(obs, benchmark: str | None = None) -> ScalingCurve:
     """Least-squares fit of c + k * x**alpha to one benchmark's observations.
 
     Method: dense grid over alpha (zero excluded: alpha = 0 is degenerate
-    with c) with closed-form (c, k) at each grid point, then golden-section
-    refinement of alpha around the best bracket. Deterministic.
+    with c), then golden-section refinement of alpha around the best grid
+    point. The grid is scanned in one vectorized pass of closed-form
+    (c, k), which only picks candidates: every grid point whose SSE is
+    within rounding (RESCORE_REL) of the grid minimum, or not finite, is
+    re-scored with lstsq, and the best lstsq value (the first on ties)
+    gives the grid's best point, as if lstsq had scored every point.
+    Refinement and the final (c, k) use lstsq too. An alpha at which some
+    x**alpha overflows has SSE +inf; if no grid alpha has a finite SSE,
+    ScalingError. Deterministic.
     """
     obs = list(obs)
     if benchmark is not None:
@@ -98,11 +145,17 @@ def fit_power_law(obs, benchmark: str | None = None) -> ScalingCurve:
                      ALPHA_GRID_STEP)
     grid = grid[np.abs(grid) > ALPHA_GRID_STEP / 2]
 
+    scanned, margin = _scan_grid(x, y, grid)
+    upper = scanned + margin
+    finite = np.isfinite(upper)
+    cutoff = np.min(upper, where=finite, initial=math.inf)
     best_alpha, best_sse = None, math.inf
-    for alpha in grid:
+    for alpha in grid[~finite | (scanned - margin <= cutoff)]:
         _, _, sse = _linear_fit_at_alpha(x, y, alpha)
         if sse < best_sse:
             best_alpha, best_sse = float(alpha), sse
+    if best_alpha is None:
+        raise ScalingError("no alpha in the grid gives a finite least-squares fit")
 
     lo = best_alpha - ALPHA_GRID_STEP
     hi = best_alpha + ALPHA_GRID_STEP

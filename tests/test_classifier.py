@@ -320,6 +320,17 @@ class TestModelFile:
         with pytest.raises(ClassifierError, match=re.escape(f"{path}: ")):
             load_model(str(path))
 
+    def test_huge_dims_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "model.bin"
+        hp = asdict(FilterHyperparams(dims=10**12, bucket_count=10))
+        header = {"format_version": 1, "hyperparams": hp, "vocab": {},
+                  "rows": [1]}
+        path.write_bytes(b"CFNG" + json.dumps(header).encode() + b"\n"
+                         + bytes(64))
+        with pytest.raises(ClassifierError,
+                           match=re.escape(f"{path}: truncated")):
+            load_model(str(path))
+
     def test_scoring_leaves_the_model_file_unchanged(self, tmp_path):
         samples = make_separable_samples(10)
         model = train_filter(samples, FilterHyperparams(dims=8, rng_seed=3))

@@ -148,6 +148,18 @@ class TestValidation:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, ScalingError)
 
+    def test_non_finite_loss_names_file_and_line(self, tmp_path):
+        lines = [json.dumps({"x": x, "loss": 0.5 + 0.7 * x ** -0.3,
+                             "benchmark": "b"}) for x in (0.1, 0.2, 0.3, 0.4)]
+        lines.insert(2, '{"x": 0.25, "loss": NaN, "benchmark": "b"}')
+        (tmp_path / "obs.jsonl").write_text("\n".join(lines) + "\n")
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "fit", "obs": "obs.jsonl",
+                              "out": "fit.json"}]}
+        with pytest.raises(StageError, match=r"obs\.jsonl:3: .*finite") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, ScalingError)
+
     @pytest.mark.parametrize("backend,field", [
         ({"kind": "file"}, "labels"), ({"kind": "file", "labels": None}, "labels"),
         ({"kind": "http"}, "url"), ({"kind": "http", "timeout": 5}, "url")])
@@ -218,6 +230,15 @@ class TestFullPipeline:
                 if path in produced:
                     assert produced[path] == digest
             produced.update(stage["outputs"])
+
+    def test_durations_ignore_wall_clock_steps(self, tmp_path, monkeypatch):
+        # A wall clock stepped back by an hour during every stage.
+        clock = iter(range(10**6, 0, -3600))
+        monkeypatch.setattr("time.time", lambda: float(next(clock)))
+        write_corpus(make_random_docs(3, seed=2), str(tmp_path / "c"))
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "stats", "corpus": "c", "out": "s.json"}]}
+        assert run_pipeline(config)["stages"][0]["duration_s"] >= 0
 
     def test_stage_failure_halts_with_partial_report(self, tmp_path):
         docs = make_random_docs(5, seed=3)

@@ -3,12 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from corpusforge.scaling import (
+    ALPHA_GRID_HI,
+    ALPHA_GRID_LO,
+    ALPHA_GRID_STEP,
+    ALPHA_REFINE_TOL,
     BudgetSpec,
     MixObservation,
     ScalingCurve,
     ScalingError,
+    _golden_section,
     _linear_fit_at_alpha,
     compute_budget,
     fit_power_law,
@@ -44,6 +50,92 @@ def grid_oracle_best_rmse(obs, step=1e-3):
             best = min(best, math.sqrt(sse / len(obs)))
         alpha += step
     return best
+
+
+def reference_fit_power_law(obs):
+    """fit_power_law of one benchmark's observations as a per-point loop:
+    lstsq at every grid alpha, the first strict minimum wins, then the
+    same golden-section refinement. The fast path must equal it exactly."""
+    def lstsq_fit(x, y, alpha):
+        design = np.column_stack([np.ones_like(x), np.power(x, alpha)])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        resid = y - design @ coef
+        return float(coef[0]), float(coef[1]), float(resid @ resid)
+
+    obs = sorted((o for o in obs if o.x > 0.0), key=lambda o: (o.x, o.loss))
+    x = np.array([o.x for o in obs], dtype=np.float64)
+    y = np.array([o.loss for o in obs], dtype=np.float64)
+    grid = np.arange(ALPHA_GRID_LO, ALPHA_GRID_HI + ALPHA_GRID_STEP / 2,
+                     ALPHA_GRID_STEP)
+    grid = grid[np.abs(grid) > ALPHA_GRID_STEP / 2]
+    best_alpha, best_sse = None, math.inf
+    for alpha in grid:
+        _, _, sse = lstsq_fit(x, y, alpha)
+        if sse < best_sse:
+            best_alpha, best_sse = float(alpha), sse
+    alpha = _golden_section(lambda a: lstsq_fit(x, y, a)[2],
+                            best_alpha - ALPHA_GRID_STEP,
+                            best_alpha + ALPHA_GRID_STEP, ALPHA_REFINE_TOL)
+    c, k, sse = lstsq_fit(x, y, alpha)
+    if sse > best_sse:
+        alpha = best_alpha
+        c, k, sse = lstsq_fit(x, y, alpha)
+    return ScalingCurve(c, k, alpha, math.sqrt(sse / len(obs)),
+                        obs[0].benchmark)
+
+
+def curve_hex(curve):
+    return [getattr(curve, f).hex() for f in ("c", "k", "alpha", "rmse")]
+
+
+@st.composite
+def observation_sets(draw):
+    """4 to 40 observations of c + k * x**alpha plus noise, shifted so
+    every loss is positive: exact (noise 0) or noisy up to 0.1, repeated
+    and nearly repeated x values, k of either sign, true alpha anywhere
+    in the grid and often near its ends or near zero, and flat losses."""
+    n = draw(st.integers(4, 40))
+    if draw(st.booleans()):
+        distinct = draw(st.lists(st.floats(1e-3, 1.0), min_size=3,
+                                 max_size=n, unique=True))
+    else:  # x values within a relative spread of 1e-9 to 0.1
+        x0, spread = draw(st.floats(1e-3, 0.5)), 10.0 ** draw(st.floats(-9, -1))
+        distinct = sorted({x0 * (1.0 + spread * f) for f in draw(
+            st.lists(st.floats(0.0, 1.0), min_size=3, max_size=n))})
+        assume(len(distinct) >= 3)
+    xs = distinct + draw(st.lists(st.sampled_from(distinct),
+                                  min_size=n - len(distinct),
+                                  max_size=n - len(distinct)))
+    alpha = draw(st.floats(-2.0, 2.0) | st.floats(-2.025, -1.975)
+                 | st.floats(1.975, 2.025) | st.floats(-0.002, 0.002))
+    k = draw(st.floats(-2.0, 2.0))
+    if draw(st.booleans()):
+        noise = 0.0
+    else:
+        noise = 10.0 ** draw(st.floats(-12.0, -1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.array(xs)
+    if draw(st.integers(0, 9)) == 0:  # flat
+        y = np.full(n, 1.0)
+    else:
+        y = k * x ** alpha + rng.normal(0.0, noise, n)
+    y += draw(st.floats(0.05, 3.0)) - y.min()
+    return [MixObservation(float(a), float(b), "b") for a, b in zip(x, y)]
+
+
+class TestGridScanOracle:
+    @settings(deadline=None)  # the reference makes 4,000 lstsq calls
+    @given(observation_sets())
+    @example([MixObservation(x, 2.0, "flat") for x in XS])
+    @example([MixObservation(x, 0.48975639698214657, "flat")
+              for x in [0.5] * 32 + [0.525, 0.55]])
+    @example([MixObservation(x, y, "b") for x, y in [
+        (0.5, 1.0257835084384697), (0.5, 1.0),
+        (0.5000001, 1.0772527513734584), (0.50000005, 1.0237004980444342)]])
+    def test_matches_per_point_lstsq(self, obs):
+        got, expected = fit_power_law(obs), reference_fit_power_law(obs)
+        assert curve_hex(got) == curve_hex(expected)
+        assert got == expected
 
 
 class TestFitPowerLaw:
@@ -94,6 +186,27 @@ class TestFitPowerLaw:
             MixObservation(1.5, 1.0, "b")
         with pytest.raises(ScalingError):
             MixObservation(0.5, -1.0, "b")
+
+    @pytest.mark.parametrize("x,loss", [(0.5, math.nan), (0.5, math.inf),
+                                        (math.nan, 1.0)])
+    def test_non_finite_observation_rejected(self, x, loss):
+        with pytest.raises(ScalingError):
+            MixObservation(x, loss, "b")
+
+    def test_overflowing_alphas_score_inf(self, capfd):
+        # 1e-200 ** alpha overflows for every alpha below about -1.54.
+        obs = synthetic_obs() + [MixObservation(1e-200, 3.0, "bench")]
+        curve = fit_power_law(obs)
+        assert math.isfinite(curve.c) and math.isfinite(curve.k)
+        assert math.isfinite(1e-200 ** curve.alpha)
+        assert curve.rmse <= grid_oracle_best_rmse(obs) + 1e-15
+        assert capfd.readouterr().err == ""
+
+    def test_no_finite_grid_alpha(self):
+        # Losses near 1e200: every grid SSE overflows to inf.
+        obs = [MixObservation(x, 1e200 * (1.0 + x * x), "b") for x in XS]
+        with pytest.raises(ScalingError, match="finite"):
+            fit_power_law(obs)
 
 
 class TestPredictLoss:
@@ -197,6 +310,14 @@ class TestObservationsFile:
         path = tmp_path / "obs.jsonl"
         path.write_text('{"x": 0.1}\n')
         with pytest.raises(ScalingError, match=":1:"):
+            load_observations(str(path))
+
+    @pytest.mark.parametrize("loss", ["NaN", "Infinity"])
+    def test_non_finite_loss_names_line(self, tmp_path, loss):
+        path = tmp_path / "obs.jsonl"
+        path.write_text('{"x": 0.5, "loss": 1.0, "benchmark": "b"}\n'
+                        f'{{"x": 0.6, "loss": {loss}, "benchmark": "b"}}\n')
+        with pytest.raises(ScalingError, match=r"obs\.jsonl:2: .*finite"):
             load_observations(str(path))
 
     def test_out_of_range_x_names_line(self, tmp_path):
