@@ -76,16 +76,13 @@ def build_vocab(texts, min_count: int) -> dict:
 
 
 def _feature_rows(tokens, vocab, hp: FilterHyperparams) -> list:
-    """Hashed bucket ids for kept unigrams and their n-grams, in text order."""
-    kept = [t for t in tokens if t in vocab]
-    rows = []
-    for tok in kept:
-        rows.append(stable_hash64(tok.encode("utf-8"), hp.rng_seed) % hp.bucket_count)
-    for n in range(2, hp.word_ngram_max + 1):
-        for i in range(len(kept) - n + 1):
-            gram = _NGRAM_SEP.join(t.encode("utf-8") for t in kept[i:i + n])
-            rows.append(stable_hash64(gram, hp.rng_seed) % hp.bucket_count)
-    return rows
+    """Hashed bucket ids of the kept tokens' n-grams, n = 1..word_ngram_max,
+    each n in text order (a 1-gram is the token's own UTF-8 bytes)."""
+    kept = [t.encode("utf-8") for t in tokens if t in vocab]
+    return [stable_hash64(_NGRAM_SEP.join(kept[i:i + n]), hp.rng_seed)
+            % hp.bucket_count
+            for n in range(1, hp.word_ngram_max + 1)
+            for i in range(len(kept) - n + 1)]
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default

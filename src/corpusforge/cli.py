@@ -53,9 +53,6 @@ _HOOKS = {
     "embed": ({"--ngrams": {"default": "3:5", "metavar": "MIN:MAX"}}, _ngrams),
     "annotate": ({"--labels": {"help": "file backend: precomputed labels JSONL"},
                   "--url": {"help": "HTTP backend endpoint"}}, _backend),
-    "optimize": ({"--fits": {"required": True,
-                             "help": "comma-separated fit-report paths"}},
-                 lambda args: {"fits": args.fits.split(",")}),
     "mix": ({"--pool": {"action": "append", "default": [], "required": True,
                         "metavar": "NAME=PREFIX"}}, _pools),
 }

@@ -1,8 +1,7 @@
 """Canonical document model, token accounting, and JSON Lines file I/O.
 
 Every stage of the pipeline reads and writes its JSON Lines and JSON files
-through this module. Documents are immutable after parse; all operations
-here are safe to run data-parallel over disjoint shards.
+through this module. Documents are immutable after parse.
 """
 
 import glob
@@ -136,15 +135,6 @@ class CorpusStats:
         self.docs_by_class[doc.data_class] += 1
         self.total_tokens += doc.token_count
         self.total_docs += 1
-
-    def merge(self, other: "CorpusStats") -> "CorpusStats":
-        """Associative merge of per-shard partial stats."""
-        return CorpusStats(
-            {c: self.tokens_by_class[c] + other.tokens_by_class[c] for c in DATA_CLASSES},
-            {c: self.docs_by_class[c] + other.docs_by_class[c] for c in DATA_CLASSES},
-            self.total_tokens + other.total_tokens,
-            self.total_docs + other.total_docs,
-        )
 
 
 def compute_stats(docs: Iterable[Document]) -> CorpusStats:

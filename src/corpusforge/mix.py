@@ -150,12 +150,16 @@ def compose_mixture(pools: dict, spec: MixSpec):
 
 def compose_to_dir(pools: dict, spec: MixSpec, out_dir: str,
                    docs_per_shard: int = 10000):
-    """Compose and write shards plus manifest.json into out_dir."""
+    """Compose and write shards plus manifest.json into out_dir.
+
+    Returns (manifest, paths of the files written: shards, then manifest).
+    """
     manifest, docs = compose_mixture(pools, spec)
     os.makedirs(out_dir, exist_ok=True)
     paths = write_corpus(docs, os.path.join(out_dir, "mix"),
                          docs_per_shard=docs_per_shard)
-    write_json(os.path.join(out_dir, "manifest.json"), asdict(manifest))
+    paths.append(os.path.join(out_dir, "manifest.json"))
+    write_json(paths[-1], asdict(manifest))
     return manifest, paths
 
 

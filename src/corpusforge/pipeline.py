@@ -4,7 +4,9 @@ Stages run sequentially in config order; each stage reads and writes
 config-declared paths under the workspace. The run report records
 per-stage input/output SHA-256 hashes, durations, and key stats so the
 full provenance chain from the final mix back to the raw inputs is
-reconstructible from the report alone.
+reconstructible from the report alone. A stage's outputs are exactly the
+files it wrote; each file is hashed once per run, when the stage that
+wrote it (or first read it) finishes.
 """
 
 import hashlib
@@ -50,19 +52,6 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
-
-
-def _hash_outputs(paths):
-    out = {}
-    for path in sorted(paths):
-        if os.path.isdir(path):
-            for root, _, files in os.walk(path):
-                for name in sorted(files):
-                    p = os.path.join(root, name)
-                    out[p] = sha256_file(p)
-        elif os.path.isfile(path):
-            out[path] = sha256_file(path)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -126,10 +115,11 @@ class StageRun:
 class Stage:
     """A stage body and the fields its signature declares.
 
-    `body(run, **fields)` returns (output_paths, stats). Calling the stage
-    with (stage_dict, ctx) reads the fields in order, runs the body on
-    their values and returns (input_paths, output_paths, stats) for the
-    runner to hash.
+    `body(run, **fields)` returns (output_paths, stats), where the output
+    paths are exactly the files it wrote. Calling the stage with
+    (stage_dict, ctx) reads the fields in order, runs the body on their
+    values and returns (input_paths, output_paths, stats) for the runner
+    to hash.
     """
 
     def __init__(self, name: str, help: str, body: Callable):
@@ -355,8 +345,9 @@ def _fit(run, obs=INPUT, out=OUTPUT, benchmark=Field(str, None)):
     return [out], payload
 
 
-def _optimize(run, fits=Field(list, flag=None), out=OUTPUT,
-              weights=Field(_listed(float), None),
+def _optimize(run, fits=Field(_listed(str),
+                              help="comma-separated fit-report paths"),
+              out=OUTPUT, weights=Field(_listed(float), None),
               domain=Field(_span, "0.05:0.6"), step=Field(float, 1e-3)):
     curves = [read_json(run.input(p, "fits"), lambda o: scaling_mod.ScalingCurve(
         float(o["c"]), float(o["k"]), float(o["alpha"]),
@@ -375,10 +366,10 @@ def _optimize(run, fits=Field(list, flag=None), out=OUTPUT,
 def _mix(run, spec=INPUT, pools=Field(dict, flag=None), out=OUTPUT):
     corpora = {name: list(read_corpus(run.input(prefix, f"pools.{name}")))
                for name, prefix in pools.items()}
-    manifest, _ = mix_mod.compose_to_dir(
+    manifest, paths = mix_mod.compose_to_dir(
         corpora, mix_mod.MixSpec.from_file(spec), out)
     realized = {n: e["realized_tokens"] for n, e in manifest.per_class.items()}
-    return [out], {"realized_tokens": realized}
+    return paths, {"realized_tokens": realized}
 
 
 STAGES = {name: Stage(name, help, body) for name, help, body in (
@@ -427,6 +418,7 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
 
     report = {"rng_seed": ctx["rng_seed"], "workspace": workspace, "stages": []}
     report_path = os.path.join(workspace, config.get("report", "run_report.json"))
+    digests = {}  # path -> sha256, one per file per run
 
     for stage in config["stages"]:
         name = stage["name"]
@@ -434,6 +426,17 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
         started = time.perf_counter()
         try:
             inputs, outputs, stats = STAGES[name](stage, ctx)
+            duration_s = round(time.perf_counter() - started, 6)
+            # Outputs first, so a file the stage read and rewrote gets one
+            # digest, of its new bytes. An input shard that an in-place
+            # rewrite deleted keeps the digest it had, or is left out.
+            outputs = {path: sha256_file(path) for path in sorted(set(outputs))}
+            digests.update(outputs)
+            digests.update({path: sha256_file(path)
+                            for path in set(inputs) - digests.keys()
+                            if os.path.isfile(path)})
+            inputs = {path: digests[path] for path in sorted(inputs)
+                      if path in digests}
         except ConfigError:
             write_json(report_path, report)
             raise
@@ -447,9 +450,9 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
         entry = {
             "name": name,
             "status": "ok",
-            "duration_s": round(time.perf_counter() - started, 6),
-            "inputs": _hash_outputs(inputs),
-            "outputs": _hash_outputs(outputs),
+            "duration_s": duration_s,
+            "inputs": inputs,
+            "outputs": outputs,
             "stats": stats,
         }
         report["stages"].append(entry)

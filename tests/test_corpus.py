@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from corpusforge.corpus import (
-    CorpusStats,
     DuplicateIdError,
     ParseError,
     ValidationError,
@@ -142,14 +141,6 @@ class TestComputeStats:
         forward = compute_stats(docs)
         backward = compute_stats(list(reversed(docs)))
         assert forward == backward
-
-    def test_shard_merge_associative(self):
-        docs = make_random_docs(300, seed=9)
-        whole = compute_stats(docs)
-        merged = CorpusStats.empty()
-        for i in range(0, 300, 100):
-            merged = merged.merge(compute_stats(docs[i:i + 100]))
-        assert whole == merged
 
 
 class TestShardIO:

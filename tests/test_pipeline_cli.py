@@ -1,10 +1,11 @@
 import json
 import os
 import re
+from unittest.mock import ANY
 
 import pytest
 
-from corpusforge import cli
+from corpusforge import cli, pipeline
 from corpusforge.cli import main
 from corpusforge.pipeline import (
     ConfigError,
@@ -148,6 +149,19 @@ class TestValidation:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, ScalingError)
 
+    def test_fits_string_is_comma_separated(self, tmp_path):
+        for name, k in (("fit_a.json", 0.7), ("fit_b.json", -0.4)):
+            (tmp_path / name).write_text(json.dumps(
+                {"c": 0.5, "k": k, "alpha": -0.3 if k > 0 else 1.0}))
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "optimize",
+                              "fits": "fit_a.json,fit_b.json",
+                              "out": "opt.json"}]}
+        (stage,) = run_pipeline(config)["stages"]
+        assert sorted(stage["inputs"]) == [str(tmp_path / "fit_a.json"),
+                                           str(tmp_path / "fit_b.json")]
+        assert stage["stats"]["weights"] == [1.0, 1.0]
+
     def test_non_finite_loss_names_file_and_line(self, tmp_path):
         lines = [json.dumps({"x": x, "loss": 0.5 + 0.7 * x ** -0.3,
                              "benchmark": "b"}) for x in (0.1, 0.2, 0.3, 0.4)]
@@ -230,6 +244,58 @@ class TestFullPipeline:
                 if path in produced:
                     assert produced[path] == digest
             produced.update(stage["outputs"])
+
+    def test_each_file_hashed_once_per_run(self, fixture_root, monkeypatch):
+        root, config = fixture_root
+        hashed = []
+
+        def counting(path, _hash=pipeline.sha256_file):
+            hashed.append(path)
+            return _hash(path)
+
+        monkeypatch.setattr(pipeline, "sha256_file", counting)
+        report = run_pipeline(config)
+        assert len(hashed) == len(set(hashed))
+        listed = set()
+        for stage in report["stages"]:
+            listed.update(stage["inputs"], stage["outputs"])
+        assert set(hashed) == listed
+
+    def test_outputs_are_the_files_written(self, tmp_path):
+        write_corpus(make_random_docs(20, seed=4), str(tmp_path / "c"))
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"ratios": {"a": 1}, "total_token_budget": 50}))
+        (tmp_path / "mixout").mkdir()
+        (tmp_path / "mixout" / "notes.txt").write_text("not from the mix\n")
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "mix", "spec": "spec.json",
+                              "pools": {"a": "c"}, "out": "mixout"}]}
+        (stage,) = run_pipeline(config)["stages"]
+        assert sorted(stage["outputs"]) == [
+            str(tmp_path / "mixout" / "manifest.json"),
+            str(tmp_path / "mixout" / "mix.00000.jsonl")]
+
+    @pytest.mark.parametrize("read_before", [False, True])
+    def test_in_place_rewrite_has_one_digest(self, tmp_path, read_before):
+        docs = make_random_docs(15, seed=8)
+        write_corpus(docs, str(tmp_path / "c"), docs_per_shard=5)
+        (tmp_path / "s.jsonl").write_text("".join(
+            json.dumps({"id": d.id, "score": i / 15}) + "\n"
+            for i, d in enumerate(docs)))
+        stages = [{"name": "filter", "corpus": "c", "scores": "s.jsonl",
+                   "keep_fraction": 0.3, "out": "c"}]
+        if read_before:
+            stages.insert(0, {"name": "stats", "corpus": "c", "out": "st.json"})
+        report = run_pipeline({"workspace": str(tmp_path), "stages": stages})
+        stage = report["stages"][-1]
+        before = report["stages"][0]["inputs"] if read_before else {}
+        # The kept docs fit one shard, so the rewrite deletes c.00001 and
+        # c.00002: an input keeps the digest an earlier stage took, if any.
+        shard = str(tmp_path / "c.00000.jsonl")
+        assert list(stage["outputs"]) == [shard]
+        assert stage["inputs"] == {**before, shard: stage["outputs"][shard],
+                                   str(tmp_path / "s.jsonl"): ANY}
+        assert before.get(shard) != stage["outputs"][shard]
 
     def test_durations_ignore_wall_clock_steps(self, tmp_path, monkeypatch):
         # A wall clock stepped back by an hour during every stage.
@@ -379,10 +445,10 @@ CLI_CASES = [
      {"name": "fit", "obs": "o.jsonl", "out": "fit.json"}, {}),
     (["optimize", "--fits", "a.json,b.json", "--weights", "1,2",
       "--domain", "0.1:0.5", "--step", "0.01", "--out", "o.json"],
-     {"name": "optimize", "fits": ["a.json", "b.json"], "weights": "1,2",
+     {"name": "optimize", "fits": "a.json,b.json", "weights": "1,2",
       "domain": "0.1:0.5", "step": 0.01, "out": "o.json"}, {}),
     (["optimize", "--fits", "a.json", "--out", "o.json"],
-     {"name": "optimize", "fits": ["a.json"], "domain": "0.05:0.6",
+     {"name": "optimize", "fits": "a.json", "domain": "0.05:0.6",
       "step": 0.001, "out": "o.json"}, {}),
     (["mix", "--spec", "spec.json", "--pool", "agent=kept",
       "--pool", "text=t", "--out", "mixdir"],
