@@ -16,6 +16,9 @@ arithmetic, and only PCG64's draws run per row. Training keeps its rows in
 one dense table. Scoring generates the initial rows of buckets training
 never touched into a cache of their own, so scoring never adds rows to
 a model.
+
+Each model memoizes the bucket of every gram it featurizes, in a dict
+that save_model never writes, so it hashes each distinct gram once.
 """
 
 import json
@@ -75,14 +78,23 @@ def build_vocab(texts, min_count: int) -> dict:
     return {tok: c for tok, c in counts.items() if c >= min_count}
 
 
-def _feature_rows(tokens, vocab, hp: FilterHyperparams) -> list:
+def _feature_rows(tokens, vocab, hp: FilterHyperparams, memo=None) -> list:
     """Hashed bucket ids of the kept tokens' n-grams, n = 1..word_ngram_max,
-    each n in text order (a 1-gram is the token's own UTF-8 bytes)."""
+    each n in text order (a 1-gram is the token's own UTF-8 bytes). A memo
+    (gram bytes -> bucket) hashes each distinct gram once; without one,
+    every occurrence is hashed."""
     kept = [t.encode("utf-8") for t in tokens if t in vocab]
-    return [stable_hash64(_NGRAM_SEP.join(kept[i:i + n]), hp.rng_seed)
-            % hp.bucket_count
-            for n in range(1, hp.word_ngram_max + 1)
-            for i in range(len(kept) - n + 1)]
+    grams = (_NGRAM_SEP.join(kept[i:i + n])
+             for n in range(1, hp.word_ngram_max + 1)
+             for i in range(len(kept) - n + 1))
+    if memo is None:
+        return [_bucket(gram, hp) for gram in grams]
+    return [memo[gram] if gram in memo
+            else memo.setdefault(gram, _bucket(gram, hp)) for gram in grams]
+
+
+def _bucket(gram: bytes, hp: FilterHyperparams) -> int:
+    return stable_hash64(gram, hp.rng_seed) % hp.bucket_count
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default
@@ -93,25 +105,21 @@ _MASK32 = 0xFFFFFFFF
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hash_constants(init: int, mult: int, calls: int) -> list:
+def _hash_constants(init: int, mult: int, calls: int):
+    """The calls' xor and multiply constants, as (calls, 1) uint32 columns."""
     consts = [init]
     for _ in range(calls):
         consts.append(consts[-1] * mult & _MASK32)
-    return list(zip(consts, consts[1:]))
+    consts = np.array(consts, dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
 
 
-_POOL_HASHES = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
-_STATE_HASHES = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
+_STATE_XOR, _STATE_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 
 
-def _hash_words(words, consts):
-    xor, mult = consts
-    words = (words ^ np.uint32(xor)) * np.uint32(mult)
-    return words ^ (words >> np.uint32(16))
-
-
-def _mix_words(x, y):
-    words = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+def _hash_words(words, xor, mult):
+    words = (words ^ xor) * mult
     return words ^ (words >> np.uint32(16))
 
 
@@ -121,23 +129,22 @@ def _seed_states(seeds):
 
     A seed below 2**32 is one entropy word, a larger one two; both fill
     the rest of the pool with hashed zeros, so a zero high word stands
-    for the missing second word.
+    for the missing second word. The pool is one (4, n) array, and a
+    source word's three hash-and-mix steps are one (3, n) operation.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    pool_hashes = iter(_POOL_HASHES)
-    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    zero = np.zeros_like(low)
-    entropy = (low, (seeds >> np.uint64(32)).astype(np.uint32), zero, zero)
-    pool = [_hash_words(word, next(pool_hashes)) for word in entropy]
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & np.uint64(_MASK32)
+    pool[1] = seeds >> np.uint64(32)
+    pool = _hash_words(pool, _POOL_XOR[:4], _POOL_MULT[:4])
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix_words(
-                    pool[dst], _hash_words(pool[src], next(pool_hashes)))
-    state = np.empty((len(seeds), 8), dtype="<u4")
-    for i, consts in enumerate(_STATE_HASHES):
-        state[:, i] = _hash_words(pool[i % 4], consts)
-    return state.view("<u8").astype(np.uint64)
+        calls = slice(4 + 3 * src, 7 + 3 * src)
+        dst = [d for d in range(4) if d != src]
+        mixed = (np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R)
+                 * _hash_words(pool[src], _POOL_XOR[calls], _POOL_MULT[calls]))
+        pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    state = _hash_words(pool[[0, 1, 2, 3] * 2], _STATE_XOR, _STATE_MULT)
+    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
 
 
 class _SeedState(ISeedSequence):
@@ -200,6 +207,7 @@ class NgramLinearClassifier:
         self.vocab = vocab
         self.embedding_rows = {}  # trained bucket id -> dims float64 row
         self._initial_rows = {}   # untrained bucket id -> its initial row
+        self._buckets = {}        # gram bytes -> bucket, never saved
         self.output_weights = np.zeros((hyperparams.dims, 2), dtype=np.float64)
         self.epoch_losses = []
 
@@ -223,7 +231,8 @@ class NgramLinearClassifier:
 
     def predict_proba(self, text: str):
         """(p_agent, p_general); featureless text sits at the 0.5 prior."""
-        rows = _feature_rows(tokenize(text), self.vocab, self.hyperparams)
+        rows = _feature_rows(tokenize(text), self.vocab, self.hyperparams,
+                             self._buckets)
         return _softmax2(_mean_row(self._rows(rows)) @ self.output_weights)
 
     def predict_score(self, text: str) -> float:
@@ -252,7 +261,8 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
         raise ClassifierError(f"empty vocabulary after min_count={hp.min_count}")
 
     model = NgramLinearClassifier(hp, vocab)
-    featurized = [(_feature_rows(tokenize(text), vocab, hp), LABEL_INDEX[label])
+    featurized = [(_feature_rows(tokenize(text), vocab, hp, model._buckets),
+                   LABEL_INDEX[label])
                   for text, label in samples]
     buckets = sorted({b for rows, _ in featurized for b in rows})
     table = model._init_rows(buckets)

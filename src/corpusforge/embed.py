@@ -10,8 +10,12 @@ embed stage builds once per call: the config memoizes every n-gram's
 signed bucket, so the vectors are those of hashing every occurrence.
 N-grams longer than 7 bytes do not fit the memo's packed keys and are
 hashed per occurrence.
+
+stable_hash64 copies a cached keyed blake2b state per call, so the key
+block is compressed once per seed, not once per call.
 """
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -25,11 +29,17 @@ class EmbedError(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=16)
+def _keyed_blake2b(seed: int):  # shared: callers copy it, never update it
+    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+
+
 def stable_hash64(data: bytes, seed: int) -> int:
-    """Seeded 64-bit hash, stable across processes and platforms."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    digest = hashlib.blake2b(data, digest_size=8, key=key).digest()
-    return int.from_bytes(digest, "little")
+    """Seeded 64-bit hash, stable across processes and platforms: 8-byte
+    blake2b keyed by the seed mod 2**64, from a cached keyed state."""
+    state = _keyed_blake2b(seed & 0xFFFFFFFFFFFFFFFF).copy()
+    state.update(data)
+    return int.from_bytes(state.digest(), "little")
 
 
 def _signed_bucket(h: int, dims: int) -> int:

@@ -368,8 +368,10 @@ def _mix(run, spec=INPUT, pools=Field(dict, flag=None), out=OUTPUT):
                for name, prefix in pools.items()}
     manifest, paths = mix_mod.compose_to_dir(
         corpora, mix_mod.MixSpec.from_file(spec), out)
+    check = mix_mod.verify_manifest(manifest, os.path.join(out, "mix"))
     realized = {n: e["realized_tokens"] for n, e in manifest.per_class.items()}
-    return paths, {"realized_tokens": realized}
+    return paths, {"realized_tokens": realized, "verify_manifest": {
+        "ok": check["ok"], "max_deviation": check["max_deviation"]}}
 
 
 STAGES = {name: Stage(name, help, body) for name, help, body in (

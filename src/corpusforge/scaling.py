@@ -31,6 +31,12 @@ ALPHA_SCAN_BLOCK = 1 << 16
 # magnitude below this.
 RESCORE_REL = 1e-9
 RESCORE_ABS = 1e-12
+# Smallest accepted (max x - min x) / max x. Only the curvature of x**alpha
+# across the x values tells alpha apart from c and k, and it is of
+# relative order spread**2: under 1e-12 of the values below this spread,
+# a few thousand roundings, so the fit would follow rounding error (|c|
+# and |k| above 1e8 for x = 0.5 .. 0.5000001).
+X_MIN_REL_SPREAD = 1e-6
 
 
 class ScalingError(Exception):
@@ -124,7 +130,8 @@ def fit_power_law(obs, benchmark: str | None = None) -> ScalingCurve:
     gives the grid's best point, as if lstsq had scored every point.
     Refinement and the final (c, k) use lstsq too. An alpha at which some
     x**alpha overflows has SSE +inf; if no grid alpha has a finite SSE,
-    ScalingError. Deterministic.
+    ScalingError. So are fewer than 3 distinct x values, or x values
+    whose spread is under X_MIN_REL_SPREAD of the largest. Deterministic.
     """
     obs = list(obs)
     if benchmark is not None:
@@ -140,6 +147,10 @@ def fit_power_law(obs, benchmark: str | None = None) -> ScalingCurve:
     y = np.array([o.loss for o in obs], dtype=np.float64)
     if len(np.unique(x)) < 3:
         raise ScalingError("need >= 3 distinct x values (alpha unidentifiable)")
+    if x[-1] - x[0] < X_MIN_REL_SPREAD * x[-1]:
+        raise ScalingError(f"x values {x[0]!r} .. {x[-1]!r} spread less than "
+                           f"{X_MIN_REL_SPREAD:g} of the largest "
+                           "(alpha unidentifiable)")
 
     grid = np.arange(ALPHA_GRID_LO, ALPHA_GRID_HI + ALPHA_GRID_STEP / 2,
                      ALPHA_GRID_STEP)

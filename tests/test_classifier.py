@@ -12,8 +12,11 @@ from corpusforge.classifier import (
     ClassifierError,
     FilterHyperparams,
     NgramLinearClassifier,
+    _bucket,
     _feature_rows,
+    _mean_row,
     _seed_rows,
+    _seed_states,
     _softmax2,
     build_vocab,
     load_model,
@@ -23,7 +26,7 @@ from corpusforge.classifier import (
 )
 from corpusforge.embed import stable_hash64
 
-from conftest import make_separable_samples
+from conftest import AGENT_VOCAB, GENERAL_VOCAB, make_separable_samples
 
 HP = FilterHyperparams(rng_seed=7)
 
@@ -162,6 +165,18 @@ class TestRowInit:
             -1 / dims, 1 / dims, dims) for s in seeds])
         assert _seed_rows(seeds, dims).tobytes() == expected.tobytes()
 
+    @given(st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1),
+                    min_size=1, max_size=60))
+    def test_seed_states_match_seed_sequence(self, seeds):
+        for batch in ([], seeds[:1], EDGE_SEEDS + seeds):
+            expected = np.array(
+                [np.random.SeedSequence(s).generate_state(4, np.uint64)
+                 for s in batch], dtype=np.uint64).reshape(-1, 4)
+            got = _seed_states(batch)
+            assert got.dtype == np.uint64
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("dims", [1, 7, 256])
     def test_no_buckets_no_rows(self, dims):
         model = NgramLinearClassifier(FilterHyperparams(dims=dims), {})
@@ -202,6 +217,54 @@ class TestTrainingOracle:
         directory = tmp_path_factory.mktemp("oracle")
         assert model.epoch_losses == expected.epoch_losses
         assert model_bytes(model, directory) == model_bytes(expected, directory)
+
+
+def memo_free_proba(model, text):
+    """predict_proba's rows and probabilities, hashing every occurrence."""
+    rows = _feature_rows(tokenize(text), model.vocab, model.hyperparams)
+    return rows, _softmax2(_mean_row(model._rows(rows)) @ model.output_weights)
+
+
+@pytest.fixture(scope="module")
+def memo_models(tmp_path_factory):
+    """A small trained model, shared across examples so that its memo
+    grows, and its saved file."""
+    hp = FilterHyperparams(dims=8, min_count=2, bucket_count=997, rng_seed=11)
+    model = train_filter(make_separable_samples(200, seed=5), hp)
+    path = tmp_path_factory.mktemp("memo") / "model.bin"
+    save_model(model, str(path))
+    return model, str(path)
+
+
+MEMO_WORDS = AGENT_VOCAB[:4] + GENERAL_VOCAB[:4] + ["unseen", "\u00e9t\u00e9"]
+memo_texts = st.lists(st.sampled_from(MEMO_WORDS), max_size=12).map(" ".join)
+
+
+class TestBucketMemo:
+    @given(st.lists(memo_texts, max_size=10))
+    def test_memo_matches_memo_free_featurization(self, memo_models, texts):
+        model, path = memo_models
+        fresh = load_model(path)
+        for text in texts:
+            rows = _feature_rows(tokenize(text), model.vocab, model.hyperparams,
+                                 model._buckets)
+            proba = model.predict_proba(text)
+            expected_rows, expected = memo_free_proba(fresh, text)
+            assert rows == expected_rows
+            assert proba.tobytes() == expected.tobytes()
+
+    def test_memo_holds_each_gram_bucket(self, memo_models):
+        model, _ = memo_models
+        assert model._buckets
+        for gram, bucket in model._buckets.items():
+            assert bucket == _bucket(gram, model.hyperparams)
+
+    def test_trained_and_loaded_memos_score_alike(self, memo_models):
+        model, path = memo_models
+        loaded = load_model(path)
+        assert not loaded._buckets
+        for text, _ in make_separable_samples(100, seed=6):
+            assert loaded.predict_score(text) == model.predict_score(text)
 
 
 class TestPrediction:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tempfile
@@ -51,6 +52,26 @@ def embedder_configs(draw):
 
 short_texts = st.text(max_size=12) | st.sampled_from(["", "a", "é", "ab "])
 texts = st.lists(short_texts | st.text(max_size=200), min_size=1, max_size=8)
+
+
+# Seeds that reduce mod 2**64 to the same key, and seeds on either side of
+# the wrap. With the drawn seeds, one list can hold more distinct keys than
+# stable_hash64 keeps keyed states for.
+HASH_SEEDS = [0, 1, -1, 2**64 - 1, 2**64, 2**64 + 1, -2**64, 2**63, 2**70 + 5]
+
+
+class TestStableHash:
+    @given(st.lists(st.tuples(
+        st.binary(max_size=300),
+        st.sampled_from(HASH_SEEDS) | st.integers(-2**80, 2**80)
+        | st.integers(0, 40)), min_size=1, max_size=60))
+    def test_matches_keyed_blake2b(self, calls):
+        # Interleaved seeds: a cached keyed state must neither keep data
+        # from an earlier call nor answer for another seed.
+        for data, seed in calls + [(b"", seed) for _, seed in calls]:
+            key = (seed % 2**64).to_bytes(8, "little")
+            expected = hashlib.blake2b(data, digest_size=8, key=key).digest()
+            assert stable_hash64(data, seed) == int.from_bytes(expected, "little")
 
 
 class TestEmbedder:

@@ -233,6 +233,14 @@ class TestFullPipeline:
         optimum = json.load(open(root / "optimum.json"))
         assert abs(optimum["x_star"] - 0.36) < 1e-3
 
+    def test_mix_reports_its_manifest_check(self, fixture_root):
+        root, config = fixture_root
+        run_pipeline(config)
+        report = json.load(open(root / "run_report.json"))
+        (mix,) = [s for s in report["stages"] if s["name"] == "mix"]
+        assert mix["stats"]["verify_manifest"] == {"ok": True,
+                                                   "max_deviation": 0}
+
     def test_report_reconstructs_provenance(self, fixture_root):
         root, config = fixture_root
         report = run_pipeline(config)

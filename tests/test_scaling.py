@@ -14,6 +14,7 @@ from corpusforge.scaling import (
     MixObservation,
     ScalingCurve,
     ScalingError,
+    X_MIN_REL_SPREAD,
     _golden_section,
     _linear_fit_at_alpha,
     compute_budget,
@@ -133,6 +134,11 @@ class TestGridScanOracle:
         (0.5, 1.0257835084384697), (0.5, 1.0),
         (0.5000001, 1.0772527513734584), (0.50000005, 1.0237004980444342)]])
     def test_matches_per_point_lstsq(self, obs):
+        xs = [o.x for o in obs]
+        if max(xs) - min(xs) < X_MIN_REL_SPREAD * max(xs):
+            with pytest.raises(ScalingError, match="spread"):
+                fit_power_law(obs)
+            return
         got, expected = fit_power_law(obs), reference_fit_power_law(obs)
         assert curve_hex(got) == curve_hex(expected)
         assert got == expected
@@ -173,6 +179,23 @@ class TestFitPowerLaw:
         obs = [MixObservation(0.3, 1.0 + i * 0.01, "b") for i in range(5)]
         with pytest.raises(ScalingError, match="distinct"):
             fit_power_law(obs)
+
+    @pytest.mark.parametrize("xs", [
+        [0.5, 0.5, 0.5000001, 0.50000005],
+        [0.001, 0.001 * (1 + 5e-7), 0.001 * (1 + 9e-7), 0.001]])
+    def test_degenerate_x_spread_rejected(self, xs):
+        # x values within a relative 2e-7 (or 9e-7) of each other used to
+        # be fitted, with |k| above 6e8 (or 2e10).
+        ys = [1.0257835084384697, 1.0, 1.0772527513734584, 1.0237004980444342]
+        obs = [MixObservation(x, y, "b") for x, y in zip(xs, ys)]
+        with pytest.raises(ScalingError, match="spread"):
+            fit_power_law(obs)
+
+    def test_x_spread_just_above_minimum_fits(self):
+        xs = [0.5, 0.5 * (1 + 2 * X_MIN_REL_SPREAD), 0.5 * (1 + X_MIN_REL_SPREAD),
+              0.5]
+        curve = fit_power_law([MixObservation(x, 1.0 + x, "b") for x in xs])
+        assert math.isfinite(curve.rmse)
 
     def test_benchmark_filter(self):
         mixed = synthetic_obs() + [MixObservation(x, 9.0, "other") for x in XS]
