@@ -17,8 +17,8 @@ one dense table. Scoring generates the initial rows of buckets training
 never touched into a cache of their own, so scoring never adds rows to
 a model.
 
-Each model memoizes the bucket of every gram it featurizes, in a dict
-that save_model never writes, so it hashes each distinct gram once.
+Each model memoizes its grams' buckets in a dict that save_model never
+writes, and hashes a document's new grams in one stable_hashes call.
 """
 
 import json
@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .embed import stable_hash64
+from .embed import stable_hash64, stable_hashes
 
 LABELS = ("agent", "general")
 LABEL_INDEX = {"agent": 0, "general": 1}
@@ -38,6 +38,7 @@ MODEL_MAGIC = b"CFNG"
 MODEL_FORMAT_VERSION = 1
 
 _NGRAM_SEP = b"\x1f"
+_SAVE_BLOCK_ROWS = 256  # rows per save_model write: 0.5 MB at dims 256
 
 
 class ClassifierError(Exception):
@@ -81,16 +82,19 @@ def build_vocab(texts, min_count: int) -> dict:
 def _feature_rows(tokens, vocab, hp: FilterHyperparams, memo=None) -> list:
     """Hashed bucket ids of the kept tokens' n-grams, n = 1..word_ngram_max,
     each n in text order (a 1-gram is the token's own UTF-8 bytes). A memo
-    (gram bytes -> bucket) hashes each distinct gram once; without one,
-    every occurrence is hashed."""
+    (gram bytes -> bucket) hashes each distinct gram once, a document's
+    new grams in one call; without one, every occurrence is hashed."""
     kept = [t.encode("utf-8") for t in tokens if t in vocab]
-    grams = (_NGRAM_SEP.join(kept[i:i + n])
+    grams = [_NGRAM_SEP.join(kept[i:i + n])
              for n in range(1, hp.word_ngram_max + 1)
-             for i in range(len(kept) - n + 1))
+             for i in range(len(kept) - n + 1)]
     if memo is None:
         return [_bucket(gram, hp) for gram in grams]
-    return [memo[gram] if gram in memo
-            else memo.setdefault(gram, _bucket(gram, hp)) for gram in grams]
+    new = dict.fromkeys(gram for gram in grams if gram not in memo)
+    if new:
+        buckets = stable_hashes(new, hp.rng_seed) % np.uint64(hp.bucket_count)
+        memo.update(zip(new, buckets.tolist()))
+    return [memo[gram] for gram in grams]
 
 
 def _bucket(gram: bytes, hp: FilterHyperparams) -> int:
@@ -213,9 +217,9 @@ class NgramLinearClassifier:
 
     def _init_rows(self, buckets):
         """The initial rows of the buckets, as one (n, dims) array."""
-        salt = self.hyperparams.rng_seed ^ 0x5EED
-        return _seed_rows([stable_hash64(b.to_bytes(8, "little"), salt)
-                           for b in buckets], self.hyperparams.dims)
+        ids = np.asarray(buckets, "<u8").view("V8").tolist()  # 8 bytes each
+        seeds = stable_hashes(ids, self.hyperparams.rng_seed ^ 0x5EED)
+        return _seed_rows(seeds, self.hyperparams.dims)
 
     def _rows(self, buckets):
         """The buckets' rows as one (len(buckets), dims) array. A bucket
@@ -314,8 +318,9 @@ def save_model(model: NgramLinearClassifier, path: str) -> None:
         fh.write(json.dumps(header, sort_keys=True,
                             separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for r in rows:
-            fh.write(np.ascontiguousarray(model.embedding_rows[r], "<f8"))
+        for start in range(0, len(rows), _SAVE_BLOCK_ROWS):
+            block = rows[start:start + _SAVE_BLOCK_ROWS]
+            fh.write(np.array([model.embedding_rows[r] for r in block], "<f8"))
         fh.write(np.ascontiguousarray(model.output_weights, "<f8"))
 
 
@@ -355,7 +360,7 @@ def load_model(path: str) -> NgramLinearClassifier:
 
         def read_floats(shape, what):
             floats = np.empty(shape, dtype="<f8")
-            if fh.readinto(memoryview(floats).cast("B")) != floats.nbytes:
+            if fh.readinto(floats.reshape(-1).view(np.uint8)) != floats.nbytes:
                 raise ClassifierError(f"{path}: truncated {what}")
             return floats
 

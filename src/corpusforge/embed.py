@@ -7,12 +7,12 @@ real deployments load precomputed vectors with load_external_embeddings.
 
 Each distinct byte n-gram is hashed once per EmbedderConfig, which the
 embed stage builds once per call: the config memoizes every n-gram's
-signed bucket, so the vectors are those of hashing every occurrence.
-N-grams longer than 7 bytes do not fit the memo's packed keys and are
-hashed per occurrence.
+signed bucket in two sorted array levels, so the vectors are those of
+hashing every occurrence. N-grams longer than 7 bytes do not fit the
+memo's packed keys and are hashed per occurrence.
 
-stable_hash64 copies a cached keyed blake2b state per call, so the key
-block is compressed once per seed, not once per call.
+stable_hashes, the one hashing primitive, hashes grams in bulk and
+compresses each seed's key block once; stable_hash64 hashes one input.
 """
 
 import functools
@@ -34,71 +34,82 @@ def _keyed_blake2b(seed: int):  # shared: callers copy it, never update it
     return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
 
 
+def stable_hashes(grams, seed: int) -> np.ndarray:
+    """Each bytes-like gram's seeded 64-bit hash, stable across platforms:
+    8-byte blake2b keyed by the seed mod 2**64, as one uint64 array."""
+    keyed = _keyed_blake2b(seed & 0xFFFFFFFFFFFFFFFF)
+    digests = []
+    for gram in grams:
+        state = keyed.copy()
+        state.update(gram)
+        digests.append(state.digest())
+    return np.frombuffer(b"".join(digests), "<u8").astype(np.uint64)
+
+
 def stable_hash64(data: bytes, seed: int) -> int:
-    """Seeded 64-bit hash, stable across processes and platforms: 8-byte
-    blake2b keyed by the seed mod 2**64, from a cached keyed state."""
-    state = _keyed_blake2b(seed & 0xFFFFFFFFFFFFFFFF).copy()
-    state.update(data)
-    return int.from_bytes(state.digest(), "little")
+    """stable_hashes of one input."""
+    return int(stable_hashes([data], seed)[0])
 
 
-def _signed_bucket(h: int, dims: int) -> int:
-    """The bucket of a 64-bit hash, or its complement ~bucket (< 0) when
-    the hash's top bit gives the n-gram a minus sign."""
-    bucket = h % dims
-    return ~bucket if h >> 63 else bucket
+def _gram_bytes(rows: np.ndarray) -> list:
+    """Each row of a 2-D uint8 array as one bytes object."""
+    return np.ascontiguousarray(rows).view(f"V{rows.shape[1]}")[:, 0].tolist()
+
+
+def _signed_buckets(grams, cfg: "EmbedderConfig") -> np.ndarray:
+    """Gram buckets, each ~bucket (< 0) when its hash's top bit is set."""
+    hashes = stable_hashes(grams, cfg.hash_seed)
+    buckets = (hashes % np.uint64(cfg.dims)).astype(np.int32)
+    return np.where(hashes >> np.uint64(63) != 0, ~buckets, buckets)
 
 
 # A packed key holds an n-gram of up to 7 bytes, first byte highest, under
 # its length n in the top byte.
 _PACKED_MAX_N = 7
-_BYTES_MASK = (1 << 56) - 1
-# Memo entries added since the last merge wait in a dict; merging this
-# many at once keeps the sorted arrays' copies rare.
+_EMPTY = (np.empty(0, np.uint64), np.empty(0, np.int32))  # (keys, values)
 _MERGE_EVERY = 4096
 
 
-class _SignedBucketMemo:
-    """Packed n-gram key -> signed bucket, for one (dims, hash_seed): a
-    sorted uint64 key array with its int32 values, plus a dict of the
-    entries not yet merged into them."""
+def _unpacked(keys: np.ndarray) -> list:
+    """The n-gram bytes of ascending packed keys (so grouped by n)."""
+    rows = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
+    ends = np.cumsum(np.bincount(rows[:, 0])).tolist()
+    return [gram for n in range(1, len(ends))
+            for gram in _gram_bytes(rows[ends[n - 1]:ends[n], 8 - n:])]
 
-    def __init__(self):
-        self.keys = np.empty(0, np.uint64)
-        self.values = np.empty(0, np.int32)
-        self.pending = {}
+
+def _merged(level: tuple, keys: np.ndarray, values: np.ndarray) -> tuple:
+    """The (keys, values) level with the ascending keys, new to it, added."""
+    new = np.zeros(len(level[0]) + len(keys), bool)
+    new[np.searchsorted(level[0], keys) + np.arange(len(keys))] = True
+    merged = tuple(np.empty(len(new), old.dtype) for old in level)
+    for out, old, added in zip(merged, level, (keys, values)):
+        out[new], out[~new] = added, old
+    return merged
+
+
+class _SignedBucketMemo:
+    """Packed n-gram key -> signed bucket for one (dims, hash_seed), in two
+    levels of ascending uint64 keys and int32 values. New keys join the
+    recent level; merging _MERGE_EVERY keys at a time copies main rarely."""
+
+    main = recent = _EMPTY  # each lookup replaces them, never mutates them
 
     def lookup(self, keys: np.ndarray, cfg: "EmbedderConfig") -> np.ndarray:
-        """The signed bucket of each of the unique packed keys; only keys
-        never seen before are hashed."""
-        pos = np.searchsorted(self.keys, keys)
-        hit = pos < len(self.keys)
-        hit[hit] = self.keys[pos[hit]] == keys[hit]
-        values = np.empty(len(keys), np.int32)
-        values[hit] = self.values[pos[hit]]
-        miss = np.flatnonzero(~hit)
-        values[miss] = [self._hashed(key, cfg) for key in keys[miss].tolist()]
-        if len(self.pending) >= _MERGE_EVERY:
-            self._merge()
+        """Buckets of ascending unique keys; new ones hashed in one call."""
+        values, miss = np.empty(len(keys), np.int32), np.arange(len(keys))
+        for level_keys, level_values in (self.main, self.recent):
+            if len(level_keys) and len(miss):  # [:-1] keeps pos a valid index
+                pos = np.searchsorted(level_keys[:-1], keys[miss])
+                hit = level_keys[pos] == keys[miss]
+                values[miss[hit]] = level_values[pos[hit]]
+                miss = miss[~hit]
+        if len(miss):
+            values[miss] = _signed_buckets(_unpacked(keys[miss]), cfg)
+            self.recent = _merged(self.recent, keys[miss], values[miss])
+            if len(self.recent[0]) >= _MERGE_EVERY:
+                self.main, self.recent = _merged(self.main, *self.recent), _EMPTY
         return values
-
-    def _hashed(self, key: int, cfg: "EmbedderConfig") -> int:
-        """The signed bucket of a key missing from the sorted arrays."""
-        value = self.pending.get(key)
-        if value is None:
-            gram = (key & _BYTES_MASK).to_bytes(key >> 56, "big")
-            value = _signed_bucket(stable_hash64(gram, cfg.hash_seed), cfg.dims)
-            self.pending[key] = value
-        return value
-
-    def _merge(self):
-        keys = np.fromiter(self.pending, np.uint64, len(self.pending))
-        values = np.fromiter(self.pending.values(), np.int32, len(self.pending))
-        order = np.argsort(keys)
-        pos = np.searchsorted(self.keys, keys[order])
-        self.keys = np.insert(self.keys, pos, keys[order])
-        self.values = np.insert(self.values, pos, values[order])
-        self.pending = {}
 
 
 @dataclass(frozen=True)
@@ -121,9 +132,9 @@ class EmbedderConfig:
             raise EmbedError("ngram range must satisfy 1 <= min <= max")
 
 
-def unit_row(row: np.ndarray) -> np.ndarray:
-    """The row divided by its L2 norm, or all zeros when the norm is 0."""
-    norm = np.linalg.norm(row)
+def unit_row(row: np.ndarray, norm=None) -> np.ndarray:
+    """The row over its L2 norm (given or computed), zeros if it is 0."""
+    norm = np.linalg.norm(row) if norm is None else norm
     return row / norm if norm > 0.0 else np.zeros_like(row)
 
 
@@ -172,17 +183,16 @@ def embed_text(text: str, cfg: EmbedderConfig) -> np.ndarray:
     Empty or whitespace-only text has no n-grams and maps to the zero
     vector; downstream retrieval excludes zero vectors instead of erroring.
     """
-    data = text.encode("utf-8")
-    keys = _packed_keys(np.frombuffer(data, np.uint8), cfg.ngram_min,
-                        min(cfg.ngram_max, _PACKED_MAX_N))
+    data = np.frombuffer(text.encode("utf-8"), np.uint8)
+    keys = _packed_keys(data, cfg.ngram_min, min(cfg.ngram_max, _PACKED_MAX_N))
     unique, inverse = np.unique(keys, return_inverse=True)
     signed = cfg.memo.lookup(unique, cfg)[inverse]
-    long_n = range(max(cfg.ngram_min, _PACKED_MAX_N + 1), cfg.ngram_max + 1)
-    long_grams = [
-        _signed_bucket(stable_hash64(data[i:i + n], cfg.hash_seed), cfg.dims)
-        for n in long_n for i in range(len(data) - n + 1)]
+    long_n = range(max(cfg.ngram_min, _PACKED_MAX_N + 1),
+                   min(cfg.ngram_max, len(data)) + 1)
+    long_grams = [gram for n in long_n for gram in _gram_bytes(
+        np.lib.stride_tricks.sliding_window_view(data, n))]
     if long_grams:
-        signed = np.concatenate([signed, np.array(long_grams, np.int32)])
+        signed = np.concatenate([signed, _signed_buckets(long_grams, cfg)])
     # Every count is a small integer, so the order of the adds is exact.
     minus = signed < 0
     counts = np.bincount(np.where(minus, ~signed, signed),
@@ -209,12 +219,12 @@ def load_external_embeddings(path: str) -> Embeddings:
             raise EmbedError(f"id must be a string, got {doc_id!r}")
         if doc_id in rows:
             raise EmbedError(f"duplicate id {doc_id!r}")
-        if row.ndim != 1 or not np.isfinite(np.linalg.norm(row)):
+        if row.ndim != 1 or not np.isfinite(norm := np.linalg.norm(row)):
             raise EmbedError("not a finite vector")
         dims = len(next(iter(rows.values()), row))
         if len(row) != dims:
             raise EmbedError(f"dims {len(row)} != expected {dims}")
-        return doc_id, unit_row(row)
+        return doc_id, unit_row(row, norm)
 
     for doc_id, row in read_jsonl(path, parse, EmbedError):
         rows[doc_id] = row

@@ -177,6 +177,16 @@ class TestRowInit:
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20),
+           st.integers(-2**70, 2**70))
+    def test_init_rows_seed_each_bucket_with_stable_hash64(self, buckets, seed):
+        hp = FilterHyperparams(dims=3, rng_seed=seed)
+        buckets = [0, 1, 2**64 - 1] + buckets
+        seeds = [stable_hash64(b.to_bytes(8, "little"), seed ^ 0x5EED)
+                 for b in buckets]
+        got = NgramLinearClassifier(hp, {})._init_rows(buckets)
+        assert got.tobytes() == _seed_rows(seeds, hp.dims).tobytes()
+
     @pytest.mark.parametrize("dims", [1, 7, 256])
     def test_no_buckets_no_rows(self, dims):
         model = NgramLinearClassifier(FilterHyperparams(dims=dims), {})
@@ -314,6 +324,31 @@ class TestModelFile:
         assert loaded.vocab == model.vocab
         for text, _ in train[:25]:
             assert loaded.predict_score(text) == model.predict_score(text)
+
+    # Row counts around save_model's 256-row write blocks.
+    @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
+    def test_file_is_the_documented_layout(self, tmp_path, n_rows):
+        hp = FilterHyperparams(dims=3, bucket_count=10_000)
+        model = NgramLinearClassifier(hp, {"a": 3})
+        rng = np.random.default_rng(n_rows)
+        buckets = rng.choice(hp.bucket_count, n_rows, replace=False).tolist()
+        model.embedding_rows = {b: rng.normal(size=hp.dims) for b in buckets}
+        model.output_weights = rng.normal(size=(hp.dims, 2))
+        header = {"format_version": 1, "hyperparams": asdict(hp),
+                  "vocab": {"a": 3}, "rows": sorted(buckets)}
+        expected = (b"CFNG" + json.dumps(header, sort_keys=True,
+                                         separators=(",", ":")).encode()
+                    + b"\n" + b"".join(model.embedding_rows[b].astype("<f8")
+                                       .tobytes() for b in sorted(buckets))
+                    + model.output_weights.astype("<f8").tobytes())
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        assert path.read_bytes() == expected
+        loaded = load_model(str(path))
+        assert sorted(loaded.embedding_rows) == sorted(buckets)
+        for b in buckets:
+            assert loaded.embedding_rows[b].tobytes() == \
+                model.embedding_rows[b].tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -18,6 +18,7 @@ from corpusforge.embed import (
     load_external_embeddings,
     save_embeddings,
     stable_hash64,
+    stable_hashes,
     unit_row,
 )
 
@@ -72,6 +73,88 @@ class TestStableHash:
             key = (seed % 2**64).to_bytes(8, "little")
             expected = hashlib.blake2b(data, digest_size=8, key=key).digest()
             assert stable_hash64(data, seed) == int.from_bytes(expected, "little")
+
+
+def keyed_blake2b(data, seed):
+    key = (seed % 2**64).to_bytes(8, "little")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key).digest(),
+                          "little")
+
+
+class TestStableHashes:
+    @given(st.lists(st.binary(max_size=40), max_size=30),
+           st.sampled_from(HASH_SEEDS) | st.integers(-2**80, 2**80))
+    def test_matches_keyed_blake2b(self, grams, seed):
+        # The same grams as bytes and as memoryview slices of one buffer.
+        ends = np.cumsum([0] + [len(g) for g in grams]).tolist()
+        buffer = memoryview(b"".join(grams))
+        views = [buffer[a:b] for a, b in zip(ends, ends[1:])]
+        expected = [keyed_blake2b(g, seed) for g in grams]
+        for batch in (grams, views):
+            got = stable_hashes(batch, seed)
+            assert got.dtype == np.uint64 and got.shape == (len(grams),)
+            assert got.tolist() == expected
+
+    def test_empty_list(self):
+        got = stable_hashes([], 3)
+        assert got.dtype == np.uint64 and got.shape == (0,)
+
+    def test_more_seeds_than_cached_states(self):
+        # Seeds s and 2**64 + s share a key; the cache holds fewer keys.
+        seeds = [s + wrap for s in range(24) for wrap in (0, 2**64, -2**64)]
+        assert len({s % 2**64 for s in seeds}) > \
+            embed_mod._keyed_blake2b.cache_info().maxsize
+        grams = [b"", b"abc", bytes(range(200))]
+        for seed in seeds + seeds[::-1]:
+            assert stable_hashes(grams, seed).tolist() == \
+                [keyed_blake2b(g, seed) for g in grams]
+            assert stable_hash64(grams[1], seed) == keyed_blake2b(grams[1], seed)
+
+
+def byte_grams(texts, lo, hi):
+    """The distinct byte n-grams of the texts, lo <= n <= hi."""
+    return {data[i:i + n] for data in (t.encode("utf-8") for t in texts)
+            for n in range(lo, hi + 1) for i in range(len(data) - n + 1)}
+
+
+# Texts of 0 to 23 bytes, some with multi-byte characters.
+MEMO_TEXTS = ["call the weather api", "the api returns json é", "", "ab",
+              "call the api", "weather: 21°C", "tool use é", "get_id"]
+
+
+class TestMemoLevels:
+    def check(self, cfg, texts):
+        for text in texts + texts[::-1]:
+            assert embed_text(text, cfg).tobytes() == \
+                reference_embed_text(text, cfg).tobytes()
+        main, recent = cfg.memo.main[0], cfg.memo.recent[0]
+        assert np.all(np.diff(main) > 0) and np.all(np.diff(recent) > 0)
+        assert not np.isin(recent, main).any()
+        # Each n-gram short enough for a packed key is held exactly once.
+        assert len(main) + len(recent) == len(byte_grams(
+            texts, cfg.ngram_min, min(cfg.ngram_max, 7)))
+        return main, recent
+
+    def test_vocabulary_below_a_merge_is_never_merged(self):
+        main, recent = self.check(EmbedderConfig(dims=64, hash_seed=5),
+                                  MEMO_TEXTS)
+        assert len(main) == 0 and 0 < len(recent) < embed_mod._MERGE_EVERY
+
+    def test_merges_every_three_new_keys(self):
+        with mock.patch.object(embed_mod, "_MERGE_EVERY", 3):
+            main, recent = self.check(
+                EmbedderConfig(dims=97, ngram_min=1, ngram_max=4,
+                               hash_seed=2**64 + 9), MEMO_TEXTS)
+        assert len(main) > 3 and len(recent) < 3
+
+    def test_long_ngrams_bypass_the_memo(self):
+        # 8-byte and longer n-grams are hashed per occurrence, not held.
+        texts = MEMO_TEXTS + ["a much longer sentence about tool use é"]
+        cfg = EmbedderConfig(dims=31, ngram_min=5, ngram_max=11, hash_seed=-3)
+        self.check(cfg, texts)
+        cfg = EmbedderConfig(dims=31, ngram_min=8, ngram_max=9, hash_seed=-3)
+        main, recent = self.check(cfg, texts)
+        assert len(main) + len(recent) == 0
 
 
 class TestEmbedder:
@@ -137,15 +220,16 @@ class TestEmbedder:
             assert embed_text(text, cfg).tobytes() == \
                 reference_embed_text(text, cfg).tobytes()
         # Each n-gram is hashed once: the memo holds it once, in key order.
-        assert len(cfg.memo.keys) > 2 * embed_mod._MERGE_EVERY
-        assert np.all(np.diff(cfg.memo.keys) > 0)
-        assert not cfg.memo.pending.keys() & set(cfg.memo.keys.tolist())
+        main, recent = cfg.memo.main[0], cfg.memo.recent[0]
+        assert len(main) > 2 * embed_mod._MERGE_EVERY
+        assert np.all(np.diff(main) > 0) and np.all(np.diff(recent) > 0)
+        assert not np.isin(recent, main).any()
 
     def test_memo_is_not_part_of_the_config_value(self):
         used, fresh = (EmbedderConfig(dims=64, hash_seed=42) for _ in "ab")
         embed_text("call the weather api", used)
         assert used == fresh and hash(used) == hash(fresh)
-        assert len(used.memo.pending) + len(used.memo.keys) > 0
+        assert len(used.memo.recent[0]) + len(used.memo.main[0]) > 0
         assert "memo" not in repr(used)
         assert repr(used) == repr(fresh)
 
