@@ -9,8 +9,10 @@ benchmark workload, perfbench/generate.py writes the inputs once; then
 the pipeline runs on a fresh copy of them under each source tree, each
 in its own interpreter, and every file of the two workspaces is compared
 byte for byte except run_report.json (it holds timings and the workspace
-path) and pipeline.json. Prints one line per workload and exits 1 when
-any file differs, is missing on one side, or a run fails.
+path) and pipeline.json. Prints one line per workload and one per file
+that differs (for a JSON file, with the largest relative difference
+among its numbers), and exits 1 when any file differs, is missing on
+one side, or a run fails.
 """
 
 import argparse
@@ -62,6 +64,43 @@ def files(workspace):
     return {path for path in found if os.path.basename(path) not in SKIPPED}
 
 
+def largest_relative_difference(a, b, where=""):
+    """(|a - b| / max(|a|, |b|), path) for the numbers at the same place in
+    two JSON values that differ the most, or None when the values differ
+    in more than numbers."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        pairs = [(a[key], b[key], f"{where}.{key}") for key in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        pairs = [(u, v, f"{where}[{i}]") for i, (u, v) in enumerate(zip(a, b))]
+    elif all(isinstance(v, (int, float)) and not isinstance(v, bool)
+             for v in (a, b)):
+        return (0.0 if a == b else abs(a - b) / max(abs(a), abs(b))), where
+    else:
+        return (0.0, where) if a == b else None
+    found = [largest_relative_difference(u, v, at) for u, v, at in pairs]
+    return None if None in found else max(found, default=(0.0, where))
+
+
+def describe(base, head, path):
+    """The `differs` line of a file; for JSON it names how far apart the
+    numbers are, so a change of a few ulps reads as one."""
+    if not path.endswith(".json"):
+        return f"differs: {path}"
+    loaded = []
+    for root in (base, head):
+        with open(os.path.join(root, path), encoding="utf-8") as fh:
+            loaded.append(json.load(fh))
+    found = largest_relative_difference(*loaded)
+    if found is None:
+        return f"differs: {path} (in more than numbers)"
+    return (f"differs: {path} (largest relative difference {found[0]:.3g}"
+            f" at {found[1].lstrip('.') or 'the top level'})")
+
+
 def differences(base, head):
     """Relative paths that differ or exist on one side only."""
     base_files, head_files = files(base), files(head)
@@ -70,7 +109,7 @@ def differences(base, head):
                     if not filecmp.cmp(os.path.join(base, path),
                                        os.path.join(head, path), shallow=False))
     return [f"only in {'base' if p in base_files else 'head'}: {p}"
-            for p in one_side] + [f"differs: {p}" for p in differ]
+            for p in one_side] + [describe(base, head, p) for p in differ]
 
 
 def compare(workload, seed, base_src, head_src, scratch):

@@ -108,15 +108,7 @@ def _document(obj, _lineno: int) -> Document:
 
 
 def serialize_document(doc: Document) -> str:
-    obj = {
-        "id": doc.id,
-        "source_id": doc.source_id,
-        "data_class": doc.data_class,
-        "text": doc.text,
-        "token_count": doc.token_count,
-        "meta": doc.meta,
-    }
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True)
+    return json.dumps(vars(doc), ensure_ascii=False, sort_keys=True)
 
 
 @dataclass

@@ -82,17 +82,16 @@ def _sample_pool(docs, target: int, rng: np.random.Generator, name: str):
     order = rng.permutation(len(docs))
     selected = []
     cumulative = 0
-    stopped = False
     for idx in order:
         doc = docs[idx]
         if cumulative + doc.token_count > target:
-            stopped = True
             break
         selected.append(doc)
         cumulative += doc.token_count
-    if not stopped and cumulative < target:
-        raise MixError(
-            f"pool {name!r} exhausted before target: short {target - cumulative} tokens")
+    else:
+        if cumulative < target:
+            raise MixError(f"pool {name!r} exhausted before target: "
+                           f"short {target - cumulative} tokens")
     return selected, cumulative
 
 

@@ -144,7 +144,13 @@ class Stage:
             elif f.kind == OUT:
                 value = run.resolve(value)
             elif value is not None:
-                value = f.type(value)
+                try:
+                    if f.type is bool and not isinstance(value, bool):
+                        raise TypeError(f"must be true or false, got {value!r}")
+                    value = f.type(value)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"stages[{self.name}].{key}",
+                                      str(exc)) from exc
             args[key] = value
         outputs, stats = self.body(run, **args)
         return run.inputs, outputs, stats
@@ -154,8 +160,8 @@ def _listed(cast):
     """A list value, also accepted as a comma-separated string."""
     def convert(value):
         if isinstance(value, str):
-            return [cast(v) for v in value.split(",") if v]
-        return value
+            value = [v for v in value.split(",") if v]
+        return [cast(v) for v in value]
     return convert
 
 

@@ -21,16 +21,9 @@ ALPHA_GRID_LO = -2.0
 ALPHA_GRID_HI = 2.0
 ALPHA_GRID_STEP = 1e-3
 ALPHA_REFINE_TOL = 1e-6
-# The vectorized grid scan works on blocks of about this many
-# (alpha, observation) elements, so its temporaries stay small.
+# _least_squares works on blocks of about this many (alpha, observation)
+# elements, so its temporaries stay small.
 ALPHA_SCAN_BLOCK = 1 << 16
-# Rounding margin of a scanned SSE: it and lstsq's SSE at the same alpha
-# are taken to differ by at most RESCORE_REL * sse + RESCORE_ABS * (y @ y)
-# * cond**2, where cond = ||u|| / ||u - mean(u)|| for u = x**alpha measures
-# the cancellation in the residual. Both methods round orders of
-# magnitude below this.
-RESCORE_REL = 1e-9
-RESCORE_ABS = 1e-12
 # Smallest accepted (max x - min x) / max x. Only the curvature of x**alpha
 # across the x values tells alpha apart from c and k, and it is of
 # relative order spread**2: under 1e-12 of the values below this spread,
@@ -79,43 +72,32 @@ class BudgetSpec:
             raise ScalingError("budget parameters must be positive")
 
 
-def _linear_fit_at_alpha(x, y, alpha):
-    """Closed-form least-squares (c, k) for fixed alpha; returns (c, k, sse).
+def _least_squares(x, y, alphas):
+    """Least-squares (c, k) of c + k * x**alpha and its SSE at each alpha.
 
-    An alpha at which x**alpha overflows has sse = inf (and c = k = nan).
+    The 2x2 normal equations in centered form, with u = x**alpha:
+    k = sum(uc * yc) / sum(uc**2) and c = mean(y) - k * mean(u), where uc
+    and yc are u and y less their means. Sums run in numpy's own loops,
+    not in BLAS or LAPACK. An alpha at which x**alpha overflows, or whose
+    column is constant, has SSE +inf.
     """
-    with np.errstate(over="ignore"):
-        u = np.power(x, alpha)
-    if not np.isfinite(u).all():
-        return math.nan, math.nan, math.inf
-    design = np.column_stack([np.ones_like(u), u])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return float(coef[0]), float(coef[1]), float(resid @ resid)
-
-
-def _scan_grid(x, y, grid):
-    """Least-squares SSE of c + k * x**alpha at every grid alpha, from the
-    closed-form 2x2 normal equations in centered form, and its rounding
-    margin (see RESCORE_REL). Overflow and degenerate columns come out
-    as nan or inf."""
-    n = len(x)
-    per_block = max(1, ALPHA_SCAN_BLOCK // n)
-    yc = y - y.mean()
-    sse, cond2 = np.empty(len(grid)), np.empty(len(grid))
+    per_block = max(1, ALPHA_SCAN_BLOCK // len(x))
+    y_mean = y.mean()
+    yc = y - y_mean
+    c, k, sse = (np.empty(len(alphas)) for _ in range(3))
     with np.errstate(all="ignore"):
-        for start in range(0, len(grid), per_block):
+        for start in range(0, len(alphas), per_block):
             block = slice(start, start + per_block)
-            u = np.power(x, grid[block, None])
-            mean = u.mean(axis=1)
-            u -= mean[:, None]
-            sxx = np.einsum("ij,ij->i", u, u)
-            k = (u @ yc) / sxx
-            resid = yc - k[:, None] * u
+            u = np.power(x, alphas[block, None])
+            u_mean = u.mean(axis=1)
+            u -= u_mean[:, None]
+            k[block] = (np.einsum("ij,j->i", u, yc)
+                        / np.einsum("ij,ij->i", u, u))
+            c[block] = y_mean - k[block] * u_mean
+            resid = yc - k[block, None] * u
             sse[block] = np.einsum("ij,ij->i", resid, resid)
-            cond2[block] = 1.0 + n * mean * mean / sxx
-        margin = RESCORE_REL * sse + RESCORE_ABS * (y @ y) * cond2
-    return sse, margin
+    sse[~np.isfinite(sse)] = math.inf
+    return c, k, sse
 
 
 def fit_power_law(obs, benchmark: str | None = None) -> ScalingCurve:
@@ -123,15 +105,12 @@ def fit_power_law(obs, benchmark: str | None = None) -> ScalingCurve:
 
     Method: dense grid over alpha (zero excluded: alpha = 0 is degenerate
     with c), then golden-section refinement of alpha around the best grid
-    point. The grid is scanned in one vectorized pass of closed-form
-    (c, k), which only picks candidates: every grid point whose SSE is
-    within rounding (RESCORE_REL) of the grid minimum, or not finite, is
-    re-scored with lstsq, and the best lstsq value (the first on ties)
-    gives the grid's best point, as if lstsq had scored every point.
-    Refinement and the final (c, k) use lstsq too. An alpha at which some
-    x**alpha overflows has SSE +inf; if no grid alpha has a finite SSE,
-    ScalingError. So are fewer than 3 distinct x values, or x values
-    whose spread is under X_MIN_REL_SPREAD of the largest. Deterministic.
+    point (the first on ties). The grid, every refinement step and the
+    final (c, k) all come from one closed-form method, _least_squares,
+    with no BLAS or LAPACK call. An alpha at which some x**alpha overflows
+    has SSE +inf; if no grid alpha has a finite SSE, ScalingError. So are
+    fewer than 3 distinct x values, or x values whose spread is under
+    X_MIN_REL_SPREAD of the largest. Deterministic.
     """
     obs = list(obs)
     if benchmark is not None:
@@ -156,26 +135,22 @@ def fit_power_law(obs, benchmark: str | None = None) -> ScalingCurve:
                      ALPHA_GRID_STEP)
     grid = grid[np.abs(grid) > ALPHA_GRID_STEP / 2]
 
-    scanned, margin = _scan_grid(x, y, grid)
-    upper = scanned + margin
-    finite = np.isfinite(upper)
-    cutoff = np.min(upper, where=finite, initial=math.inf)
-    best_alpha, best_sse = None, math.inf
-    for alpha in grid[~finite | (scanned - margin <= cutoff)]:
-        _, _, sse = _linear_fit_at_alpha(x, y, alpha)
-        if sse < best_sse:
-            best_alpha, best_sse = float(alpha), sse
-    if best_alpha is None:
+    sse = _least_squares(x, y, grid)[2]
+    best = int(np.argmin(sse))
+    if sse[best] == math.inf:
         raise ScalingError("no alpha in the grid gives a finite least-squares fit")
+    best_alpha, best_sse = float(grid[best]), float(sse[best])
 
-    lo = best_alpha - ALPHA_GRID_STEP
-    hi = best_alpha + ALPHA_GRID_STEP
-    alpha = _golden_section(lambda a: _linear_fit_at_alpha(x, y, a)[2],
-                            lo, hi, ALPHA_REFINE_TOL)
-    c, k, sse = _linear_fit_at_alpha(x, y, alpha)
+    def fit_at(alpha):
+        return [float(v[0]) for v in _least_squares(x, y, np.array([alpha]))]
+
+    alpha = _golden_section(lambda a: fit_at(a)[2],
+                            best_alpha - ALPHA_GRID_STEP,
+                            best_alpha + ALPHA_GRID_STEP, ALPHA_REFINE_TOL)
+    c, k, sse = fit_at(alpha)
     if sse > best_sse:  # refinement must never lose to its own grid point
         alpha = best_alpha
-        c, k, sse = _linear_fit_at_alpha(x, y, alpha)
+        c, k, sse = fit_at(alpha)
     rmse = math.sqrt(sse / len(obs))
     return ScalingCurve(c, k, alpha, rmse, obs[0].benchmark)
 

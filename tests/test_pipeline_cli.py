@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import shutil
+import subprocess
+import sys
 from unittest.mock import ANY
 
 import pytest
@@ -46,6 +49,27 @@ class TestValidation:
         (tmp_path / "a.jsonl").write_text("")
         with pytest.raises(ConfigError, match=r"stages\[retrieve\]\.k"):
             run_pipeline(config)
+
+    @pytest.mark.parametrize("stage,field", [
+        ({"name": "optimize", "fits": ["f.json"], "step": "abc"}, "step"),
+        ({"name": "optimize", "fits": ["f.json"], "weights": ["x"]}, "weights"),
+        ({"name": "optimize", "fits": 7}, "fits"),
+        ({"name": "optimize", "fits": ["f.json"], "domain": [0.1]}, "domain"),
+        ({"name": "frontier", "seeds": "f.json", "graph": "f.json",
+          "filter_final": "false"}, "filter_final"),
+        ({"name": "retrieve", "seeds": "f.json", "candidates": "f.json",
+          "k": "five"}, "k")])
+    def test_mistyped_field_exits_2_and_names_it(self, tmp_path, capsys,
+                                                 stage, field):
+        (tmp_path / "f.json").write_text("")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"workspace": str(tmp_path), "stages": [
+            dict(stage, out="out.json")]}))
+        assert main(["run", "--config", str(path)]) == 2
+        event = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert event["event"] == "config_error"
+        assert event["field"] == f"stages[{stage['name']}].{field}"
+        assert not (tmp_path / "out.json").exists()
 
     def test_missing_ingest_origin_is_config_error(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps([
@@ -232,6 +256,31 @@ class TestFullPipeline:
         run_pipeline(config)
         optimum = json.load(open(root / "optimum.json"))
         assert abs(optimum["x_star"] - 0.36) < 1e-3
+
+    def test_fit_bytes_do_not_depend_on_the_blas_kernel(self, fixture_root,
+                                                        tmp_path):
+        # No BLAS or LAPACK call reaches the fit and optimize outputs, so
+        # a different OpenBLAS CPU kernel leaves their bytes unchanged.
+        root, config = fixture_root
+        stages = [s for s in config["stages"] if s["name"] in ("fit", "optimize")]
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        outputs = []
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            workspace = tmp_path / f"run{len(outputs)}"
+            workspace.mkdir()
+            shutil.copy(root / "observations.jsonl", workspace)
+            path = workspace / "pipeline.json"
+            path.write_text(json.dumps({"workspace": str(workspace),
+                                        "stages": stages}))
+            subprocess.run(
+                [sys.executable, "-m", "corpusforge.cli", "run",
+                 "--config", str(path)],
+                env=dict(env, PYTHONPATH=src, **extra), check=True,
+                capture_output=True)
+            outputs.append({s["out"]: (workspace / s["out"]).read_bytes()
+                            for s in stages})
+        assert outputs[0] == outputs[1]
 
     def test_mix_reports_its_manifest_check(self, fixture_root):
         root, config = fixture_root
