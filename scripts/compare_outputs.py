@@ -10,9 +10,9 @@ the pipeline runs on a fresh copy of them under each source tree, each
 in its own interpreter, and every file of the two workspaces is compared
 byte for byte except run_report.json (it holds timings and the workspace
 path) and pipeline.json. Prints one line per workload and one per file
-that differs (for a JSON file, with the largest relative difference
-among its numbers), and exits 1 when any file differs, is missing on
-one side, or a run fails.
+that differs (for a JSON or JSON Lines file, with the largest relative
+difference among its numbers), and exits 1 when any file differs, is
+missing on one side, or a run fails.
 """
 
 import argparse
@@ -86,19 +86,27 @@ def largest_relative_difference(a, b, where=""):
 
 
 def describe(base, head, path):
-    """The `differs` line of a file; for JSON it names how far apart the
-    numbers are, so a change of a few ulps reads as one."""
-    if not path.endswith(".json"):
+    """The `differs` line of a file; for JSON and JSON Lines it names how
+    far apart the numbers are, so a change of a few ulps reads as one. A
+    JSON Lines file compares as the list of its lines, so files with
+    different line counts differ in more than numbers."""
+    lines = path.endswith(".jsonl")
+    if not (lines or path.endswith(".json")):
         return f"differs: {path}"
     loaded = []
     for root in (base, head):
         with open(os.path.join(root, path), encoding="utf-8") as fh:
-            loaded.append(json.load(fh))
+            loaded.append([json.loads(line) for line in fh] if lines
+                          else json.load(fh))
     found = largest_relative_difference(*loaded)
     if found is None:
         return f"differs: {path} (in more than numbers)"
-    return (f"differs: {path} (largest relative difference {found[0]:.3g}"
-            f" at {found[1].lstrip('.') or 'the top level'})")
+    relative, where = found
+    if lines:  # where starts with the 0-based index of its line
+        index, _, where = where[1:].partition("]")
+        where = f"line {int(index) + 1} {where}"
+    return (f"differs: {path} (largest relative difference {relative:.3g}"
+            f" at {where.lstrip('.') or 'the top level'})")
 
 
 def differences(base, head):

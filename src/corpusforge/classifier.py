@@ -9,13 +9,13 @@ learning rate. Training is deterministic given (sample order, rng_seed).
 
 The embedding table is stored sparsely: only buckets that training
 touches get a stored row, so large bucket counts cost nothing at desk
-scale. A bucket's initial row is default_rng(seed).uniform(-1/dims,
-1/dims, dims) for a per-bucket seed, bit for bit, but built in bulk:
-numpy's SeedSequence is replayed for all buckets at once in uint32
-arithmetic, and only PCG64's draws run per row. Training keeps its rows in
-one dense table. Scoring generates the initial rows of buckets training
-never touched into a cache of their own, so scoring never adds rows to
-a model.
+scale. A bucket's initial row is SplitMix64 draws 1..dims from a
+per-bucket seed, mapped to [-1/dims, 1/dims) and built for many buckets
+at once in uint64 arithmetic. A load regenerates every untrained row, so
+this initializer is part of the model format (version 2). Training keeps
+its rows in one dense table. Scoring generates the initial rows of
+buckets training never touched into a cache of their own, so scoring
+never adds rows to a model.
 
 Each model memoizes its grams' buckets in a dict that save_model never
 writes, and hashes a document's new grams in one stable_hashes call.
@@ -26,8 +26,6 @@ import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
 from .embed import stable_hash64, stable_hashes
 
@@ -35,7 +33,7 @@ LABELS = ("agent", "general")
 LABEL_INDEX = {"agent": 0, "general": 1}
 
 MODEL_MAGIC = b"CFNG"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 _NGRAM_SEP = b"\x1f"
 _SAVE_BLOCK_ROWS = 256  # rows per save_model write: 0.5 MB at dims 256
@@ -101,73 +99,27 @@ def _bucket(gram: bytes, hp: FilterHyperparams) -> int:
     return stable_hash64(gram, hp.rng_seed) % hp.bucket_count
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx) with its default
-# 4-word pool. Each hash call xors with the current hash constant, then
-# multiplies by the next one, and the constants evolve the same way
-# whatever the entropy, so call k's (xor, multiply) pair is a constant.
-_MASK32 = 0xFFFFFFFF
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int, calls: int):
-    """The calls' xor and multiply constants, as (calls, 1) uint32 columns."""
-    consts = [init]
-    for _ in range(calls):
-        consts.append(consts[-1] * mult & _MASK32)
-    consts = np.array(consts, dtype=np.uint32)[:, None]
-    return consts[:-1], consts[1:]
-
-
-_POOL_XOR, _POOL_MULT = _hash_constants(0x43B0D7E5, 0x931E8875, 4 + 4 * 3)
-_STATE_XOR, _STATE_MULT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _hash_words(words, xor, mult):
-    words = (words ^ xor) * mult
-    return words ^ (words >> np.uint32(16))
-
-
-def _seed_states(seeds):
-    """SeedSequence(s).generate_state(4, np.uint64) for each seed s in
-    [0, 2**64), as one (n, 4) uint64 array.
-
-    A seed below 2**32 is one entropy word, a larger one two; both fill
-    the rest of the pool with hashed zeros, so a zero high word stands
-    for the missing second word. The pool is one (4, n) array, and a
-    source word's three hash-and-mix steps are one (3, n) operation.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0] = seeds & np.uint64(_MASK32)
-    pool[1] = seeds >> np.uint64(32)
-    pool = _hash_words(pool, _POOL_XOR[:4], _POOL_MULT[:4])
-    for src in range(4):
-        calls = slice(4 + 3 * src, 7 + 3 * src)
-        dst = [d for d in range(4) if d != src]
-        mixed = (np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R)
-                 * _hash_words(pool[src], _POOL_XOR[calls], _POOL_MULT[calls]))
-        pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    state = _hash_words(pool[[0, 1, 2, 3] * 2], _STATE_XOR, _STATE_MULT)
-    return np.ascontiguousarray(state.T, "<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedState(ISeedSequence):
-    """Hands PCG64 a SeedSequence state that _seed_states computed."""
-
-    def __init__(self, state):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
+_SEED_BLOCK_ROWS = 64  # rows per block of uint64 draws: 128 kB at dims 256
 
 
 def _seed_rows(seeds, dims: int):
-    """default_rng(s).uniform(-1/dims, 1/dims, dims) for each seed s, bit
-    for bit, as one (n, dims) array."""
+    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) draws 1..dims from
+    each seed, as doubles in [0, 1) mapped to [-1/dims, 1/dims): one row
+    per seed, in one (n, dims) array. uint64 arithmetic wraps, as the
+    generator needs."""
+    u64 = np.uint64
+    seeds = np.asarray(seeds, dtype=u64).reshape(-1, 1)
+    steps = np.arange(1, dims + 1, dtype=u64) * u64(0x9E3779B97F4A7C15)
     table = np.empty((len(seeds), dims), dtype=np.float64)
-    for row, state in zip(table, _seed_states(seeds)):
-        Generator(PCG64(_SeedState(state))).random(out=row)
-    # uniform(low, high) draws low + (high - low) * random().
+    for start in range(0, len(seeds), _SEED_BLOCK_ROWS):
+        z = seeds[start:start + _SEED_BLOCK_ROWS] + steps
+        z ^= z >> u64(30)
+        z *= u64(0xBF58476D1CE4E5B9)
+        z ^= z >> u64(27)
+        z *= u64(0x94D049BB133111EB)
+        z ^= z >> u64(31)
+        table[start:start + _SEED_BLOCK_ROWS] = (z >> u64(11)) * 2.0 ** -53
+    # uniform(low, high)'s affine step: low + (high - low) * draw.
     bound = 1.0 / dims
     table *= 2 * bound
     table += -bound

@@ -76,7 +76,7 @@ def apportion_budget(budget: int, ratios: dict) -> dict:
     return targets
 
 
-def _sample_pool(docs, target: int, rng: np.random.Generator, name: str):
+def _sample_pool(docs, target: int, rng, name: str):
     """Seeded shuffle without replacement; stop before exceeding the target."""
     docs = sorted(docs, key=lambda d: d.id)  # pool order independence
     order = rng.permutation(len(docs))

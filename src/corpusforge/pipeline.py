@@ -145,10 +145,8 @@ class Stage:
                 value = run.resolve(value)
             elif value is not None:
                 try:
-                    if f.type is bool and not isinstance(value, bool):
-                        raise TypeError(f"must be true or false, got {value!r}")
-                    value = f.type(value)
-                except (TypeError, ValueError) as exc:
+                    value = _convert(f.type, value)
+                except (TypeError, ValueError, OverflowError) as exc:
                     raise ConfigError(f"stages[{self.name}].{key}",
                                       str(exc)) from exc
             args[key] = value
@@ -156,19 +154,30 @@ class Stage:
         return run.inputs, outputs, stats
 
 
+def _convert(cast, value):
+    """cast(value), refusing what it would bend: only a bool field takes a
+    boolean, and an int field takes only an integral float (int(8.9) is 8)."""
+    if isinstance(value, bool) != (cast is bool):
+        wanted = "true or false" if cast is bool else "no boolean"
+        raise TypeError(f"must be {wanted}, got {value!r}")
+    if cast is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return cast(value)
+
+
 def _listed(cast):
     """A list value, also accepted as a comma-separated string."""
     def convert(value):
         if isinstance(value, str):
             value = [v for v in value.split(",") if v]
-        return [cast(v) for v in value]
+        return [_convert(cast, v) for v in value]
     return convert
 
 
 def _span(value):
     """A [lo, hi] pair of floats, also accepted as a "lo:hi" string."""
     lo, hi = value.split(":") if isinstance(value, str) else value
-    return [float(lo), float(hi)]
+    return [_convert(float, lo), _convert(float, hi)]
 
 
 # Bodies look up corpus and model functions as module globals at call time.
@@ -265,21 +274,24 @@ def _prune(run, vecs=INPUT, report=Field(kind=OUT, flag="--report-out"),
 
 def _annotate(run, corpus=INPUT, out=OUTPUT,
               backend=Field(dict, flag=None)):
-    def required(key):
-        if backend.get(key) is None:
-            raise ConfigError(f"stages[annotate].backend.{key}",
-                              "missing required field")
-        return backend[key]
+    def setting(key, cast=str, default=REQUIRED):
+        field, value = f"stages[annotate].backend.{key}", backend.get(key)
+        if value is None and default is REQUIRED:
+            raise ConfigError(field, "missing required field")
+        try:
+            return _convert(cast, default if value is None else value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(field, str(exc)) from exc
 
     kind = backend.get("kind")
     if kind == "file":
         annotator = quality_mod.FileLabelBackend(
-            run.input(required("labels"), "backend.labels"))
+            run.input(setting("labels"), "backend.labels"))
     elif kind == "http":
         annotator = quality_mod.HttpAnnotationBackend(
-            required("url"),
-            timeout=float(backend.get("timeout", 30.0)),
-            retries=int(backend.get("retries", 2)))
+            setting("url"),
+            timeout=setting("timeout", float, 30.0),
+            retries=setting("retries", int, 2))
     else:
         raise ConfigError("stages[annotate].backend.kind",
                           f"must be 'file' or 'http', got {kind!r}")

@@ -9,6 +9,7 @@ from hypothesis import assume, given, strategies as st
 from corpusforge.classifier import (
     LABEL_INDEX,
     LABELS,
+    MODEL_FORMAT_VERSION,
     ClassifierError,
     FilterHyperparams,
     NgramLinearClassifier,
@@ -16,7 +17,6 @@ from corpusforge.classifier import (
     _feature_rows,
     _mean_row,
     _seed_rows,
-    _seed_states,
     _softmax2,
     build_vocab,
     load_model,
@@ -29,15 +29,28 @@ from corpusforge.embed import stable_hash64
 from conftest import AGENT_VOCAB, GENERAL_VOCAB, make_separable_samples
 
 HP = FilterHyperparams(rng_seed=7)
+MASK64 = 2**64 - 1
+
+
+def splitmix64_row(seed, dims):
+    """SplitMix64 draws 1..dims from seed, one at a time in Python ints,
+    mapped to [-1/dims, 1/dims) as uniform(low, high) maps a draw."""
+    draws = []
+    for k in range(1, dims + 1):
+        z = (seed + k * 0x9E3779B97F4A7C15) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        draws.append(((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
+    bound = 1.0 / dims
+    return -bound + (2 * bound) * np.array(draws, dtype=np.float64)
 
 
 def reference_row(hp, rows, bucket):
-    """A bucket's row in a dict of rows; a missing one starts as
-    default_rng(seed).uniform for the bucket's seed and is stored."""
+    """A bucket's row in a dict of rows; a missing one starts as the
+    SplitMix64 row of the bucket's seed and is stored."""
     if bucket not in rows:
         seed = stable_hash64(bucket.to_bytes(8, "little"), hp.rng_seed ^ 0x5EED)
-        bound = 1.0 / hp.dims
-        rows[bucket] = np.random.default_rng(seed).uniform(-bound, bound, hp.dims)
+        rows[bucket] = splitmix64_row(seed, hp.dims)
     return rows[bucket]
 
 
@@ -151,31 +164,40 @@ class TestTraining:
             FilterHyperparams(epochs=0)
 
 
-# Seeds below 2**32 are one SeedSequence entropy word, larger ones two.
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+# Seeds at the ends of the uint64 range and at its 32- and 63-bit
+# boundaries; seed + k * gamma wraps for the large ones.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def reference_rows(seeds, dims):
+    return np.array([splitmix64_row(s, dims) for s in seeds],
+                    dtype=np.float64).reshape(-1, dims)
 
 
 class TestRowInit:
-    @given(st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1),
-                    max_size=20),
+    def test_oracle_draws_the_published_splitmix64_stream(self):
+        # The first three outputs of Vigna's reference splitmix64.c with
+        # its state set to 0.
+        first = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert splitmix64_row(0, 3).tolist() == [
+            -1 / 3 + 2 / 3 * ((z >> 11) * 2.0 ** -53) for z in first]
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20),
            st.integers(1, 300))
-    def test_seed_rows_match_default_rng_uniform(self, seeds, dims):
+    def test_seed_rows_match_splitmix64_reference(self, seeds, dims):
         seeds = EDGE_SEEDS + seeds
-        expected = np.array([np.random.default_rng(s).uniform(
-            -1 / dims, 1 / dims, dims) for s in seeds])
+        expected = reference_rows(seeds, dims)
         assert _seed_rows(seeds, dims).tobytes() == expected.tobytes()
 
-    @given(st.lists(st.integers(0, 2**32 - 1) | st.integers(0, 2**64 - 1),
-                    min_size=1, max_size=60))
-    def test_seed_states_match_seed_sequence(self, seeds):
-        for batch in ([], seeds[:1], EDGE_SEEDS + seeds):
-            expected = np.array(
-                [np.random.SeedSequence(s).generate_state(4, np.uint64)
-                 for s in batch], dtype=np.uint64).reshape(-1, 4)
-            got = _seed_states(batch)
-            assert got.dtype == np.uint64
-            assert got.shape == expected.shape
-            assert got.tobytes() == expected.tobytes()
+    # 255, 256 and 257 rows end one short of, on and one past a whole
+    # number of _seed_rows' blocks of draws; 600 ends inside a block.
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("dims", [1, 7, 256])
+    def test_seed_rows_across_blocks(self, n, dims):
+        seeds = [(i * 0x9E3779B97F4A7C15 + 12345) & MASK64 for i in range(n)]
+        got = _seed_rows(seeds, dims)
+        assert got.shape == (n, dims)
+        assert got.tobytes() == reference_rows(seeds, dims).tobytes()
 
     @given(st.lists(st.integers(0, 2**64 - 1), max_size=20),
            st.integers(-2**70, 2**70))
@@ -334,7 +356,8 @@ class TestModelFile:
         buckets = rng.choice(hp.bucket_count, n_rows, replace=False).tolist()
         model.embedding_rows = {b: rng.normal(size=hp.dims) for b in buckets}
         model.output_weights = rng.normal(size=(hp.dims, 2))
-        header = {"format_version": 1, "hyperparams": asdict(hp),
+        header = {"format_version": MODEL_FORMAT_VERSION,
+                  "hyperparams": asdict(hp),
                   "vocab": {"a": 3}, "rows": sorted(buckets)}
         expected = (b"CFNG" + json.dumps(header, sort_keys=True,
                                          separators=(",", ":")).encode()
@@ -385,12 +408,12 @@ class TestModelFile:
             load_model(str(path))
 
     @staticmethod
-    def write_model(path, rows, **hyperparams):
+    def write_model(path, rows, version=MODEL_FORMAT_VERSION, **hyperparams):
         """A model file whose body fits its header: one zero row per entry
         of `rows`, then zero output weights."""
         hp = dict(asdict(FilterHyperparams(dims=2, bucket_count=10)),
                   **hyperparams)
-        header = {"format_version": 1, "hyperparams": hp,
+        header = {"format_version": version, "hyperparams": hp,
                   "vocab": {"a": 3}, "rows": rows}
         floats = max(hp["dims"], 0) * (len(rows) + 2)
         path.write_bytes(b"CFNG" + json.dumps(header).encode() + b"\n"
@@ -400,6 +423,15 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         self.write_model(path, [0, 3, 9])
         assert sorted(load_model(str(path)).embedding_rows) == [0, 3, 9]
+
+    def test_version_1_file_rejected(self, tmp_path):
+        # Version 1 drew its initial rows from default_rng, so its
+        # untrained rows cannot be regenerated.
+        path = tmp_path / "model.bin"
+        self.write_model(path, [0, 3, 9], version=1)
+        with pytest.raises(ClassifierError,
+                           match="unsupported format version 1"):
+            load_model(str(path))
 
     @pytest.mark.parametrize("rows", [
         ["x"], [1.0], [True], [-1], [10], [3, 1], [2, 2], {"0": 1}])
@@ -421,8 +453,8 @@ class TestModelFile:
     def test_huge_dims_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "model.bin"
         hp = asdict(FilterHyperparams(dims=10**12, bucket_count=10))
-        header = {"format_version": 1, "hyperparams": hp, "vocab": {},
-                  "rows": [1]}
+        header = {"format_version": MODEL_FORMAT_VERSION, "hyperparams": hp,
+                  "vocab": {}, "rows": [1]}
         path.write_bytes(b"CFNG" + json.dumps(header).encode() + b"\n"
                          + bytes(64))
         with pytest.raises(ClassifierError,

@@ -58,7 +58,30 @@ class TestValidation:
         ({"name": "frontier", "seeds": "f.json", "graph": "f.json",
           "filter_final": "false"}, "filter_final"),
         ({"name": "retrieve", "seeds": "f.json", "candidates": "f.json",
-          "k": "five"}, "k")])
+          "k": "five"}, "k"),
+        # Values that int() and float() would truncate or coerce.
+        ({"name": "retrieve", "seeds": "f.json", "candidates": "f.json",
+          "k": 2.7}, "k"),
+        ({"name": "retrieve", "seeds": "f.json", "candidates": "f.json",
+          "k": True}, "k"),
+        ({"name": "embed", "corpus": "f.json", "dims": 8.9}, "dims"),
+        ({"name": "prune", "vecs": "f.json", "report": "out.json",
+          "threshold": True}, "threshold"),
+        ({"name": "prune", "vecs": "f.json", "report": "out.json",
+          "threshold": 10**400}, "threshold"),
+        ({"name": "optimize", "fits": ["f.json"], "weights": [True]},
+         "weights"),
+        ({"name": "frontier", "seeds": "f.json", "graph": "f.json",
+          "keywords": [True]}, "keywords"),
+        ({"name": "annotate", "corpus": "f.json", "backend": {
+            "kind": "http", "url": "http://localhost:9", "timeout": "soon"}},
+         "backend.timeout"),
+        ({"name": "annotate", "corpus": "f.json", "backend": {
+            "kind": "http", "url": "http://localhost:9", "retries": 2.5}},
+         "backend.retries"),
+        ({"name": "annotate", "corpus": "f.json", "backend": {
+            "kind": "http", "url": "http://localhost:9", "timeout": False}},
+         "backend.timeout")])
     def test_mistyped_field_exits_2_and_names_it(self, tmp_path, capsys,
                                                  stage, field):
         (tmp_path / "f.json").write_text("")
