@@ -7,15 +7,12 @@ a document is the mean of its feature rows, classified by a linear
 softmax head trained with sequential SGD under a linearly decaying
 learning rate. Training is deterministic given (sample order, rng_seed).
 
-The embedding table is stored sparsely: only buckets that training
-touches get a stored row, so large bucket counts cost nothing at desk
-scale. A bucket's initial row is SplitMix64 draws 1..dims from a
-per-bucket seed, mapped to [-1/dims, 1/dims) and built for many buckets
-at once in uint64 arithmetic. A load regenerates every untrained row, so
-this initializer is part of the model format (version 2). Training keeps
-its rows in one dense table. Scoring generates the initial rows of
-buckets training never touched into a cache of their own, so scoring
-never adds rows to a model.
+Only buckets that training touches get a stored row: row_ids, ascending
+uint64 bucket ids, and embedding_rows, their (n, dims) float64 table. An
+initial row is SplitMix64 draws 1..dims from a per-bucket seed, mapped
+to [-1/dims, 1/dims). Scoring regenerates the initial row of each
+untrained bucket it meets and keeps none, so this initializer is part of
+the model format (version 2).
 
 Each model memoizes its grams' buckets in a dict that save_model never
 writes, and hashes a document's new grams in one stable_hashes call.
@@ -36,7 +33,6 @@ MODEL_MAGIC = b"CFNG"
 MODEL_FORMAT_VERSION = 2
 
 _NGRAM_SEP = b"\x1f"
-_SAVE_BLOCK_ROWS = 256  # rows per save_model write: 0.5 MB at dims 256
 
 
 class ClassifierError(Exception):
@@ -58,6 +54,8 @@ class FilterHyperparams:
             raise ClassifierError("dims, word_ngram_max, min_count must be positive")
         if self.learning_rate <= 0 or self.epochs < 1 or self.bucket_count < 1:
             raise ClassifierError("learning_rate, epochs, bucket_count must be positive")
+        if self.bucket_count >= 2**64:
+            raise ClassifierError("bucket_count must be below 2**64 (uint64 ids)")
 
 
 def tokenize(text: str) -> list:
@@ -111,18 +109,24 @@ def _seed_rows(seeds, dims: int):
     seeds = np.asarray(seeds, dtype=u64).reshape(-1, 1)
     steps = np.arange(1, dims + 1, dtype=u64) * u64(0x9E3779B97F4A7C15)
     table = np.empty((len(seeds), dims), dtype=np.float64)
-    for start in range(0, len(seeds), _SEED_BLOCK_ROWS):
-        z = seeds[start:start + _SEED_BLOCK_ROWS] + steps
-        z ^= z >> u64(30)
-        z *= u64(0xBF58476D1CE4E5B9)
-        z ^= z >> u64(27)
-        z *= u64(0x94D049BB133111EB)
-        z ^= z >> u64(31)
-        table[start:start + _SEED_BLOCK_ROWS] = (z >> u64(11)) * 2.0 ** -53
-    # uniform(low, high)'s affine step: low + (high - low) * draw.
+    # uniform(low, high)'s low + (high - low) * draw, the draw's 2**-53 folded
+    # into the scale: scalings by powers of two are exact, so rounding is unchanged.
     bound = 1.0 / dims
-    table *= 2 * bound
-    table += -bound
+    scale = 2.0 ** -53 * (2 * bound)
+    z = np.empty((min(len(seeds), _SEED_BLOCK_ROWS), dims), dtype=u64)
+    t = np.empty_like(z)
+    for start in range(0, len(seeds), _SEED_BLOCK_ROWS):
+        block = seeds[start:start + _SEED_BLOCK_ROWS]
+        z, t = z[:len(block)], t[:len(block)]  # only the last block is short
+        np.add(block, steps, out=z)
+        z ^= np.right_shift(z, u64(30), out=t)
+        z *= u64(0xBF58476D1CE4E5B9)
+        z ^= np.right_shift(z, u64(27), out=t)
+        z *= u64(0x94D049BB133111EB)
+        z ^= np.right_shift(z, u64(31), out=t)
+        z >>= u64(11)
+        rows = np.multiply(z, scale, out=table[start:start + len(block)])
+        rows += -bound
     return table
 
 
@@ -161,9 +165,9 @@ class NgramLinearClassifier:
     def __init__(self, hyperparams: FilterHyperparams, vocab: dict):
         self.hyperparams = hyperparams
         self.vocab = vocab
-        self.embedding_rows = {}  # trained bucket id -> dims float64 row
-        self._initial_rows = {}   # untrained bucket id -> its initial row
-        self._buckets = {}        # gram bytes -> bucket, never saved
+        self.row_ids = np.zeros(0, dtype=np.uint64)  # trained, ascending
+        self.embedding_rows = np.zeros((0, hyperparams.dims))  # their rows
+        self._buckets = {}  # gram bytes -> bucket, never saved
         self.output_weights = np.zeros((hyperparams.dims, 2), dtype=np.float64)
         self.epoch_losses = []
 
@@ -174,16 +178,18 @@ class NgramLinearClassifier:
         return _seed_rows(seeds, self.hyperparams.dims)
 
     def _rows(self, buckets):
-        """The buckets' rows as one (len(buckets), dims) array. A bucket
-        without a trained row gets its initial row, generated once into
-        a cache that save_model never writes."""
-        trained, initial = self.embedding_rows, self._initial_rows
-        missing = sorted({b for b in buckets
-                          if b not in trained and b not in initial})
-        if missing:
-            initial.update(zip(missing, self._init_rows(missing)))
-        return np.array([trained[b] if b in trained else initial[b]
-                         for b in buckets]).reshape(-1, self.hyperparams.dims)
+        """The buckets' rows as one (len(buckets), dims) array; an untrained
+        bucket gets its initial row, regenerated on every call."""
+        # Ids meet ids only as uint64: numpy 1.x compares uint64 with
+        # int64 as float64, which merges distinct ids above 2**53.
+        ids = np.asarray(buckets, dtype=np.uint64)
+        if not len(self.row_ids):
+            return self._init_rows(ids)
+        pos = np.searchsorted(self.row_ids, ids).clip(max=len(self.row_ids) - 1)
+        rows, miss = self.embedding_rows[pos], self.row_ids[pos] != ids
+        if miss.any():
+            rows[miss] = self._init_rows(ids[miss])
+        return rows
 
     def predict_proba(self, text: str):
         """(p_agent, p_general); featureless text sits at the 0.5 prior."""
@@ -220,13 +226,13 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
     featurized = [(_feature_rows(tokenize(text), vocab, hp, model._buckets),
                    LABEL_INDEX[label])
                   for text, label in samples]
-    buckets = sorted({b for rows, _ in featurized for b in rows})
-    table = model._init_rows(buckets)
-    slot_of = {b: slot for slot, b in enumerate(buckets)}
-    docs = []
-    for rows, target in featurized:
-        slots = np.array([slot_of[b] for b in rows], dtype=np.intp)
-        docs.append((slots, _occurrence_layers(slots), target))
+    # Each occurrence's slot in the table of distinct buckets, ascending.
+    occurrences = np.array([b for rows, _ in featurized for b in rows], np.uint64)
+    row_ids = np.unique(occurrences)
+    table = model._init_rows(row_ids)
+    ends = np.cumsum([len(rows) for rows, _ in featurized])[:-1]
+    slots = np.split(np.searchsorted(row_ids, occurrences), ends)
+    docs = [(s, _occurrence_layers(s), t) for s, (_, t) in zip(slots, featurized)]
 
     total_updates = hp.epochs * len(docs)
     step = 0
@@ -247,7 +253,7 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
             for layer in layers:
                 table[layer] -= delta
         model.epoch_losses.append(float(epoch_loss) / len(docs))
-    model.embedding_rows = dict(zip(buckets, table))
+    model.row_ids, model.embedding_rows = row_ids, table
     return model
 
 
@@ -258,21 +264,18 @@ def save_model(model: NgramLinearClassifier, path: str) -> None:
     hyperparams, vocab, rows}, then the listed embedding rows row-major as
     little-endian float64, then the dims-by-2 output weights row-major.
     """
-    rows = sorted(model.embedding_rows)
     header = {
         "format_version": MODEL_FORMAT_VERSION,
         "hyperparams": asdict(model.hyperparams),
         "vocab": model.vocab,
-        "rows": rows,
+        "rows": model.row_ids.tolist(),
     }
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(json.dumps(header, sort_keys=True,
                             separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for start in range(0, len(rows), _SAVE_BLOCK_ROWS):
-            block = rows[start:start + _SAVE_BLOCK_ROWS]
-            fh.write(np.array([model.embedding_rows[r] for r in block], "<f8"))
+        fh.write(np.ascontiguousarray(model.embedding_rows, "<f8"))
         fh.write(np.ascontiguousarray(model.output_weights, "<f8"))
 
 
@@ -308,17 +311,14 @@ def load_model(path: str) -> NgramLinearClassifier:
         if needed > left:
             raise ClassifierError(f"{path}: truncated body: the header needs "
                                   f"{needed} bytes, the file has {left}")
-        model = NgramLinearClassifier(hp, vocab)
-
-        def read_floats(shape, what):
-            floats = np.empty(shape, dtype="<f8")
-            if fh.readinto(floats.reshape(-1).view(np.uint8)) != floats.nbytes:
-                raise ClassifierError(f"{path}: truncated {what}")
-            return floats
-
-        table = read_floats((len(rows), hp.dims), "embedding rows")
-        model.embedding_rows = dict(zip(rows, table))
-        model.output_weights = read_floats((hp.dims, 2), "output weights")
+        # The rows, then the output weights: as many floats as two rows.
+        body = np.empty((len(rows) + 2, hp.dims), dtype="<f8")
+        if fh.readinto(body.reshape(-1).view(np.uint8)) != body.nbytes:
+            raise ClassifierError(f"{path}: truncated body")
         if fh.read(1):
             raise ClassifierError(f"{path}: trailing bytes after output weights")
+    model = NgramLinearClassifier(hp, vocab)
+    model.row_ids = np.array(rows, dtype=np.uint64)
+    model.embedding_rows = body[:len(rows)]
+    model.output_weights = body[len(rows):].reshape(hp.dims, 2)
     return model

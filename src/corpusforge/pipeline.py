@@ -144,11 +144,7 @@ class Stage:
             elif f.kind == OUT:
                 value = run.resolve(value)
             elif value is not None:
-                try:
-                    value = _convert(f.type, value)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise ConfigError(f"stages[{self.name}].{key}",
-                                      str(exc)) from exc
+                value = _checked(f"stages[{self.name}].{key}", f.type, value)
             args[key] = value
         outputs, stats = self.body(run, **args)
         return run.inputs, outputs, stats
@@ -163,6 +159,14 @@ def _convert(cast, value):
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"must be an integer, got {value!r}")
     return cast(value)
+
+
+def _checked(field: str, cast, value):
+    """_convert(cast, value), refusing with a ConfigError naming field."""
+    try:
+        return _convert(cast, value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(field, str(exc)) from exc
 
 
 def _listed(cast):
@@ -278,10 +282,7 @@ def _annotate(run, corpus=INPUT, out=OUTPUT,
         field, value = f"stages[annotate].backend.{key}", backend.get(key)
         if value is None and default is REQUIRED:
             raise ConfigError(field, "missing required field")
-        try:
-            return _convert(cast, default if value is None else value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(field, str(exc)) from exc
+        return _checked(field, cast, default if value is None else value)
 
     kind = backend.get("kind")
     if kind == "file":
@@ -307,12 +308,9 @@ def _train_filter(run, corpus=INPUT, labels=INPUT, out=OUTPUT,
                   epochs=Field(int, 3),
                   bucket_count=Field(int, 2_000_000, flag="--buckets"),
                   seed=Field(int, RUN_SEED, flag=None)):
-    backend = quality_mod.FileLabelBackend(labels)
-    samples = []
-    for doc in read_corpus(corpus):
-        label = backend.labels.get(doc.id)
-        if label is not None:
-            samples.append((doc.text, label))
+    label_of = quality_mod.FileLabelBackend(labels).labels
+    samples = [(doc.text, label_of[doc.id]) for doc in read_corpus(corpus)
+               if doc.id in label_of]
     model = train_filter(samples, FilterHyperparams(
         dims=dims, learning_rate=learning_rate, word_ngram_max=word_ngram_max,
         min_count=min_count, epochs=epochs, bucket_count=bucket_count,
@@ -432,9 +430,10 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
     attached to the exception as `.report` when available.
     """
     validate_config(config)
+    rng_seed = _checked("rng_seed", int, config.get("rng_seed", 0))
     workspace = workspace or config.get("workspace", ".")
     os.makedirs(workspace, exist_ok=True)
-    ctx = {"workspace": workspace, "rng_seed": int(config.get("rng_seed", 0))}
+    ctx = {"workspace": workspace, "rng_seed": rng_seed}
 
     report = {"rng_seed": ctx["rng_seed"], "workspace": workspace, "stages": []}
     report_path = os.path.join(workspace, config.get("report", "run_report.json"))

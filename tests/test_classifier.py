@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -60,6 +61,7 @@ def reference_train(samples, hp):
     turn. Skips train_filter's input checks."""
     vocab = build_vocab((text for text, _ in samples), hp.min_count)
     model = NgramLinearClassifier(hp, vocab)
+    table = {}  # bucket id -> row
     featurized = [(_feature_rows(tokenize(text), vocab, hp), LABEL_INDEX[label])
                   for text, label in samples]
     total_updates = hp.epochs * len(featurized)
@@ -72,7 +74,7 @@ def reference_train(samples, hp):
             hidden = np.zeros(hp.dims, dtype=np.float64)
             if rows:
                 for r in rows:
-                    hidden += reference_row(hp, model.embedding_rows, r)
+                    hidden += reference_row(hp, table, r)
                 hidden = hidden / len(rows)
             probs = _softmax2(hidden @ model.output_weights)
             epoch_loss += -np.log(max(probs[target], 1e-300))
@@ -84,10 +86,19 @@ def reference_train(samples, hp):
             if rows:
                 delta = (lr / len(rows)) * grad_hidden
                 for r in rows:
-                    model.embedding_rows[r] = (
-                        reference_row(hp, model.embedding_rows, r) - delta)
+                    table[r] = reference_row(hp, table, r) - delta
         model.epoch_losses.append(float(epoch_loss) / len(featurized))
+    set_rows(model, table)
     return model
+
+
+def set_rows(model, table):
+    """Give the model the rows of a dict of bucket id -> row."""
+    ids = sorted(table)
+    model.row_ids = np.array(ids, dtype=np.uint64)
+    model.embedding_rows = np.array([table[b] for b in ids],
+                                    dtype=np.float64).reshape(
+                                        -1, model.hyperparams.dims)
 
 
 def model_bytes(model, directory):
@@ -162,6 +173,13 @@ class TestTraining:
             FilterHyperparams(learning_rate=0.0)
         with pytest.raises(ClassifierError):
             FilterHyperparams(epochs=0)
+
+    def test_bucket_count_must_fit_uint64(self):
+        with pytest.raises(ClassifierError, match="2\\*\\*64"):
+            FilterHyperparams(bucket_count=2**64)
+        hp = FilterHyperparams(bucket_count=2**64 - 1)
+        assert _feature_rows(["a"], {"a": 1}, hp, {}) == \
+            _feature_rows(["a"], {"a": 1}, hp) == [_bucket(b"a", hp)]
 
 
 # Seeds at the ends of the uint64 range and at its 32- and 63-bit
@@ -299,7 +317,56 @@ class TestBucketMemo:
             assert loaded.predict_score(text) == model.predict_score(text)
 
 
+@st.composite
+def row_lookups(draw):
+    """Trained rows and buckets to look up: trained and untrained ones,
+    repeated, and 0 and 2**64 - 2, below and above every trained id.
+    float64 cannot tell 2**53 + 1 from 2**53."""
+    ids = st.one_of(st.integers(1, 2**64 - 3),
+                    st.sampled_from([2**53, 2**53 + 1, 2**63]))
+    hp = FilterHyperparams(dims=draw(st.integers(1, 8)),
+                           bucket_count=2**64 - 1,
+                           rng_seed=draw(st.integers(0, 2**64 - 1)))
+    trained = draw(st.lists(ids, unique=True, max_size=6))
+    pool = trained + draw(st.lists(ids, min_size=1, max_size=6)) + [0, 2**64 - 2]
+    buckets = draw(st.lists(st.sampled_from(pool), max_size=16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return hp, {b: rng.normal(size=hp.dims) for b in trained}, buckets
+
+
 class TestPrediction:
+    @given(row_lookups())
+    def test_rows_match_reference_row(self, lookup):
+        hp, table, buckets = lookup
+        model = NgramLinearClassifier(hp, {})
+        set_rows(model, table)
+        rows_of = dict(table)
+        expected = np.array([reference_row(hp, rows_of, b) for b in buckets],
+                            dtype=np.float64).reshape(-1, hp.dims)
+        assert model._rows(buckets).tobytes() == expected.tobytes()
+        assert model.row_ids.tolist() == sorted(table)
+
+    def test_scoring_unseen_buckets_keeps_no_memory(self):
+        # Every word is in the vocabulary but untrained, so each text
+        # meets a new untrained bucket; its gram memo is filled first.
+        words = [f"w{i}" for i in range(2020)]
+        hp = FilterHyperparams(dims=256, word_ngram_max=1, rng_seed=5)
+        model = NgramLinearClassifier(hp, dict.fromkeys(words, 3))
+        _feature_rows(words, model.vocab, hp, model._buckets)
+
+        def peak(texts):
+            tracemalloc.start()
+            try:
+                for text in texts:
+                    model.predict_score(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        few, many = peak(words[:20]), peak(words[20:])
+        # One row is 2 kB; keeping the 2,000 rows would take over 4 MB.
+        assert many - few < 64 * 1024
+
     def test_probabilities_sum_to_one(self, trained):
         model, train, _ = trained
         for text, _ in train[:50]:
@@ -322,7 +389,7 @@ class TestPrediction:
         # Re-implemented forward pass: featurize, average rows, softmax.
         model, train, _ = trained
         hp = model.hyperparams
-        rows_of = dict(model.embedding_rows)
+        rows_of = dict(zip(model.row_ids.tolist(), model.embedding_rows))
         for text, _ in train[:100]:
             rows = _feature_rows(tokenize(text), model.vocab, hp)
             if rows:
@@ -347,31 +414,31 @@ class TestModelFile:
         for text, _ in train[:25]:
             assert loaded.predict_score(text) == model.predict_score(text)
 
-    # Row counts around save_model's 256-row write blocks.
+    # No rows, one row, and row counts around a power of two.
     @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
     def test_file_is_the_documented_layout(self, tmp_path, n_rows):
         hp = FilterHyperparams(dims=3, bucket_count=10_000)
         model = NgramLinearClassifier(hp, {"a": 3})
         rng = np.random.default_rng(n_rows)
         buckets = rng.choice(hp.bucket_count, n_rows, replace=False).tolist()
-        model.embedding_rows = {b: rng.normal(size=hp.dims) for b in buckets}
+        table = {b: rng.normal(size=hp.dims) for b in buckets}
+        set_rows(model, table)
         model.output_weights = rng.normal(size=(hp.dims, 2))
         header = {"format_version": MODEL_FORMAT_VERSION,
                   "hyperparams": asdict(hp),
                   "vocab": {"a": 3}, "rows": sorted(buckets)}
         expected = (b"CFNG" + json.dumps(header, sort_keys=True,
                                          separators=(",", ":")).encode()
-                    + b"\n" + b"".join(model.embedding_rows[b].astype("<f8")
-                                       .tobytes() for b in sorted(buckets))
+                    + b"\n" + b"".join(table[b].astype("<f8").tobytes()
+                                       for b in sorted(buckets))
                     + model.output_weights.astype("<f8").tobytes())
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         assert path.read_bytes() == expected
         loaded = load_model(str(path))
-        assert sorted(loaded.embedding_rows) == sorted(buckets)
-        for b in buckets:
-            assert loaded.embedding_rows[b].tobytes() == \
-                model.embedding_rows[b].tobytes()
+        assert loaded.row_ids.tolist() == sorted(buckets)
+        for b, row in zip(loaded.row_ids.tolist(), loaded.embedding_rows):
+            assert row.tobytes() == table[b].tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -422,7 +489,7 @@ class TestModelFile:
     def test_hand_written_header_loads(self, tmp_path):
         path = tmp_path / "model.bin"
         self.write_model(path, [0, 3, 9])
-        assert sorted(load_model(str(path)).embedding_rows) == [0, 3, 9]
+        assert load_model(str(path)).row_ids.tolist() == [0, 3, 9]
 
     def test_version_1_file_rejected(self, tmp_path):
         # Version 1 drew its initial rows from default_rng, so its
@@ -466,7 +533,7 @@ class TestModelFile:
         model = train_filter(samples, FilterHyperparams(dims=8, rng_seed=3))
         text = "endpoint invoke_api garden"
         assert set(_feature_rows(tokenize(text), model.vocab, model.hyperparams)
-                   ) - set(model.embedding_rows), "text must hit untrained rows"
+                   ) - set(model.row_ids.tolist()), "text must hit untrained rows"
         trained = model_bytes(model, tmp_path)
         rows = len(model.embedding_rows)
         loaded = load_model(str(tmp_path / "model.bin"))

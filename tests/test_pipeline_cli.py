@@ -94,6 +94,21 @@ class TestValidation:
         assert event["field"] == f"stages[{stage['name']}].{field}"
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("seed", [1.5, True, "abc"])
+    def test_mistyped_rng_seed_exits_2_and_names_it(self, tmp_path, capsys,
+                                                    seed):
+        write_corpus(make_random_docs(3, seed=2), str(tmp_path / "tiny"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "workspace": str(tmp_path), "rng_seed": seed,
+            "stages": [{"name": "stats", "corpus": "tiny",
+                        "out": "out.json"}]}))
+        assert main(["run", "--config", str(path)]) == 2
+        event = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert event["event"] == "config_error"
+        assert event["field"] == "rng_seed"
+        assert not (tmp_path / "out.json").exists()
+
     def test_missing_ingest_origin_is_config_error(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps([
             {"name": "s", "kind": "text", "format": "plain_text",

@@ -156,6 +156,31 @@ class TestGridScanOracle:
         y = np.array([o.loss for o in obs])
         assert curve_sse(got, obs) <= curve_sse(expected, obs) + 1e-13 * (y @ y)
 
+    # x spreads 3.1e-6 of the largest, just above X_MIN_REL_SPREAD. Near
+    # alpha = 0, x**alpha less its mean keeps few significant digits, so
+    # the closed form misses the lstsq minimum at alpha -0.00049 (SSE
+    # lower by 1.3e-11) and keeps the grid end alpha = -2.
+    @pytest.mark.xfail(reason="closed-form fit loses "
+                       "precision near alpha = 0 on a narrow x spread")
+    def test_narrow_spread_near_zero_alpha(self):
+        points = [
+            (0.46875, 1.015540636040496),
+            (0.46875063403821493, 1.0020709665168803),
+            (0.46875064851397324, 1.0153626713495456),
+            (0.4687507411588266, 1.0330009323369054),
+            (0.46875083380367993, 1.0349220262310777),
+            (0.4687509264485332, 1.0),
+            (0.46875097277095995, 1.0156376630810027),
+            (0.4687513201891599, 1.01913030163832),
+            (0.46875147073704654, 1.0116941327148585),
+            (0.46875063403821493, 1.025642334276117),
+            (0.46875064851397324, 1.0305877845175693),
+            (0.46875147073704654, 1.0283762676275685),
+            (0.4687507411588266, 1.0108110217942703),
+            (0.4687513201891599, 1.0288951922015417)]
+        self.test_matches_per_point_lstsq.hypothesis.inner_test(
+            self, [MixObservation(x, y, "b") for x, y in points])
+
 
 class TestFitPowerLaw:
     def test_noiseless_recovery(self):
