@@ -5,6 +5,7 @@ through this module. Documents are immutable after parse.
 """
 
 import glob
+import hashlib
 import json
 import os
 import re
@@ -185,6 +186,15 @@ def read_json(path: str, parse: Callable, error: type):
         raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise error(f"{path}: {exc!r}") from exc
+
+
+def sha256_file(path: str) -> str:
+    """The hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 @contextmanager

@@ -13,16 +13,24 @@ memo's packed keys and are hashed per occurrence.
 
 stable_hashes, the one hashing primitive, hashes grams in bulk and
 compresses each seed's key block once; stable_hash64 hashes one input.
+
+A vectors file is parsed at most once per process while it is among the
+last _REMEMBERED_FILES files loaded or saved: both functions remember the
+Embeddings a load of the file returns, keyed by the SHA-256 of its bytes,
+and a later load of the same bytes returns those vectors without decoding
+any JSON. A remembered matrix is read-only, because every load of the
+same bytes shares it.
 """
 
 import functools
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import read_jsonl, write_lines
+from .corpus import read_jsonl, sha256_file, write_lines
 
 
 class EmbedError(Exception):
@@ -205,32 +213,90 @@ def embed_document(doc, cfg: EmbedderConfig) -> np.ndarray:
     return embed_text(doc.text, cfg)
 
 
+# The vectors files last parsed or saved in this process, oldest first: the
+# SHA-256 of the file's bytes -> the Embeddings a load returns.
+_REMEMBERED_FILES = 4
+_remembered = {}
+_remembered_lock = threading.Lock()
+
+
+def _remember(digest: str, vectors: Embeddings) -> None:
+    vectors.matrix.flags.writeable = False
+    with _remembered_lock:
+        _remembered.pop(digest, None)
+        _remembered[digest] = vectors
+        while len(_remembered) > _REMEMBERED_FILES:
+            del _remembered[next(iter(_remembered))]
+
+
 def load_external_embeddings(path: str) -> Embeddings:
     """Load a JSONL embedding file: {"id": "...", "v": [floats]} per line.
 
     Dims are inferred from the first record and enforced for the rest;
-    each row is unit-normalized on load.
+    each row is unit-normalized on load. Bytes recently loaded or saved in
+    this process are not parsed again, and every load of the same bytes
+    shares one read-only matrix (see the module docstring).
     """
+    digest = sha256_file(path)
+    vectors = _remembered.get(digest)
+    if vectors is None:
+        vectors = _parse_embeddings(path)
+        _remember(digest, vectors)
+    return Embeddings(list(vectors.ids), vectors.matrix)
+
+
+def _loaded_row(doc_id, row: np.ndarray, rows: dict) -> np.ndarray:
+    """The row unit-normalized, as a load keeps it, after the checks a load
+    makes against the rows before it (`rows`, by id)."""
+    if not isinstance(doc_id, str):
+        raise EmbedError(f"id must be a string, got {doc_id!r}")
+    if doc_id in rows:
+        raise EmbedError(f"duplicate id {doc_id!r}")
+    if row.ndim != 1 or not np.isfinite(norm := np.linalg.norm(row)):
+        raise EmbedError("not a finite vector")
+    dims = len(next(iter(rows.values()), row))
+    if len(row) != dims:
+        raise EmbedError(f"dims {len(row)} != expected {dims}")
+    return unit_row(row, norm)
+
+
+def _parse_embeddings(path: str) -> Embeddings:
     rows = {}
 
     def parse(obj, _):
-        doc_id, row = obj["id"], np.asarray(obj["v"], dtype=np.float64)
-        if not isinstance(doc_id, str):
-            raise EmbedError(f"id must be a string, got {doc_id!r}")
-        if doc_id in rows:
-            raise EmbedError(f"duplicate id {doc_id!r}")
-        if row.ndim != 1 or not np.isfinite(norm := np.linalg.norm(row)):
-            raise EmbedError("not a finite vector")
-        dims = len(next(iter(rows.values()), row))
-        if len(row) != dims:
-            raise EmbedError(f"dims {len(row)} != expected {dims}")
-        return doc_id, unit_row(row, norm)
+        return obj["id"], _loaded_row(
+            obj["id"], np.asarray(obj["v"], dtype=np.float64), rows)
 
     for doc_id, row in read_jsonl(path, parse, EmbedError):
         rows[doc_id] = row
     return Embeddings.from_rows(rows, len(next(iter(rows.values()), ())))
 
 
+def _as_loaded(vectors: Embeddings) -> Embeddings | None:
+    """What a load of the file save_embeddings writes for `vectors`
+    returns, or None if that load would raise or might not give back
+    these ids and values exactly (a matrix that is not float64 with one
+    row per id, an id holding a surrogate code point)."""
+    ids, matrix = vectors.ids, vectors.matrix
+    if matrix.ndim != 2 or matrix.dtype != np.float64 or len(ids) != len(matrix):
+        return None
+    rows = {}
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for doc_id, row in zip(ids, matrix):
+                rows[doc_id] = _loaded_row(doc_id, row, rows)
+        "".join(ids).encode("utf-8")
+    except (EmbedError, UnicodeEncodeError):
+        return None
+    return Embeddings.from_rows(rows, matrix.shape[1] if ids else 0)
+
+
 def save_embeddings(vectors: Embeddings, path: str) -> None:
+    """Write `vectors` as a JSONL embedding file, one line per row, and
+    remember what a load of those bytes returns (see the module
+    docstring); vectors a load would reject are not remembered."""
     write_lines(path, (json.dumps({"id": doc_id, "v": row.tolist()})
                        for doc_id, row in zip(vectors.ids, vectors.matrix)))
+    loaded = _as_loaded(vectors)
+    if loaded is not None:
+        _remember(sha256_file(path), loaded)

@@ -9,7 +9,6 @@ files it wrote; each file is hashed once per run, when the stage that
 wrote it (or first read it) finishes.
 """
 
-import hashlib
 import inspect
 import json
 import os
@@ -27,7 +26,8 @@ from . import retrieve as retrieve_mod
 from . import scaling as scaling_mod
 from .classifier import FilterHyperparams, load_model, save_model, train_filter
 from .corpus import (compute_stats, make_document, read_corpus, read_json,
-                     read_jsonl, write_corpus, write_json, write_lines)
+                     read_jsonl, sha256_file, write_corpus, write_json,
+                     write_lines)
 
 
 class ConfigError(Exception):
@@ -44,14 +44,6 @@ class StageError(Exception):
 
 def log_event(**fields):
     print(json.dumps(fields, sort_keys=True), file=sys.stderr)
-
-
-def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -332,9 +324,14 @@ def _filter(run, corpus=INPUT, scores=INPUT, out=OUTPUT,
     score_of = {}
 
     def parse(obj, _):
-        if obj["id"] in score_of:
-            raise quality_mod.QualityError(f"duplicate score for id {obj['id']!r}")
-        return obj["id"], float(obj["score"])
+        doc_id, score = obj["id"], obj["score"]
+        if doc_id in score_of:
+            raise quality_mod.QualityError(f"duplicate score for id {doc_id!r}")
+        if (isinstance(score, bool) or not isinstance(score, (int, float))
+                or not 0.0 <= score <= 1.0):
+            raise quality_mod.QualityError(
+                f"score must be a number in [0, 1], got {score!r}")
+        return doc_id, float(score)
 
     for doc_id, score in read_jsonl(scores, parse, quality_mod.QualityError):
         score_of[doc_id] = score

@@ -9,6 +9,7 @@ from unittest.mock import ANY
 import pytest
 
 from corpusforge import cli, pipeline
+from corpusforge import embed as embed_mod
 from corpusforge.cli import main
 from corpusforge.pipeline import (
     ConfigError,
@@ -144,7 +145,10 @@ class TestValidation:
         docs = read_corpus(str(tmp_path / "seed"))
         assert [(d.id, d.text) for d in docs] == [("s:1", "a"), ("s:3", "b")]
 
-    @pytest.mark.parametrize("bad", ['{"id": "d1"}', "not json"])
+    @pytest.mark.parametrize("bad", [
+        '{"id": "d1"}', "not json", '{"id": "d1", "score": 1.5}',
+        '{"id": "d1", "score": NaN}', '{"id": "d1", "score": true}',
+        '{"id": "d1", "score": "0.5"}'])
     def test_bad_scores_line_names_file_and_line(self, tmp_path, bad):
         docs = make_random_docs(3, seed=4)
         write_corpus(docs, str(tmp_path / "c"))
@@ -339,6 +343,24 @@ class TestFullPipeline:
                 if path in produced:
                     assert produced[path] == digest
             produced.update(stage["outputs"])
+
+    def test_retrieve_and_prune_decode_no_saved_vectors(self, fixture_root, monkeypatch):
+        # retrieve and prune get the embed stages' vectors without parsing
+        # the files those stages have just written.
+        root, config = fixture_root
+        decoded = []
+
+        def counting(path, *args, _read=embed_mod.read_jsonl):
+            decoded.append(os.path.basename(path))
+            return _read(path, *args)
+
+        monkeypatch.setattr(embed_mod, "read_jsonl", counting)
+        stages = [s for s in config["stages"]
+                  if s["name"] in ("ingest", "embed", "retrieve", "prune")]
+        report = run_pipeline(dict(config, stages=stages))
+        assert [s["name"] for s in report["stages"]] == [
+            "ingest", "embed", "embed", "retrieve", "prune"]
+        assert decoded == []
 
     def test_each_file_hashed_once_per_run(self, fixture_root, monkeypatch):
         root, config = fixture_root
