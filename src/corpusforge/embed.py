@@ -11,8 +11,8 @@ signed bucket in two sorted array levels, so the vectors are those of
 hashing every occurrence. N-grams longer than 7 bytes do not fit the
 memo's packed keys and are hashed per occurrence.
 
-stable_hashes, the one hashing primitive, hashes grams in bulk and
-compresses each seed's key block once; stable_hash64 hashes one input.
+stable_hashes, the one hashing primitive, hashes grams in bulk from one
+keyed state per call; stable_hash64 hashes one input.
 
 A vectors file is parsed at most once per process while it is among the
 last _REMEMBERED_FILES files loaded or saved: both functions remember the
@@ -22,7 +22,6 @@ any JSON. A remembered matrix is read-only, because every load of the
 same bytes shares it.
 """
 
-import functools
 import hashlib
 import json
 import threading
@@ -37,15 +36,11 @@ class EmbedError(Exception):
     pass
 
 
-@functools.lru_cache(maxsize=16)
-def _keyed_blake2b(seed: int):  # shared: callers copy it, never update it
-    return hashlib.blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
-
-
 def stable_hashes(grams, seed: int) -> np.ndarray:
     """Each bytes-like gram's seeded 64-bit hash, stable across platforms:
     8-byte blake2b keyed by the seed mod 2**64, as one uint64 array."""
-    keyed = _keyed_blake2b(seed & 0xFFFFFFFFFFFFFFFF)
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    keyed = hashlib.blake2b(digest_size=8, key=key)
     digests = []
     for gram in grams:
         state = keyed.copy()

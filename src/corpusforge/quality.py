@@ -6,13 +6,14 @@ HTTP JSON endpoint that receives the annotator prompt and returns a
 completion containing a binary verdict.
 """
 
+import http.client
 import json
 import re
 import time
+import urllib.error
+import urllib.request
 from dataclasses import asdict, dataclass
 from importlib import resources
-
-import requests
 
 from .classifier import LABELS
 from .corpus import read_jsonl, write_lines
@@ -103,20 +104,25 @@ class HttpAnnotationBackend:
         self.annotator_name = annotator_name
 
     def annotate(self, doc, prompt: str):
+        body = json.dumps({"prompt": prompt}).encode()
         last_exc = None
         for attempt in range(self.retries + 1):
             try:
-                resp = requests.post(self.url, json={"prompt": prompt},
-                                     timeout=self.timeout)
-                resp.raise_for_status()
-                reply = resp.json()
+                request = urllib.request.Request(
+                    self.url, body, {"Content-Type": "application/json"})
+                if request.type not in ("http", "https"):  # not file: or data:
+                    raise ValueError(f"not an http(s) URL: {self.url!r}")
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    reply = json.loads(resp.read())
                 completion = (reply.get("completion", "")
                               if isinstance(reply, dict) else None)
                 if not isinstance(completion, str):
                     raise QualityError("annotation reply has no completion "
                                        f"string: {reply!r:.200}")
                 return parse_verdict(completion), self.annotator_name
-            except (requests.RequestException, ValueError) as exc:
+            except (OSError, ValueError, http.client.HTTPException) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # it holds the error response's socket
                 last_exc = exc
                 if attempt < self.retries:
                     time.sleep(min(0.1 * 2 ** attempt, 2.0))

@@ -442,6 +442,16 @@ class TestCli:
         assert main(["version"]) == 0
         assert capsys.readouterr().out.strip()
 
+    def test_import_loads_no_http_client_package(self):
+        # The HTTP annotator speaks urllib; numpy is the one dependency.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, corpusforge.cli; "
+             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+            capture_output=True, text=True).stdout
+        assert loaded.strip() == "[]"
+
     def test_stats_subcommand(self, tmp_path):
         docs = make_random_docs(10, seed=4)
         write_corpus(docs, str(tmp_path / "c"))

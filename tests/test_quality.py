@@ -1,11 +1,12 @@
+import gc
 import json
 import os
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from corpusforge import quality
 from corpusforge.classifier import FilterHyperparams, train_filter
 from corpusforge.corpus import make_document
 from corpusforge.quality import (
@@ -27,18 +28,21 @@ from conftest import make_separable_samples
 
 
 class StubAnnotationServer:
-    """Local HTTP endpoint returning a fixed completion for every prompt."""
+    """Local HTTP endpoint answering the n-th POST with the n-th scripted
+    (status, body) reply, the last one repeating; by default every reply
+    is 200 with the given completion. Records each request's headers and
+    body."""
 
-    def __init__(self, completion):
+    def __init__(self, completion=None, replies=None):
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 length = int(self.headers["Content-Length"])
-                body = json.loads(self.rfile.read(length))
-                outer.prompts.append(body["prompt"])
-                payload = json.dumps({"completion": outer.completion}).encode()
-                self.send_response(200)
+                outer.requests.append((self.headers, self.rfile.read(length)))
+                status, payload = outer.replies[
+                    min(len(outer.requests), len(outer.replies)) - 1]
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
@@ -47,11 +51,17 @@ class StubAnnotationServer:
             def log_message(self, *args):
                 pass
 
-        self.completion = completion
-        self.prompts = []
+        if replies is None:
+            replies = [(200, json.dumps({"completion": completion}))]
+        self.replies = [(status, body.encode()) for status, body in replies]
+        self.requests = []
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
         self.thread = threading.Thread(target=self.server.serve_forever,
                                        daemon=True)
+
+    @property
+    def prompts(self):
+        return [json.loads(body)["prompt"] for _, body in self.requests]
 
     def __enter__(self):
         self.thread.start()
@@ -142,23 +152,73 @@ class TestAnnotateBatch:
         assert len(errors) == 2
 
     @pytest.mark.parametrize("reply", [["agent"], "agent", {"completion": 5}])
-    def test_http_reply_without_completion_string_recorded_per_doc(
-            self, monkeypatch, reply):
-        class Response:
-            def raise_for_status(self):
-                pass
+    def test_http_reply_without_completion_string_recorded_per_doc(self,
+                                                                   reply):
+        with StubAnnotationServer(replies=[(200, json.dumps(reply))]) as url:
+            backend = HttpAnnotationBackend(url, timeout=5.0, retries=0)
+            samples, errors = annotate_batch(self._docs(2), backend)
+        assert samples == []
+        assert [doc_id for doc_id, _ in errors] == ["d0", "d1"]
+        assert all("completion" in why for _, why in errors)
 
-            def json(self):
-                return reply
+    def test_http_error_status_retried_then_recorded_per_doc(self):
+        server = StubAnnotationServer(replies=[(500, "{}")])
+        with server as url, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            backend = HttpAnnotationBackend(url, timeout=5.0, retries=1)
+            samples, errors = annotate_batch(self._docs(2), backend)
+            gc.collect()
+        assert not [w for w in caught if w.category is ResourceWarning]
+        assert samples == []
+        assert [doc_id for doc_id, _ in errors] == ["d0", "d1"]
+        # Two attempts for each document, in doc order.
+        prompts = server.prompts
+        assert len(prompts) == 4
+        assert prompts[0] == prompts[1] != prompts[2] == prompts[3]
 
-        monkeypatch.setattr(quality.requests, "post",
-                            lambda *args, **kwargs: Response())
-        backend = HttpAnnotationBackend("http://annotator.invalid/",
+    def test_http_error_status_then_success_labels_doc(self):
+        server = StubAnnotationServer(replies=[
+            (503, "{}"), (200, json.dumps({"completion": "agent"}))])
+        with server as url:
+            backend = HttpAnnotationBackend(url, timeout=5.0, retries=1)
+            samples, errors = annotate_batch(self._docs(1), backend)
+        assert errors == []
+        assert [(s.doc_id, s.label) for s in samples] == [("d0", "agent")]
+        assert len(server.requests) == 2
+
+    def test_http_reply_not_json_recorded_per_doc(self):
+        with StubAnnotationServer(replies=[(200, "agent")]) as url:
+            backend = HttpAnnotationBackend(url, timeout=5.0, retries=0)
+            samples, errors = annotate_batch(self._docs(2), backend)
+        assert samples == []
+        assert [doc_id for doc_id, _ in errors] == ["d0", "d1"]
+
+    @pytest.mark.parametrize("url", ["not a url", "http://"])
+    def test_malformed_url_recorded_per_doc(self, url):
+        backend = HttpAnnotationBackend(url, timeout=5.0, retries=0)
+        samples, errors = annotate_batch(self._docs(2), backend)
+        assert samples == []
+        assert [doc_id for doc_id, _ in errors] == ["d0", "d1"]
+
+    def test_file_url_not_read(self, tmp_path):
+        # Only http and https are spoken: a local file holding a valid
+        # reply labels nothing.
+        reply = tmp_path / "reply.json"
+        reply.write_text(json.dumps({"completion": "agent"}))
+        backend = HttpAnnotationBackend(reply.as_uri(), timeout=5.0,
                                         retries=0)
         samples, errors = annotate_batch(self._docs(2), backend)
         assert samples == []
         assert [doc_id for doc_id, _ in errors] == ["d0", "d1"]
-        assert all("completion" in why for _, why in errors)
+
+    def test_http_request_is_json(self):
+        server = StubAnnotationServer("agent")
+        with server as url:
+            backend = HttpAnnotationBackend(url, timeout=5.0, retries=0)
+            annotate_batch(self._docs(1), backend)
+        (headers, body), = server.requests
+        assert headers["Content-Type"] == "application/json"
+        assert list(json.loads(body)) == ["prompt"]
 
     def test_labels_file_round_trip(self, tmp_path):
         samples = [LabeledSample("d0", "agent", "test")]

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -92,11 +93,16 @@ def reference_fit_power_law(obs):
 
 
 def curve_sse(curve, obs):
-    """Sum of squared residuals of the curve on the observations."""
-    x = np.array([o.x for o in obs])
-    y = np.array([o.loss for o in obs])
-    resid = y - (curve.c + curve.k * np.power(x, curve.alpha))
-    return float(resid @ resid)
+    """Sum of squared residuals of the curve, at its own float c, k and
+    alpha, on the observations, computed in 60-digit decimal: in float64,
+    c + k * x**alpha can cancel most of its digits near alpha = 0."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        c, k, alpha = (decimal.Decimal(v)
+                       for v in (curve.c, curve.k, curve.alpha))
+        return float(sum((decimal.Decimal(o.loss) - c
+                          - k * decimal.Decimal(o.x) ** alpha) ** 2
+                         for o in obs))
 
 
 @st.composite
@@ -150,18 +156,17 @@ class TestGridScanOracle:
                 fit_power_law(obs)
             return
         # Both solve the same least-squares problems by different
-        # arithmetic, so the fitted curve may not be worse than the lstsq
-        # reference's by more than rounding.
+        # arithmetic, so the fitted curve's exact SSE may not exceed the
+        # lstsq reference's by more than rounding.
         got, expected = fit_power_law(obs), reference_fit_power_law(obs)
         y = np.array([o.loss for o in obs])
         assert curve_sse(got, obs) <= curve_sse(expected, obs) + 1e-13 * (y @ y)
 
-    # x spreads 3.1e-6 of the largest, just above X_MIN_REL_SPREAD. Near
-    # alpha = 0, x**alpha less its mean keeps few significant digits, so
-    # the closed form misses the lstsq minimum at alpha -0.00049 (SSE
-    # lower by 1.3e-11) and keeps the grid end alpha = -2.
-    @pytest.mark.xfail(reason="closed-form fit loses "
-                       "precision near alpha = 0 on a narrow x spread")
+    # x spreads 3.1e-6 of the largest, just above X_MIN_REL_SPREAD. The
+    # lstsq reference refines to alpha -0.00049 with c ~ 2.97e6 and
+    # k ~ -2.97e6, where c + k * x**alpha cancels about six digits in
+    # float64: its float SSE reads 1.3e-11 below that of the fit's
+    # alpha = -2, but exactly it is 6.5e-12 above.
     def test_narrow_spread_near_zero_alpha(self):
         points = [
             (0.46875, 1.015540636040496),
