@@ -2,8 +2,17 @@
 
 Every stage of the pipeline reads and writes its JSON Lines and JSON files
 through this module. Documents are immutable after parse.
+
+Within a run (a `run_table` block, as `pipeline.run_pipeline` opens), a
+file is parsed at most once: the run's table holds what its parse gave (a
+shard's Documents, a vectors file's Embeddings), keyed by what it was
+parsed as and the SHA-256 of its bytes, so a rewrite is parsed anew. The
+table lasts one run, in the thread that opened it. In a run, read_corpus
+parses a shard whole before it yields any of its documents. Reads share
+Documents, so no stage may mutate `Document.meta` (`with_meta` copies).
 """
 
+import contextvars
 import glob
 import hashlib
 import json
@@ -197,6 +206,30 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+_run_table = contextvars.ContextVar("run_table", default=None)
+
+
+@contextmanager
+def run_table():
+    """Parse each file at most once within the block (module docstring)."""
+    token = _run_table.set({})
+    try:
+        yield
+    finally:
+        _run_table.reset(token)
+
+
+def parse_once(path: str, kind: str, parse: Callable):
+    """parse(path); in a run, what its first parse of these bytes gave."""
+    table = _run_table.get()
+    if table is None:
+        return parse(path)
+    key = (kind, sha256_file(path))
+    if key not in table:
+        table[key] = parse(path)
+    return table[key]
+
+
 @contextmanager
 def _replacing(paths: list):
     """Once the block succeeds, move each `<path>.tmp` onto its path (the
@@ -258,15 +291,18 @@ def shard_paths(corpus_prefix: str) -> list:
 
 
 def read_corpus(corpus_prefix: str) -> Iterator[Document]:
-    """Stream documents from every shard of a corpus, in shard order.
-
-    Accepts a shard prefix, a directory of .jsonl files, or a single file.
-    """
+    """Stream documents from every shard of a corpus, in shard order (in a
+    run, a whole shard at a time: see the module docstring). Accepts a
+    shard prefix, a directory of .jsonl files, or a single file."""
     paths = shard_paths(corpus_prefix)
     if not paths:
         raise CorpusError(f"no corpus shards found at {corpus_prefix!r}")
     for path in paths:
-        yield from read_jsonl(path, _document, ParseError)
+        if _run_table.get() is None:
+            yield from read_jsonl(path, _document, ParseError)
+        else:
+            yield from parse_once(path, "corpus", lambda p: tuple(
+                read_jsonl(p, _document, ParseError)))
 
 
 def write_corpus(docs: Iterable[Document], corpus_prefix: str,

@@ -14,22 +14,21 @@ memo's packed keys and are hashed per occurrence.
 stable_hashes, the one hashing primitive, hashes grams in bulk from one
 keyed state per call; stable_hash64 hashes one input.
 
-A vectors file is parsed at most once per process while it is among the
-last _REMEMBERED_FILES files loaded or saved: both functions remember the
-Embeddings a load of the file returns, keyed by the SHA-256 of its bytes,
-and a later load of the same bytes returns those vectors without decoding
-any JSON. A remembered matrix is read-only, because every load of the
-same bytes shares it.
+A vectors file is parsed at most once per run: the run table of `corpus`
+(see its docstring) holds the Embeddings a load of the file returns, and
+corpus shards' Documents, each shard parsed whole before any document is
+yielded; it lasts one run. save_embeddings puts in what a load of the
+bytes it wrote returns, so a later load in the run decodes no JSON. A
+loaded matrix is read-only, because loads of the same bytes share it.
 """
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import read_jsonl, sha256_file, write_lines
+from .corpus import parse_once, read_jsonl, write_lines
 
 
 class EmbedError(Exception):
@@ -208,35 +207,15 @@ def embed_document(doc, cfg: EmbedderConfig) -> np.ndarray:
     return embed_text(doc.text, cfg)
 
 
-# The vectors files last parsed or saved in this process, oldest first: the
-# SHA-256 of the file's bytes -> the Embeddings a load returns.
-_REMEMBERED_FILES = 4
-_remembered = {}
-_remembered_lock = threading.Lock()
-
-
-def _remember(digest: str, vectors: Embeddings) -> None:
-    vectors.matrix.flags.writeable = False
-    with _remembered_lock:
-        _remembered.pop(digest, None)
-        _remembered[digest] = vectors
-        while len(_remembered) > _REMEMBERED_FILES:
-            del _remembered[next(iter(_remembered))]
-
-
 def load_external_embeddings(path: str) -> Embeddings:
     """Load a JSONL embedding file: {"id": "...", "v": [floats]} per line.
 
     Dims are inferred from the first record and enforced for the rest;
-    each row is unit-normalized on load. Bytes recently loaded or saved in
-    this process are not parsed again, and every load of the same bytes
-    shares one read-only matrix (see the module docstring).
+    each row is unit-normalized on load. Within a run, bytes loaded or
+    saved before are not parsed again (see the module docstring).
     """
-    digest = sha256_file(path)
-    vectors = _remembered.get(digest)
-    if vectors is None:
-        vectors = _parse_embeddings(path)
-        _remember(digest, vectors)
+    vectors = parse_once(path, "vectors", _parse_embeddings)
+    vectors.matrix.flags.writeable = False
     return Embeddings(list(vectors.ids), vectors.matrix)
 
 
@@ -287,11 +266,11 @@ def _as_loaded(vectors: Embeddings) -> Embeddings | None:
 
 
 def save_embeddings(vectors: Embeddings, path: str) -> None:
-    """Write `vectors` as a JSONL embedding file, one line per row, and
-    remember what a load of those bytes returns (see the module
-    docstring); vectors a load would reject are not remembered."""
+    """Write `vectors` as a JSONL embedding file, one line per row; within a
+    run, put what a load of those bytes returns in the run table (see the
+    module docstring), unless a load would reject them."""
     write_lines(path, (json.dumps({"id": doc_id, "v": row.tolist()})
                        for doc_id, row in zip(vectors.ids, vectors.matrix)))
     loaded = _as_loaded(vectors)
     if loaded is not None:
-        _remember(sha256_file(path), loaded)
+        parse_once(path, "vectors", lambda _: loaded)

@@ -6,7 +6,7 @@ frontier breadth-first with an optional documentation-keyword filter.
 """
 
 from dataclasses import dataclass
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 from .corpus import read_json, read_jsonl
 
@@ -87,7 +87,7 @@ class SourceRegistry:
 def is_valid_url(url: str) -> bool:
     """Absolute http/https URL with a host."""
     try:
-        parts = urlparse(url)
+        parts = urlsplit(url)
     except ValueError:
         return False
     return parts.scheme in ("http", "https") and bool(parts.netloc)

@@ -436,43 +436,37 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
     report_path = os.path.join(workspace, config.get("report", "run_report.json"))
     digests = {}  # path -> sha256, one per file per run
 
-    for stage in config["stages"]:
-        name = stage["name"]
-        log_event(event="stage_start", stage=name)
-        started = time.perf_counter()
-        try:
-            inputs, outputs, stats = STAGES[name](stage, ctx)
-            duration_s = round(time.perf_counter() - started, 6)
-            # Outputs first, so a file the stage read and rewrote gets one
-            # digest, of its new bytes. An input shard that an in-place
-            # rewrite deleted keeps the digest it had, or is left out.
-            outputs = {path: sha256_file(path) for path in sorted(set(outputs))}
-            digests.update(outputs)
-            digests.update({path: sha256_file(path)
-                            for path in set(inputs) - digests.keys()
-                            if os.path.isfile(path)})
-            inputs = {path: digests[path] for path in sorted(inputs)
-                      if path in digests}
-        except ConfigError:
-            write_json(report_path, report)
-            raise
-        except Exception as exc:
-            report["stages"].append({"name": name, "status": "failed",
-                                     "error": str(exc)})
-            write_json(report_path, report)
-            err = StageError(f"stage {name!r} failed: {exc}")
-            err.report = report
-            raise err from exc
-        entry = {
-            "name": name,
-            "status": "ok",
-            "duration_s": duration_s,
-            "inputs": inputs,
-            "outputs": outputs,
-            "stats": stats,
-        }
-        report["stages"].append(entry)
-        log_event(event="stage_done", stage=name,
-                  duration_s=entry["duration_s"])
+    with corpus_mod.run_table():  # each file parsed at most once per run
+        for stage in config["stages"]:
+            name = stage["name"]
+            log_event(event="stage_start", stage=name)
+            started = time.perf_counter()
+            try:
+                inputs, outputs, stats = STAGES[name](stage, ctx)
+                duration_s = round(time.perf_counter() - started, 6)
+                # Outputs first, so a file the stage read and rewrote gets one
+                # digest, of its new bytes. An input shard that an in-place
+                # rewrite deleted keeps the digest it had, or is left out.
+                outputs = {path: sha256_file(path) for path in sorted(set(outputs))}
+                digests.update(outputs)
+                digests.update({path: sha256_file(path)
+                                for path in set(inputs) - digests.keys()
+                                if os.path.isfile(path)})
+                inputs = {path: digests[path] for path in sorted(inputs)
+                          if path in digests}
+            except ConfigError:
+                write_json(report_path, report)
+                raise
+            except Exception as exc:
+                report["stages"].append({"name": name, "status": "failed",
+                                         "error": str(exc)})
+                write_json(report_path, report)
+                err = StageError(f"stage {name!r} failed: {exc}")
+                err.report = report
+                raise err from exc
+            report["stages"].append({
+                "name": name, "status": "ok", "duration_s": duration_s,
+                "inputs": inputs, "outputs": outputs, "stats": stats})
+            log_event(event="stage_done", stage=name, duration_s=duration_s)
     write_json(report_path, report)
     return report

@@ -92,7 +92,8 @@ class FileLabelBackend:
 
 
 class HttpAnnotationBackend:
-    """POST {"prompt": ...} -> {"completion": ...} against a JSON endpoint."""
+    """POST {"prompt": ...} -> {"completion": ...} to a JSON endpoint. A bad
+    URL or a 4xx status but 408 and 429 fails at once; no retry mends it."""
 
     name = "http"
 
@@ -105,13 +106,16 @@ class HttpAnnotationBackend:
 
     def annotate(self, doc, prompt: str):
         body = json.dumps({"prompt": prompt}).encode()
+        try:
+            request = urllib.request.Request(
+                self.url, body, {"Content-Type": "application/json"})
+            if request.type not in ("http", "https") or not request.host:
+                raise ValueError(f"not an http(s) URL: {self.url!r}")
+        except ValueError as exc:
+            raise QualityError(f"annotation request failed: {exc}") from exc
         last_exc = None
         for attempt in range(self.retries + 1):
             try:
-                request = urllib.request.Request(
-                    self.url, body, {"Content-Type": "application/json"})
-                if request.type not in ("http", "https"):  # not file: or data:
-                    raise ValueError(f"not an http(s) URL: {self.url!r}")
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     reply = json.loads(resp.read())
                 completion = (reply.get("completion", "")
@@ -121,9 +125,11 @@ class HttpAnnotationBackend:
                                        f"string: {reply!r:.200}")
                 return parse_verdict(completion), self.annotator_name
             except (OSError, ValueError, http.client.HTTPException) as exc:
+                last_exc = exc
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # it holds the error response's socket
-                last_exc = exc
+                    if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                        break  # no retry mends the request
                 if attempt < self.retries:
                     time.sleep(min(0.1 * 2 ** attempt, 2.0))
         raise QualityError(f"annotation request failed: {last_exc}")

@@ -2,10 +2,12 @@ import json
 import os
 import re
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from corpusforge import corpus as corpus_mod
 from corpusforge.corpus import (
     DuplicateIdError,
     ParseError,
@@ -14,6 +16,8 @@ from corpusforge.corpus import (
     count_tokens,
     make_document,
     read_corpus,
+    run_table,
+    serialize_document,
     write_corpus,
 )
 
@@ -200,3 +204,45 @@ class TestShardIO:
     def test_empty_corpus_still_writes_one_shard(self, tmp_path):
         paths = write_corpus([], str(tmp_path / "empty"), docs_per_shard=10)
         assert len(paths) == 1
+
+
+class TestRunTable:
+    def _half_bad_shard(self, tmp_path):
+        doc = make_document("d0", "s", "text", "first document")
+        (tmp_path / "c.00000.jsonl").write_text(
+            serialize_document(doc) + "\n{not json\n")
+        return doc, str(tmp_path / "c")
+
+    def test_streams_outside_a_run(self, tmp_path):
+        doc, prefix = self._half_bad_shard(tmp_path)
+        docs = read_corpus(prefix)
+        assert next(docs) == doc
+        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: "):
+            next(docs)
+
+    def test_shard_parsed_whole_within_a_run(self, tmp_path):
+        _, prefix = self._half_bad_shard(tmp_path)
+        with run_table():
+            with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: "):
+                next(read_corpus(prefix))
+            assert corpus_mod._run_table.get() == {}
+
+    def test_reads_share_documents_until_the_bytes_change(self, tmp_path):
+        prefix = str(tmp_path / "c")
+        write_corpus(make_random_docs(6, seed=1), prefix, docs_per_shard=4)
+        with run_table():
+            first = list(read_corpus(prefix))
+            again = list(read_corpus(prefix))
+            assert all(a is b for a, b in zip(first, again))
+            write_corpus(first[:3], prefix)
+            assert list(read_corpus(prefix)) == first[:3]
+        assert corpus_mod._run_table.get() is None
+
+    def test_table_belongs_to_the_thread_that_opened_it(self):
+        seen = []
+        with run_table():
+            thread = threading.Thread(
+                target=lambda: seen.append(corpus_mod._run_table.get()))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and seen == [None]

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from corpusforge import corpus as corpus_mod
 from corpusforge import embed as embed_mod
-from corpusforge.corpus import make_document
+from corpusforge.corpus import make_document, run_table
 from corpusforge.embed import (
     EmbedError,
     EmbedderConfig,
@@ -323,19 +324,21 @@ def vectors_to_save(draw):
 
 
 class TestRememberedVectors:
-    """save_embeddings and load_external_embeddings remember the vectors of
-    the bytes they saw; a load of the same bytes must equal a cold parse."""
+    """Within a run, save_embeddings and load_external_embeddings put the
+    vectors of the bytes they saw in the run table; a load of the same bytes
+    must equal a cold parse."""
 
     @given(vectors_to_save() | st.just(Embeddings([], np.empty((0, 0)))))
     def test_saved_vectors_load_as_a_cold_parse(self, vectors):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "vecs.jsonl")
-            save_embeddings(vectors, path)
-            with mock.patch.object(embed_mod, "read_jsonl",
-                                   side_effect=AssertionError("parsed")):
-                reused = load_external_embeddings(path)
-            embed_mod._remembered.clear()
-            cold = load_external_embeddings(path)
+            with run_table():
+                save_embeddings(vectors, path)
+                with mock.patch.object(embed_mod, "read_jsonl",
+                                       side_effect=AssertionError("parsed")):
+                    reused = load_external_embeddings(path)
+            with run_table():
+                cold = load_external_embeddings(path)
         assert reused.ids == cold.ids
         assert reused.matrix.shape == cold.matrix.shape
         assert reused.matrix.tobytes() == cold.matrix.tobytes()
@@ -345,47 +348,55 @@ class TestRememberedVectors:
     def test_vectors_load_rejects_are_not_remembered(self, tmp_path, doc_id,
                                                       row):
         path = str(tmp_path / "vecs.jsonl")
-        embed_mod._remembered.clear()
-        save_embeddings(Embeddings(["a", doc_id], np.array([[1.0, 0.0], row])),
-                        path)
-        assert embed_mod._remembered == {}
-        with pytest.raises(EmbedError, match=r"vecs\.jsonl:2: "):
-            load_external_embeddings(path)
+        with run_table():
+            save_embeddings(
+                Embeddings(["a", doc_id], np.array([[1.0, 0.0], row])), path)
+            assert corpus_mod._run_table.get() == {}
+            with pytest.raises(EmbedError, match=r"vecs\.jsonl:2: "):
+                load_external_embeddings(path)
 
     def test_id_that_json_changes_loads_as_parsed(self, tmp_path):
         # Two lone surrogates are written as two \u escapes, which decode
         # as the one code point they encode.
         path = str(tmp_path / "vecs.jsonl")
-        save_embeddings(Embeddings(["\ud83d\ude00"], np.array([[3.0, 4.0]])),
-                        path)
-        assert load_external_embeddings(path).ids == ["\U0001F600"]
+        with run_table():
+            save_embeddings(
+                Embeddings(["\ud83d\ude00"], np.array([[3.0, 4.0]])), path)
+            assert load_external_embeddings(path).ids == ["\U0001F600"]
 
     def test_file_rewritten_in_place_loads_its_new_rows(self, tmp_path):
         path = tmp_path / "vecs.jsonl"
-        save_embeddings(Embeddings(["a"], np.array([[0.0, 1.0]])), str(path))
-        old = path.read_text()
-        new = old.replace("[0.0, 1.0]", "[1.0, 0.0]")
-        assert len(new) == len(old) and new != old
-        path.write_text(new)
-        assert load_external_embeddings(str(path)).matrix.tolist() == [[1.0, 0.0]]
+        with run_table():
+            save_embeddings(Embeddings(["a"], np.array([[0.0, 1.0]])),
+                            str(path))
+            old = path.read_text()
+            new = old.replace("[0.0, 1.0]", "[1.0, 0.0]")
+            assert len(new) == len(old) and new != old
+            path.write_text(new)
+            assert load_external_embeddings(str(path)).matrix.tolist() == [
+                [1.0, 0.0]]
 
     @pytest.mark.parametrize("saved", [True, False])
     def test_loaded_matrix_rejects_writes(self, tmp_path, saved):
         path = str(tmp_path / "vecs.jsonl")
-        embed_mod._remembered.clear()
-        if saved:
-            save_embeddings(Embeddings(["a"], np.array([[0.0, 2.0]])), path)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write('{"id": "a", "v": [0.0, 2.0]}\n')
-        loaded = load_external_embeddings(path)
-        with pytest.raises(ValueError, match="read-only"):
-            loaded.matrix[0, 0] = 1.0
-        loaded.ids.append("b")
-        assert load_external_embeddings(path).ids == ["a"]
+        with run_table():
+            if saved:
+                save_embeddings(Embeddings(["a"], np.array([[0.0, 2.0]])),
+                                path)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write('{"id": "a", "v": [0.0, 2.0]}\n')
+            loaded = load_external_embeddings(path)
+            with pytest.raises(ValueError, match="read-only"):
+                loaded.matrix[0, 0] = 1.0
+            loaded.ids.append("b")
+            assert load_external_embeddings(path).ids == ["a"]
 
-    def test_remembers_the_latest_files_only(self, tmp_path):
-        for i in range(embed_mod._REMEMBERED_FILES + 2):
-            save_embeddings(Embeddings(["a"], np.array([[float(i), 1.0]])),
-                            str(tmp_path / f"v{i}.jsonl"))
-        assert len(embed_mod._remembered) == embed_mod._REMEMBERED_FILES
+    def test_table_lasts_one_run(self, tmp_path):
+        path = str(tmp_path / "vecs.jsonl")
+        with run_table():
+            save_embeddings(Embeddings(["a"], np.array([[0.0, 2.0]])), path)
+        with mock.patch.object(embed_mod, "read_jsonl",
+                               side_effect=AssertionError("parsed")):
+            with pytest.raises(AssertionError, match="parsed"):
+                load_external_embeddings(path)

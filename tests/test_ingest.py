@@ -1,7 +1,9 @@
 import json
 import re
+from urllib.parse import urlparse
 
 import pytest
+from hypothesis import given, strategies as st
 
 from corpusforge.ingest import (
     DEFAULT_DOC_KEYWORDS,
@@ -75,6 +77,18 @@ class TestUrlValidity:
         assert not is_valid_url("ftp://example.com")
         assert not is_valid_url("not a url")
         assert not is_valid_url("https://")
+        assert not is_valid_url("http://[::1/docs")  # urlsplit's ValueError
+
+    @given(st.from_regex(r"(https?|ftp|HTTP)?:?/{0,3}[\w.:@\[\];=/-]*",
+                         fullmatch=True) | st.text())
+    def test_agrees_with_urlparse(self, url):
+        try:
+            parts = urlparse(url)
+        except ValueError:
+            assert not is_valid_url(url)
+            return
+        assert is_valid_url(url) == (parts.scheme in ("http", "https")
+                                     and bool(parts.netloc))
 
 
 class TestFrontier:

@@ -1,14 +1,18 @@
 import json
 import os
+import pathlib
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import ANY
 
 import pytest
 
 from corpusforge import cli, pipeline
+from corpusforge import corpus as corpus_mod
 from corpusforge import embed as embed_mod
 from corpusforge.cli import main
 from corpusforge.pipeline import (
@@ -362,6 +366,47 @@ class TestFullPipeline:
             "ingest", "embed", "embed", "retrieve", "prune"]
         assert decoded == []
 
+    def test_each_corpus_shard_parsed_once_per_run(self, fixture_root,
+                                                   monkeypatch):
+        # annotate, train-filter, score and filter take the web corpus
+        # from the run table that the embed stage's read filled.
+        root, config = fixture_root
+        parsed = Counter()
+
+        def counting(path, parse, *args, _read=corpus_mod.read_jsonl):
+            if parse is corpus_mod._document:
+                parsed[os.path.relpath(path, root)] += 1
+            return _read(path, parse, *args)
+
+        monkeypatch.setattr(corpus_mod, "read_jsonl", counting)
+        run_pipeline(config)
+        assert {p for p in parsed if p.startswith("web.")} == {
+            f"web.{i:05d}.jsonl" for i in range(4)}
+        assert set(parsed.values()) == {1}
+
+    def test_runs_in_two_threads_write_what_runs_in_turn_write(
+            self, tmp_path):
+        def workspace(name, rng_seed):
+            config = build_pipeline_fixture(tmp_path / name)
+            return dict(config, rng_seed=rng_seed)
+
+        def written(config):
+            root = pathlib.Path(config["workspace"])
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in root.rglob("*") if p.is_file()
+                    and p.name not in ("run_report.json", "pipeline.json")}
+
+        in_turn = [workspace("a", 42), workspace("b", 7)]
+        for config in in_turn:
+            run_pipeline(config)
+        together = [workspace("c", 42), workspace("d", 7)]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for future in [pool.submit(run_pipeline, c) for c in together]:
+                future.result(timeout=120)
+        for one, other in zip(in_turn, together):
+            assert written(one) == written(other)
+        assert written(in_turn[0]) != written(in_turn[1])
+
     def test_each_file_hashed_once_per_run(self, fixture_root, monkeypatch):
         root, config = fixture_root
         hashed = []
@@ -413,6 +458,24 @@ class TestFullPipeline:
         assert stage["inputs"] == {**before, shard: stage["outputs"][shard],
                                    str(tmp_path / "s.jsonl"): ANY}
         assert before.get(shard) != stage["outputs"][shard]
+
+    def test_read_after_in_place_rewrite_sees_new_documents(self, tmp_path):
+        docs = make_random_docs(15, seed=8)
+        write_corpus(docs, str(tmp_path / "c"), docs_per_shard=5)
+        (tmp_path / "s.jsonl").write_text("".join(
+            json.dumps({"id": d.id, "score": i / 15}) + "\n"
+            for i, d in enumerate(docs)))
+        stages = [{"name": "stats", "corpus": "c", "out": "before.json"},
+                  {"name": "filter", "corpus": "c", "scores": "s.jsonl",
+                   "keep_fraction": 0.3, "out": "c"},
+                  {"name": "stats", "corpus": "c", "out": "after.json"}]
+        report = run_pipeline({"workspace": str(tmp_path), "stages": stages})
+        before, kept, after = (s["stats"] for s in report["stages"])
+        assert before["total_docs"] == 15
+        assert after["total_docs"] == kept["kept_docs"] < 15
+        assert after["total_tokens"] == kept["kept_tokens"]
+        assert [d.meta for d in read_corpus(str(tmp_path / "c"))] == [
+            {"filter_score": ANY}] * kept["kept_docs"]
 
     def test_durations_ignore_wall_clock_steps(self, tmp_path, monkeypatch):
         # A wall clock stepped back by an hour during every stage.

@@ -4,6 +4,7 @@ import os
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from unittest import mock
 
 import pytest
 
@@ -56,7 +57,9 @@ class StubAnnotationServer:
         self.replies = [(status, body.encode()) for status, body in replies]
         self.requests = []
         self.server = HTTPServer(("127.0.0.1", 0), Handler)
+        # A short poll interval, so that shutdown() returns at once.
         self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01},
                                        daemon=True)
 
     @property
@@ -210,6 +213,40 @@ class TestAnnotateBatch:
         samples, errors = annotate_batch(self._docs(2), backend)
         assert samples == []
         assert [doc_id for doc_id, _ in errors] == ["d0", "d1"]
+
+    def test_http_client_error_not_retried(self):
+        server = StubAnnotationServer(replies=[(404, "{}")])
+        with server as url:
+            backend = HttpAnnotationBackend(url, timeout=5.0, retries=2)
+            samples, errors = annotate_batch(self._docs(2), backend)
+        assert samples == []
+        assert [doc_id for doc_id, _ in errors] == ["d0", "d1"]
+        assert all("404" in why for _, why in errors)
+        assert len(server.requests) == 2  # one per document
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_http_timeout_and_rate_limit_retried(self, status):
+        server = StubAnnotationServer(replies=[
+            (status, "{}"), (200, json.dumps({"completion": "agent"}))])
+        with server as url:
+            backend = HttpAnnotationBackend(url, timeout=5.0, retries=1)
+            samples, errors = annotate_batch(self._docs(1), backend)
+        assert errors == []
+        assert [(s.doc_id, s.label) for s in samples] == [("d0", "agent")]
+        assert len(server.requests) == 2
+
+    @pytest.mark.parametrize("url", [None, "not a url", "http://",
+                                     "ftp://127.0.0.1/reply.json"])
+    def test_unusable_url_fails_without_backoff(self, tmp_path, url):
+        reply = tmp_path / "reply.json"
+        reply.write_text(json.dumps({"completion": "agent"}))
+        backend = HttpAnnotationBackend(url or reply.as_uri(), timeout=5.0,
+                                        retries=2)
+        with mock.patch("time.sleep") as sleep:
+            samples, errors = annotate_batch(self._docs(3), backend)
+        sleep.assert_not_called()
+        assert samples == []
+        assert [doc_id for doc_id, _ in errors] == ["d0", "d1", "d2"]
 
     def test_http_request_is_json(self):
         server = StubAnnotationServer("agent")
