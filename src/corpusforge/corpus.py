@@ -3,13 +3,12 @@
 Every stage of the pipeline reads and writes its JSON Lines and JSON files
 through this module. Documents are immutable after parse.
 
-Within a run (a `run_table` block, as `pipeline.run_pipeline` opens), a
-file is parsed at most once: the run's table holds what its parse gave (a
-shard's Documents, a vectors file's Embeddings), keyed by what it was
-parsed as and the SHA-256 of its bytes, so a rewrite is parsed anew. The
-table lasts one run, in the thread that opened it. In a run, read_corpus
+Within a run (a `run_table` block; `pipeline.run_pipeline` opens one) a
+file is parsed at most once: the run's table maps what it was parsed as and
+the SHA-256 of its bytes to the parse (a shard's Documents, a vectors
+file's Embeddings). It lasts one run, in its thread. In a run, read_corpus
 parses a shard whole before it yields any of its documents. Reads share
-Documents, so no stage may mutate `Document.meta` (`with_meta` copies).
+Documents, so no stage may mutate `Document.meta`; `with_meta` copies.
 """
 
 import contextvars
@@ -224,8 +223,7 @@ def parse_once(path: str, kind: str, parse: Callable):
     table = _run_table.get()
     if table is None:
         return parse(path)
-    key = (kind, sha256_file(path))
-    if key not in table:
+    if (key := (kind, sha256_file(path))) not in table:
         table[key] = parse(path)
     return table[key]
 
@@ -291,9 +289,8 @@ def shard_paths(corpus_prefix: str) -> list:
 
 
 def read_corpus(corpus_prefix: str) -> Iterator[Document]:
-    """Stream documents from every shard of a corpus, in shard order (in a
-    run, a whole shard at a time: see the module docstring). Accepts a
-    shard prefix, a directory of .jsonl files, or a single file."""
+    """Stream the documents of every shard in shard order, in a run a whole
+    shard at a time; from a shard prefix, a .jsonl directory or one file."""
     paths = shard_paths(corpus_prefix)
     if not paths:
         raise CorpusError(f"no corpus shards found at {corpus_prefix!r}")

@@ -14,12 +14,10 @@ memo's packed keys and are hashed per occurrence.
 stable_hashes, the one hashing primitive, hashes grams in bulk from one
 keyed state per call; stable_hash64 hashes one input.
 
-A vectors file is parsed at most once per run: the run table of `corpus`
-(see its docstring) holds the Embeddings a load of the file returns, and
-corpus shards' Documents, each shard parsed whole before any document is
-yielded; it lasts one run. save_embeddings puts in what a load of the
-bytes it wrote returns, so a later load in the run decodes no JSON. A
-loaded matrix is read-only, because loads of the same bytes share it.
+A vectors file is parsed at most once per run: `corpus`'s run table holds
+the Embeddings a load returns, as it holds each shard's Documents (parsed
+whole before any is yielded), and lasts one run. save_embeddings puts in
+what a load of its bytes returns. Loads share one read-only matrix.
 """
 
 import hashlib
@@ -211,8 +209,7 @@ def load_external_embeddings(path: str) -> Embeddings:
     """Load a JSONL embedding file: {"id": "...", "v": [floats]} per line.
 
     Dims are inferred from the first record and enforced for the rest;
-    each row is unit-normalized on load. Within a run, bytes loaded or
-    saved before are not parsed again (see the module docstring).
+    each row is unit-normalized on load; parsed once per run (module doc).
     """
     vectors = parse_once(path, "vectors", _parse_embeddings)
     vectors.matrix.flags.writeable = False
@@ -266,9 +263,8 @@ def _as_loaded(vectors: Embeddings) -> Embeddings | None:
 
 
 def save_embeddings(vectors: Embeddings, path: str) -> None:
-    """Write `vectors` as a JSONL embedding file, one line per row; within a
-    run, put what a load of those bytes returns in the run table (see the
-    module docstring), unless a load would reject them."""
+    """Write `vectors` as JSONL, one line per row; in a run, the run table
+    gets what a load of those bytes returns, unless a load rejects them."""
     write_lines(path, (json.dumps({"id": doc_id, "v": row.tolist()})
                        for doc_id, row in zip(vectors.ids, vectors.matrix)))
     loaded = _as_loaded(vectors)

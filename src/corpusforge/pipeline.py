@@ -464,9 +464,16 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
                 err = StageError(f"stage {name!r} failed: {exc}")
                 err.report = report
                 raise err from exc
-            report["stages"].append({
-                "name": name, "status": "ok", "duration_s": duration_s,
-                "inputs": inputs, "outputs": outputs, "stats": stats})
-            log_event(event="stage_done", stage=name, duration_s=duration_s)
+            entry = {
+                "name": name,
+                "status": "ok",
+                "duration_s": duration_s,
+                "inputs": inputs,
+                "outputs": outputs,
+                "stats": stats,
+            }
+            report["stages"].append(entry)
+            log_event(event="stage_done", stage=name,
+                      duration_s=entry["duration_s"])
     write_json(report_path, report)
     return report

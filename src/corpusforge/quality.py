@@ -92,8 +92,7 @@ class FileLabelBackend:
 
 
 class HttpAnnotationBackend:
-    """POST {"prompt": ...} -> {"completion": ...} to a JSON endpoint. A bad
-    URL or a 4xx status but 408 and 429 fails at once; no retry mends it."""
+    """POST {"prompt": ...} -> {"completion": ...} against a JSON endpoint."""
 
     name = "http"
 
@@ -106,16 +105,17 @@ class HttpAnnotationBackend:
 
     def annotate(self, doc, prompt: str):
         body = json.dumps({"prompt": prompt}).encode()
-        try:
-            request = urllib.request.Request(
-                self.url, body, {"Content-Type": "application/json"})
+        try:  # no retry mends a URL that is not http(s) with a host
+            request = urllib.request.Request(self.url)
             if request.type not in ("http", "https") or not request.host:
                 raise ValueError(f"not an http(s) URL: {self.url!r}")
         except ValueError as exc:
             raise QualityError(f"annotation request failed: {exc}") from exc
         last_exc = None
         for attempt in range(self.retries + 1):
-            try:
+            try:  # a new Request per attempt: a proxy rewrites the one it sends
+                request = urllib.request.Request(
+                    self.url, body, {"Content-Type": "application/json"})
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     reply = json.loads(resp.read())
                 completion = (reply.get("completion", "")

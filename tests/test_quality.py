@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import threading
+import urllib.error
+import urllib.request
 import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from unittest import mock
@@ -247,6 +249,32 @@ class TestAnnotateBatch:
         sleep.assert_not_called()
         assert samples == []
         assert [doc_id for doc_id, _ in errors] == ["d0", "d1", "d2"]
+
+    def test_each_attempt_sends_a_new_request_through_a_proxy(self):
+        # A proxy rewrites the Request it sends (set_proxy): resending the
+        # same object would send the third attempt as plain http.
+        seen = []
+
+        class Refused(urllib.request.HTTPSHandler):
+            def https_open(self, req):
+                seen.append((req, req.type, req.selector, req._tunnel_host))
+                raise urllib.error.URLError("refused")
+
+        class RefusedPlain(urllib.request.HTTPHandler):
+            http_open = Refused.https_open
+
+        opener = urllib.request.build_opener(
+            urllib.request.ProxyHandler({"https": "http://proxy.invalid:3128"}),
+            Refused, RefusedPlain)
+        backend = HttpAnnotationBackend("https://annotator.invalid/v1",
+                                        timeout=5.0, retries=2)
+        with mock.patch("urllib.request.urlopen", opener.open), \
+                mock.patch("time.sleep"):
+            samples, errors = annotate_batch(self._docs(1), backend)
+        assert samples == [] and [d for d, _ in errors] == ["d0"]
+        assert [entry[1:] for entry in seen] == [
+            ("https", "/v1", "annotator.invalid")] * 3
+        assert len({id(entry[0]) for entry in seen}) == 3
 
     def test_http_request_is_json(self):
         server = StubAnnotationServer("agent")
