@@ -6,7 +6,7 @@ through this module. Documents are immutable after parse.
 Within a run (a `run_table` block; `pipeline.run_pipeline` opens one) a
 file is parsed at most once: the run's table maps what it was parsed as and
 the SHA-256 of its bytes to the parse (a shard's Documents, a vectors
-file's Embeddings). It lasts one run, in its thread. In a run, read_corpus
+file's Embeddings). It lasts one run, in its thread. read_corpus always
 parses a shard whole before it yields any of its documents. Reads share
 Documents, so no stage may mutate `Document.meta`; `with_meta` copies.
 """
@@ -160,26 +160,42 @@ def _unique(docs: Iterable[Document]) -> Iterator[Document]:
         yield doc
 
 
+# What a parse may raise on a record it rejects, raised as the reader's error
+# (OverflowError: a JSON integer too large for a float).
+PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes
+
+
+def read_lines(path: str, error: type) -> Iterator:
+    """Yield (physical line number, stripped line) for each non-blank line
+    of a UTF-8 text file; a line that is not UTF-8 raises `error`, with a
+    message that starts with `path:lineno:`."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line.isascii() and (bad := _NOT_UTF8.search(line)):
+                raise error(f"{path}:{lineno}: invalid UTF-8 byte "
+                            f"0x{ord(bad[0]) - 0xDC00:02x}")
+            if line:
+                yield lineno, line
+
+
 def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
     """Yield parse(decoded line, physical line number) for each non-blank
     line of a UTF-8 JSON Lines file.
 
-    A line that is not JSON, or whose parse raises KeyError, TypeError or
-    ValueError, raises `error`; an `error` or CorpusError from parse keeps
+    A line that is not UTF-8 or not JSON, or whose parse raises one of
+    PARSE_ERRORS, raises `error`; an `error` or CorpusError from parse keeps
     its type. Either way the message starts with `path:lineno:`.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = parse(json.loads(line), lineno)
-            except (error, CorpusError) as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-            except (KeyError, TypeError, ValueError) as exc:
-                raise error(f"{path}:{lineno}: {exc!r}") from exc
-            yield record
+    for lineno, line in read_lines(path, error):
+        try:
+            record = parse(json.loads(line), lineno)
+        except (error, CorpusError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        except PARSE_ERRORS as exc:
+            raise error(f"{path}:{lineno}: {exc!r}") from exc
+        yield record
 
 
 def read_json(path: str, parse: Callable, error: type):
@@ -192,7 +208,7 @@ def read_json(path: str, parse: Callable, error: type):
             return parse(json.load(fh))
     except (error, CorpusError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except PARSE_ERRORS as exc:
         raise error(f"{path}: {exc!r}") from exc
 
 
@@ -289,17 +305,14 @@ def shard_paths(corpus_prefix: str) -> list:
 
 
 def read_corpus(corpus_prefix: str) -> Iterator[Document]:
-    """Stream the documents of every shard in shard order, in a run a whole
-    shard at a time; from a shard prefix, a .jsonl directory or one file."""
+    """The documents of every shard in shard order, a whole shard at a
+    time; from a shard prefix, a .jsonl directory or one file."""
     paths = shard_paths(corpus_prefix)
     if not paths:
         raise CorpusError(f"no corpus shards found at {corpus_prefix!r}")
     for path in paths:
-        if _run_table.get() is None:
-            yield from read_jsonl(path, _document, ParseError)
-        else:
-            yield from parse_once(path, "corpus", lambda p: tuple(
-                read_jsonl(p, _document, ParseError)))
+        yield from parse_once(path, "corpus", lambda p: tuple(
+            read_jsonl(p, _document, ParseError)))
 
 
 def write_corpus(docs: Iterable[Document], corpus_prefix: str,

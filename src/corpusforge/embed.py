@@ -15,9 +15,9 @@ stable_hashes, the one hashing primitive, hashes grams in bulk from one
 keyed state per call; stable_hash64 hashes one input.
 
 A vectors file is parsed at most once per run: `corpus`'s run table holds
-the Embeddings a load returns, as it holds each shard's Documents (parsed
-whole before any is yielded), and lasts one run. save_embeddings puts in
-what a load of its bytes returns. Loads share one read-only matrix.
+the Embeddings a load returns, as it holds each shard's Documents, and
+lasts one run. save_embeddings puts in what a load of its bytes returns,
+through the load's own per-record check. Loads share one read-only matrix.
 """
 
 import hashlib
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import parse_once, read_jsonl, write_lines
+from .corpus import PARSE_ERRORS, parse_once, read_jsonl, write_lines
 
 
 class EmbedError(Exception):
@@ -216,9 +216,10 @@ def load_external_embeddings(path: str) -> Embeddings:
     return Embeddings(list(vectors.ids), vectors.matrix)
 
 
-def _loaded_row(doc_id, row: np.ndarray, rows: dict) -> np.ndarray:
-    """The row unit-normalized, as a load keeps it, after the checks a load
-    makes against the rows before it (`rows`, by id)."""
+def _check_record(obj, rows: dict) -> None:
+    """Check a decoded {"id", "v"} record against the unit rows before it
+    (`rows`, by id), as a load does, and add its row, unit-normalized."""
+    doc_id, row = obj["id"], np.asarray(obj["v"], dtype=np.float64)
     if not isinstance(doc_id, str):
         raise EmbedError(f"id must be a string, got {doc_id!r}")
     if doc_id in rows:
@@ -228,45 +229,38 @@ def _loaded_row(doc_id, row: np.ndarray, rows: dict) -> np.ndarray:
     dims = len(next(iter(rows.values()), row))
     if len(row) != dims:
         raise EmbedError(f"dims {len(row)} != expected {dims}")
-    return unit_row(row, norm)
+    rows[doc_id] = unit_row(row, norm)
+
+
+def _stacked(rows: dict) -> Embeddings:
+    return Embeddings.from_rows(rows, len(next(iter(rows.values()), ())))
 
 
 def _parse_embeddings(path: str) -> Embeddings:
     rows = {}
-
-    def parse(obj, _):
-        return obj["id"], _loaded_row(
-            obj["id"], np.asarray(obj["v"], dtype=np.float64), rows)
-
-    for doc_id, row in read_jsonl(path, parse, EmbedError):
-        rows[doc_id] = row
-    return Embeddings.from_rows(rows, len(next(iter(rows.values()), ())))
-
-
-def _as_loaded(vectors: Embeddings) -> Embeddings | None:
-    """What a load of the file save_embeddings writes for `vectors`
-    returns, or None if that load would raise or might not give back
-    these ids and values exactly (a matrix that is not float64 with one
-    row per id, an id holding a surrogate code point)."""
-    ids, matrix = vectors.ids, vectors.matrix
-    if matrix.ndim != 2 or matrix.dtype != np.float64 or len(ids) != len(matrix):
-        return None
-    rows = {}
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for doc_id, row in zip(ids, matrix):
-                rows[doc_id] = _loaded_row(doc_id, row, rows)
-        "".join(ids).encode("utf-8")
-    except (EmbedError, UnicodeEncodeError):
-        return None
-    return Embeddings.from_rows(rows, matrix.shape[1] if ids else 0)
+    for _ in read_jsonl(path, lambda obj, _: _check_record(obj, rows),
+                        EmbedError):
+        pass
+    return _stacked(rows)
 
 
 def save_embeddings(vectors: Embeddings, path: str) -> None:
-    """Write `vectors` as JSONL, one line per row; in a run, the run table
-    gets what a load of those bytes returns, unless a load rejects them."""
-    write_lines(path, (json.dumps({"id": doc_id, "v": row.tolist()})
-                       for doc_id, row in zip(vectors.ids, vectors.matrix)))
-    loaded = _as_loaded(vectors)
-    if loaded is not None:
-        parse_once(path, "vectors", lambda _: loaded)
+    """Write `vectors` as JSONL, one record per row; in a run, the run table
+    gets what a load of those bytes returns, unless a load rejects them.
+    json.loads gives back each record as written, so the load's own check
+    runs on the records; an id holding a surrogate is not kept, because
+    JSON merges an escaped surrogate pair into one code point."""
+    def records():
+        return ({"id": doc_id, "v": row.tolist()}
+                for doc_id, row in zip(vectors.ids, vectors.matrix))
+
+    write_lines(path, map(json.dumps, records()))
+    rows = {}
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for record in records():
+                _check_record(record, rows)
+        "".join(rows).encode("utf-8")
+    except (EmbedError, *PARSE_ERRORS):  # what a load rejects
+        return
+    parse_once(path, "vectors", lambda _: _stacked(rows))

@@ -141,12 +141,20 @@ def filter_doc_urls(urls, keywords) -> set:
 
 
 def load_link_graph(path: str) -> dict:
-    """Read a JSONL link graph: one {"url": ..., "out": [...]} per line."""
+    """Read a JSONL link graph: one {"url": ..., "out": [...]} per line,
+    each url on one line only."""
+    graph = {}
+
     def parse(obj, _):
         url, out = obj["url"], obj["out"]
         if not (isinstance(url, str) and isinstance(out, list)
                 and all(isinstance(u, str) for u in out)):
             raise IngestError('expected a string "url" and an array of '
                               'string "out" URLs')
+        if url in graph:
+            raise IngestError(f"duplicate url {url!r}")
         return url, out
-    return dict(read_jsonl(path, parse, IngestError))
+
+    for url, out in read_jsonl(path, parse, IngestError):
+        graph[url] = out
+    return graph

@@ -5,8 +5,10 @@ config-declared paths under the workspace. The run report records
 per-stage input/output SHA-256 hashes, durations, and key stats so the
 full provenance chain from the final mix back to the raw inputs is
 reconstructible from the report alone. A stage's outputs are exactly the
-files it wrote; each file is hashed once per run, when the stage that
-wrote it (or first read it) finishes.
+files it wrote. The report hashes each file once per run, when the stage
+that wrote it (or first read it) finishes. The run table (`corpus`) also
+hashes a corpus shard or vectors file each time a stage reads it, to find
+the parse of those bytes.
 """
 
 import inspect
@@ -26,8 +28,8 @@ from . import retrieve as retrieve_mod
 from . import scaling as scaling_mod
 from .classifier import FilterHyperparams, load_model, save_model, train_filter
 from .corpus import (compute_stats, make_document, read_corpus, read_json,
-                     read_jsonl, sha256_file, write_corpus, write_json,
-                     write_lines)
+                     read_jsonl, read_lines, sha256_file, write_corpus,
+                     write_json, write_lines)
 
 
 class ConfigError(Exception):
@@ -222,8 +224,7 @@ def _frontier(run, seeds=INPUT, graph=INPUT, out=OUTPUT,
                              ",".join(ingest_mod.DEFAULT_DOC_KEYWORDS)),
               filter_final=Field(bool, True, flag="--no-filter",
                                  help="skip the documentation-keyword filter")):
-    with open(seeds, encoding="utf-8") as fh:
-        seed_urls = {line.strip() for line in fh if line.strip()}
+    seed_urls = {url for _, url in read_lines(seeds, ingest_mod.IngestError)}
     link_graph = ingest_mod.load_link_graph(graph)
     frontier = ingest_mod.expand_url_frontier(seed_urls, link_graph, levels)
     all_urls = frontier.all_urls()

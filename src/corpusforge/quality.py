@@ -78,9 +78,15 @@ class FileLabelBackend:
     def __init__(self, path: str):
         self.labels = {}
         self.annotators = {}
-        for s in read_jsonl(path, lambda obj, _: LabeledSample(
-                obj["doc_id"], obj["label"], obj.get("annotator", "file")),
-                QualityError):
+
+        def parse(obj, _):
+            sample = LabeledSample(obj["doc_id"], obj["label"],
+                                   obj.get("annotator", "file"))
+            if sample.doc_id in self.labels:
+                raise QualityError(f"duplicate doc_id {sample.doc_id!r}")
+            return sample
+
+        for s in read_jsonl(path, parse, QualityError):
             self.labels[s.doc_id] = s.label
             self.annotators[s.doc_id] = s.annotator
 
@@ -96,12 +102,10 @@ class HttpAnnotationBackend:
 
     name = "http"
 
-    def __init__(self, url: str, timeout: float = 30.0, retries: int = 2,
-                 annotator_name: str = "http"):
+    def __init__(self, url: str, timeout: float = 30.0, retries: int = 2):
         self.url = url
         self.timeout = timeout
         self.retries = retries
-        self.annotator_name = annotator_name
 
     def annotate(self, doc, prompt: str):
         body = json.dumps({"prompt": prompt}).encode()
@@ -123,7 +127,7 @@ class HttpAnnotationBackend:
                 if not isinstance(completion, str):
                     raise QualityError("annotation reply has no completion "
                                        f"string: {reply!r:.200}")
-                return parse_verdict(completion), self.annotator_name
+                return parse_verdict(completion), self.name
             except (OSError, ValueError, http.client.HTTPException) as exc:
                 last_exc = exc
                 if isinstance(exc, urllib.error.HTTPError):
@@ -135,14 +139,13 @@ class HttpAnnotationBackend:
         raise QualityError(f"annotation request failed: {last_exc}")
 
 
-def annotate_batch(docs, backend, prompt_template: str | None = None):
+def annotate_batch(docs, backend):
     """Annotate documents, returning (samples, errors).
 
     Per-document failures are recorded and the batch continues; documents
     with no parseable verdict are excluded. Results are ordered by doc_id.
     """
-    if prompt_template is None:
-        prompt_template = load_prompt_asset()
+    prompt_template = load_prompt_asset()
     samples = []
     errors = []
     for doc in sorted(docs, key=lambda d: d.id):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -97,6 +98,17 @@ class TestParseDocumentRecord:
     def test_malformed_json(self, tmp_path):
         with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: "):
             self.read_lines(tmp_path, "{not json")
+
+    # A lone byte, a lead byte without its continuation, an encoded surrogate.
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xa0\x80"])
+    def test_invalid_utf8_names_line(self, tmp_path, bad):
+        record = (b'{"id": "d%d", "source_id": "s", "data_class": "text", '
+                  b'"text": "caf%s"}\n')
+        (tmp_path / "c.00000.jsonl").write_bytes(
+            record % (0, "\u00e9".encode()) + record % (1, bad))
+        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: invalid "
+                           r"UTF-8 byte 0x" + bad[:1].hex()):
+            list(read_corpus(str(tmp_path / "c")))
 
     def test_bad_meta(self, tmp_path):
         doc = {"id": "d", "source_id": "s", "data_class": "text", "text": "x",
@@ -213,19 +225,14 @@ class TestRunTable:
             serialize_document(doc) + "\n{not json\n")
         return doc, str(tmp_path / "c")
 
-    def test_streams_outside_a_run(self, tmp_path):
-        doc, prefix = self._half_bad_shard(tmp_path)
-        docs = read_corpus(prefix)
-        assert next(docs) == doc
-        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: "):
-            next(docs)
-
-    def test_shard_parsed_whole_within_a_run(self, tmp_path):
+    @pytest.mark.parametrize("in_run", [True, False],
+                             ids=["in_run", "no_run"])
+    def test_shard_parsed_whole_within_a_run(self, tmp_path, in_run):
         _, prefix = self._half_bad_shard(tmp_path)
-        with run_table():
+        with run_table() if in_run else contextlib.nullcontext():
             with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: "):
                 next(read_corpus(prefix))
-            assert corpus_mod._run_table.get() == {}
+            assert corpus_mod._run_table.get() == ({} if in_run else None)
 
     def test_reads_share_documents_until_the_bytes_change(self, tmp_path):
         prefix = str(tmp_path / "c")

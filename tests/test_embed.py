@@ -260,7 +260,9 @@ class TestExternalEmbeddings:
             load_external_embeddings(str(path))
 
     @pytest.mark.parametrize("v", ["[1.0, NaN]", "[1.0, Infinity]",
-                                   "[1e300, 1e300]", "[[1.0, 0.0]]"])
+                                   "[1e300, 1e300]", "[[1.0, 0.0]]",
+                                   pytest.param("[1.0, 1%s]" % ("0" * 400),
+                                                id="int-above-float-max")])
     def test_non_finite_or_nested_vector_names_line(self, tmp_path, v):
         path = tmp_path / "vecs.jsonl"
         path.write_text(json.dumps({"id": "a", "v": [1.0, 0.0]}) + "\n"
@@ -308,18 +310,20 @@ class TestExternalEmbeddings:
 @st.composite
 def vectors_to_save(draw):
     """Embeddings as a caller may hand them to save_embeddings: ids in any
-    order, rows of any magnitude load accepts, zero rows among them. Up to
-    64 dims, so that a norm summed in another order than the parse's
-    shows."""
+    order, float64 or float32 rows of any magnitude load accepts, zero rows
+    among them. Up to 64 dims, so that a norm summed in another order than
+    the parse's shows."""
     dims = draw(st.integers(1, 64))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    bound = 1e150 if dtype is np.float64 else float(np.finfo(dtype).max)
     rows = draw(st.dictionaries(
         st.text(),
-        st.lists(st.floats(-1e150, 1e150) | st.just(0.0),
-                 min_size=dims, max_size=dims)
+        st.lists(st.floats(-bound, bound, width=np.finfo(dtype).bits)
+                 | st.just(0.0), min_size=dims, max_size=dims)
         | st.sampled_from([[0.0] * dims, [-0.0] * dims]),
         max_size=12))
     ids = draw(st.permutations(sorted(rows)))
-    return Embeddings(ids, np.array([rows[i] for i in ids], dtype=np.float64)
+    return Embeddings(ids, np.array([rows[i] for i in ids], dtype=dtype)
                       .reshape(len(ids), dims))
 
 

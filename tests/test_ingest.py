@@ -163,6 +163,15 @@ class TestLinkGraphFile:
             json.dumps({"url": "https://a.com", "out": ["https://b.com"]}) + "\n")
         assert load_link_graph(str(path)) == {"https://a.com": ["https://b.com"]}
 
+    def test_repeated_url_names_line(self, tmp_path):
+        path = tmp_path / "graph.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in [
+            {"url": "https://a.com", "out": ["https://b.com"]},
+            {"url": "https://a.com", "out": ["https://c.com"]}]))
+        with pytest.raises(IngestError,
+                           match=r"graph\.jsonl:2: duplicate url"):
+            load_link_graph(str(path))
+
     def test_bad_record_names_line(self, tmp_path):
         path = tmp_path / "graph.jsonl"
         path.write_text('{"url": "https://a.com"}\n')

@@ -138,6 +138,31 @@ class TestValidation:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, IngestError)
 
+    def test_invalid_utf8_shard_names_file_and_line(self, tmp_path):
+        write_corpus(make_random_docs(2, seed=4), str(tmp_path / "c"))
+        shard = tmp_path / "c.00000.jsonl"
+        first, second = shard.read_bytes().splitlines(keepends=True)
+        shard.write_bytes(first + second.replace(b"w", b"\xff", 1))
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "stats", "corpus": "c",
+                              "out": "stats.json"}]}
+        with pytest.raises(StageError, match=r"c\.00000\.jsonl:2: invalid "
+                           "UTF-8 byte 0xff") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, corpus_mod.ParseError)
+
+    def test_invalid_utf8_seeds_name_file_and_line(self, tmp_path):
+        (tmp_path / "urls.txt").write_bytes(b"https://a.com/doc\n"
+                                            b"https://b.com/\xffdoc\n")
+        (tmp_path / "graph.jsonl").write_text("")
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "frontier", "seeds": "urls.txt",
+                              "graph": "graph.jsonl", "out": "f.json"}]}
+        with pytest.raises(StageError, match=r"urls\.txt:2: invalid "
+                           "UTF-8 byte 0xff") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, IngestError)
+
     def test_default_ids_count_physical_lines(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps([
             {"name": "s", "kind": "text", "format": "plain_text",

@@ -300,6 +300,23 @@ class TestAnnotateBatch:
         with pytest.raises(QualityError, match=r"labels\.jsonl:2: .*string"):
             FileLabelBackend(str(path))
 
+    def test_repeated_doc_id_names_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"doc_id": "d0", "label": "agent"}\n'
+                        '{"doc_id": "d1", "label": "agent"}\n'
+                        '{"doc_id": "d0", "label": "general"}\n')
+        with pytest.raises(QualityError,
+                           match=r"labels\.jsonl:3: duplicate doc_id 'd0'"):
+            FileLabelBackend(str(path))
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_bytes(b'{"doc_id": "d0", "label": "agent"}\n'
+                         b'{"doc_id": "d1\xff", "label": "agent"}\n')
+        with pytest.raises(QualityError, match=r"labels\.jsonl:2: invalid "
+                           r"UTF-8 byte 0xff"):
+            FileLabelBackend(str(path))
+
     def test_failed_save_keeps_previous_file(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         save_labels([LabeledSample("d0", "agent", "test")], str(path))
