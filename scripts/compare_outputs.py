@@ -7,9 +7,10 @@ BASE_SRC and HEAD_SRC are directories that hold the `corpusforge`
 package, such as the `src` directory of two checkouts. For each
 benchmark workload, perfbench/generate.py writes the inputs once; then
 the pipeline runs on a fresh copy of them under each source tree, each
-in its own interpreter, and every file of the two workspaces is compared
-byte for byte except run_report.json (it holds timings and the workspace
-path) and pipeline.json. Prints one line per workload and one per file
+in its own interpreter, and every file of the two workspaces but
+pipeline.json is compared byte for byte. run_report.json is compared as
+JSON, without each stage's duration_s and with each side's workspace path
+replaced by a placeholder. Prints one line per workload and one per file
 that differs (for a JSON or JSON Lines file, with the largest relative
 difference among its numbers), and exits 1 when any file differs, is
 missing on one side, or a run fails.
@@ -27,7 +28,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GENERATE = os.path.join(ROOT, "perfbench", "generate.py")
 WORKLOADS = ("fixture", "zipf_retrieve", "zipf_filter")
-SKIPPED = {"run_report.json", "pipeline.json"}
+SKIPPED = {"pipeline.json"}
+REPORT = "run_report.json"
 
 # Runs the pipeline and checks that corpusforge came from the given tree.
 RUN = """
@@ -64,6 +66,28 @@ def files(workspace):
     return {path for path in found if os.path.basename(path) not in SKIPPED}
 
 
+def load(root, path):
+    """The JSON value of a file, or the list of a JSON Lines file's values.
+    The run report comes without durations, its workspace path replaced."""
+    with open(os.path.join(root, path), encoding="utf-8") as fh:
+        if path.endswith(".jsonl"):
+            return [json.loads(line) for line in fh]
+        text = fh.read()
+    if path != REPORT:
+        return json.loads(text)
+    report = json.loads(text.replace(json.dumps(root)[1:-1], "<workspace>"))
+    for stage in report["stages"]:
+        stage.pop("duration_s", None)
+    return report
+
+
+def same(base, head, path):
+    if path == REPORT:
+        return load(base, path) == load(head, path)
+    return filecmp.cmp(os.path.join(base, path), os.path.join(head, path),
+                       shallow=False)
+
+
 def largest_relative_difference(a, b, where=""):
     """(|a - b| / max(|a|, |b|), path) for the numbers at the same place in
     two JSON values that differ the most, or None when the values differ
@@ -93,12 +117,7 @@ def describe(base, head, path):
     lines = path.endswith(".jsonl")
     if not (lines or path.endswith(".json")):
         return f"differs: {path}"
-    loaded = []
-    for root in (base, head):
-        with open(os.path.join(root, path), encoding="utf-8") as fh:
-            loaded.append([json.loads(line) for line in fh] if lines
-                          else json.load(fh))
-    found = largest_relative_difference(*loaded)
+    found = largest_relative_difference(load(base, path), load(head, path))
     if found is None:
         return f"differs: {path} (in more than numbers)"
     relative, where = found
@@ -114,8 +133,7 @@ def differences(base, head):
     base_files, head_files = files(base), files(head)
     one_side = sorted(base_files ^ head_files)
     differ = sorted(path for path in base_files & head_files
-                    if not filecmp.cmp(os.path.join(base, path),
-                                       os.path.join(head, path), shallow=False))
+                    if not same(base, head, path))
     return [f"only in {'base' if p in base_files else 'head'}: {p}"
             for p in one_side] + [describe(base, head, p) for p in differ]
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .corpus import replacing
 from .embed import stable_hash64, stable_hashes
 
 LABELS = ("agent", "general")
@@ -263,6 +264,8 @@ def save_model(model: NgramLinearClassifier, path: str) -> None:
     Layout: magic, newline-terminated JSON header {format_version,
     hyperparams, vocab, rows}, then the listed embedding rows row-major as
     little-endian float64, then the dims-by-2 output weights row-major.
+    Written like every output (`corpus.replacing`): a failed write keeps
+    the previous file.
     """
     header = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -270,7 +273,7 @@ def save_model(model: NgramLinearClassifier, path: str) -> None:
         "vocab": model.vocab,
         "rows": model.row_ids.tolist(),
     }
-    with open(path, "wb") as fh:
+    with replacing([path]), open(path + ".tmp", "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(json.dumps(header, sort_keys=True,
                             separators=(",", ":")).encode("utf-8"))

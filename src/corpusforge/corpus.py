@@ -245,7 +245,7 @@ def parse_once(path: str, kind: str, parse: Callable):
 
 
 @contextmanager
-def _replacing(paths: list):
+def replacing(paths: list):
     """Once the block succeeds, move each `<path>.tmp` onto its path (the
     block may add paths); either way, remove every temp file left."""
     try:
@@ -266,7 +266,7 @@ def write_lines(path: str, lines: Iterable[str]) -> int:
     file as it was and no temp file behind.
     """
     count = 0
-    with _replacing([path]), open(path + ".tmp", "w", encoding="utf-8") as fh:
+    with replacing([path]), open(path + ".tmp", "w", encoding="utf-8") as fh:
         for count, line in enumerate(lines, start=1):
             fh.write(line + "\n")
     return count
@@ -328,7 +328,7 @@ def write_corpus(docs: Iterable[Document], corpus_prefix: str,
     if docs_per_shard < 1:
         raise CorpusError(f"docs_per_shard must be >= 1, got {docs_per_shard}")
     docs, paths = _unique(docs), []
-    with _replacing(paths):
+    with replacing(paths):
         while True:
             batch = list(islice(docs, docs_per_shard))
             if paths and not batch:

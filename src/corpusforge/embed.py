@@ -238,9 +238,10 @@ def _stacked(rows: dict) -> Embeddings:
 
 def _parse_embeddings(path: str) -> Embeddings:
     rows = {}
-    for _ in read_jsonl(path, lambda obj, _: _check_record(obj, rows),
-                        EmbedError):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_record's norm
+        for _ in read_jsonl(path, lambda obj, _: _check_record(obj, rows),
+                            EmbedError):
+            pass
     return _stacked(rows)
 
 

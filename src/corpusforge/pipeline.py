@@ -4,11 +4,11 @@ Stages run sequentially in config order; each stage reads and writes
 config-declared paths under the workspace. The run report records
 per-stage input/output SHA-256 hashes, durations, and key stats so the
 full provenance chain from the final mix back to the raw inputs is
-reconstructible from the report alone. A stage's outputs are exactly the
-files it wrote. The report hashes each file once per run, when the stage
-that wrote it (or first read it) finishes. The run table (`corpus`) also
-hashes a corpus shard or vectors file each time a stage reads it, to find
-the parse of those bytes.
+reconstructible from the report alone. An input's digest is of the bytes
+the stage read and an output's of the bytes it wrote, taken when the stage
+declares the input and when it finishes; a file is hashed once per version.
+The run table (`corpus`) also hashes a corpus shard or vectors file each
+time a stage reads it, to find the parse of those bytes.
 """
 
 import inspect
@@ -85,24 +85,29 @@ OUTPUT = Field(kind=OUT)
 
 
 class StageRun:
-    """Per-call state of one stage: the workspace and the inputs read."""
+    """Per-call state of one stage: the workspace and the inputs' digests."""
 
-    def __init__(self, name: str, workspace: str):
+    def __init__(self, name: str, workspace: str, digests: dict):
         self.name = name
         self.workspace = workspace
-        self.inputs = []
+        self.digests = digests
+        self.inputs = {}
 
     def resolve(self, path: str) -> str:
         return path if os.path.isabs(path) else os.path.join(self.workspace, path)
 
     def input(self, path: str, field: str) -> str:
-        """Resolve an input path, check that it exists and record it."""
+        """Resolve an input path, check that it exists and record the digest
+        of each file `shard_paths` finds, hashed unless the run has it."""
         path = self.resolve(path)
         paths = corpus_mod.shard_paths(path)
         if not (paths or os.path.exists(path)):
             raise ConfigError(f"stages[{self.name}].{field}",
                               f"input does not exist: {path}")
-        self.inputs.extend(paths)
+        for p in paths:
+            if p not in self.digests:
+                self.digests[p] = sha256_file(p)
+            self.inputs[p] = self.digests[p]
         return path
 
 
@@ -111,9 +116,9 @@ class Stage:
 
     `body(run, **fields)` returns (output_paths, stats), where the output
     paths are exactly the files it wrote. Calling the stage with
-    (stage_dict, ctx) reads the fields in order, runs the body on their
-    values and returns (input_paths, output_paths, stats) for the runner
-    to hash.
+    (stage_dict, ctx) reads the fields in order, refuses a key that is not
+    one of them, runs the body on their values and returns ({input_path:
+    sha256}, output_paths, stats); the runner hashes the outputs.
     """
 
     def __init__(self, name: str, help: str, body: Callable):
@@ -124,7 +129,7 @@ class Stage:
         self.fields = {p.name: p.default for p in params}
 
     def __call__(self, stage: dict, ctx: dict):
-        run = StageRun(self.name, ctx["workspace"])
+        run = StageRun(self.name, ctx["workspace"], ctx["digests"])
         args = {}
         for key, f in self.fields.items():
             value = stage.get(key)
@@ -140,6 +145,9 @@ class Stage:
             elif value is not None:
                 value = _checked(f"stages[{self.name}].{key}", f.type, value)
             args[key] = value
+        unknown = sorted(stage.keys() - self.fields.keys() - {"name"})
+        if unknown:
+            raise ConfigError(f"stages[{self.name}].{unknown[0]}", "unknown key")
         outputs, stats = self.body(run, **args)
         return run.inputs, outputs, stats
 
@@ -408,6 +416,9 @@ STAGES = {name: Stage(name, help, body) for name, help, body in (
 def validate_config(config: dict) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("(root)", "config must be a JSON object")
+    unknown = sorted(config.keys() - {"workspace", "rng_seed", "report", "stages"})
+    if unknown:
+        raise ConfigError(unknown[0], "unknown key")
     stages = config.get("stages")
     if not isinstance(stages, list) or not stages:
         raise ConfigError("stages", "must be a non-empty array")
@@ -431,11 +442,10 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
     rng_seed = _checked("rng_seed", int, config.get("rng_seed", 0))
     workspace = workspace or config.get("workspace", ".")
     os.makedirs(workspace, exist_ok=True)
-    ctx = {"workspace": workspace, "rng_seed": rng_seed}
+    ctx = {"workspace": workspace, "rng_seed": rng_seed, "digests": {}}
 
     report = {"rng_seed": ctx["rng_seed"], "workspace": workspace, "stages": []}
     report_path = os.path.join(workspace, config.get("report", "run_report.json"))
-    digests = {}  # path -> sha256, one per file per run
 
     with corpus_mod.run_table():  # each file parsed at most once per run
         for stage in config["stages"]:
@@ -445,16 +455,8 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
             try:
                 inputs, outputs, stats = STAGES[name](stage, ctx)
                 duration_s = round(time.perf_counter() - started, 6)
-                # Outputs first, so a file the stage read and rewrote gets one
-                # digest, of its new bytes. An input shard that an in-place
-                # rewrite deleted keeps the digest it had, or is left out.
                 outputs = {path: sha256_file(path) for path in sorted(set(outputs))}
-                digests.update(outputs)
-                digests.update({path: sha256_file(path)
-                                for path in set(inputs) - digests.keys()
-                                if os.path.isfile(path)})
-                inputs = {path: digests[path] for path in sorted(inputs)
-                          if path in digests}
+                ctx["digests"].update(outputs)
             except ConfigError:
                 write_json(report_path, report)
                 raise
@@ -465,16 +467,9 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
                 err = StageError(f"stage {name!r} failed: {exc}")
                 err.report = report
                 raise err from exc
-            entry = {
-                "name": name,
-                "status": "ok",
-                "duration_s": duration_s,
-                "inputs": inputs,
-                "outputs": outputs,
-                "stats": stats,
-            }
-            report["stages"].append(entry)
-            log_event(event="stage_done", stage=name,
-                      duration_s=entry["duration_s"])
+            report["stages"].append({
+                "name": name, "status": "ok", "duration_s": duration_s,
+                "inputs": inputs, "outputs": outputs, "stats": stats})
+            log_event(event="stage_done", stage=name, duration_s=duration_s)
     write_json(report_path, report)
     return report

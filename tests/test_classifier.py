@@ -414,6 +414,26 @@ class TestModelFile:
         for text, _ in train[:25]:
             assert loaded.predict_score(text) == model.predict_score(text)
 
+    def test_failed_save_keeps_the_previous_file(self, trained, tmp_path,
+                                                 monkeypatch):
+        model, _, _ = trained
+        path = tmp_path / "model.bin"
+        save_model(model, str(path))
+        before = path.read_bytes()
+        calls, contiguous = [], np.ascontiguousarray
+
+        def fail_on_second_call(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:  # after the header and the rows
+                raise OSError("disk full")
+            return contiguous(*args, **kwargs)
+
+        monkeypatch.setattr(np, "ascontiguousarray", fail_on_second_call)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(model, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
     # No rows, one row, and row counts around a power of two.
     @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
     def test_file_is_the_documented_layout(self, tmp_path, n_rows):

@@ -259,6 +259,7 @@ class TestExternalEmbeddings:
         with pytest.raises(EmbedError, match="duplicate"):
             load_external_embeddings(str(path))
 
+    @pytest.mark.filterwarnings("error")  # an overflowing norm warns nothing
     @pytest.mark.parametrize("v", ["[1.0, NaN]", "[1.0, Infinity]",
                                    "[1e300, 1e300]", "[[1.0, 0.0]]",
                                    pytest.param("[1.0, 1%s]" % ("0" * 400),
@@ -347,6 +348,7 @@ class TestRememberedVectors:
         assert reused.matrix.shape == cold.matrix.shape
         assert reused.matrix.tobytes() == cold.matrix.tobytes()
 
+    @pytest.mark.filterwarnings("error")  # on save and on load
     @pytest.mark.parametrize("doc_id, row", [
         ("b", [1.0, float("nan")]), ("b", [1e300, 1e300]), (7, [0.0, 1.0])])
     def test_vectors_load_rejects_are_not_remembered(self, tmp_path, doc_id,

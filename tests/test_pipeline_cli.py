@@ -47,6 +47,10 @@ class TestValidation:
         with pytest.raises(ConfigError, match="unknown stage"):
             validate_config({"stages": [{"name": "teleport"}]})
 
+    def test_rejects_unknown_root_key(self):
+        with pytest.raises(ConfigError, match="^rng_sed: unknown key"):
+            validate_config({"rng_sed": 1, "stages": [{"name": "stats"}]})
+
     def test_missing_required_field_is_config_error(self, tmp_path):
         config = {"workspace": str(tmp_path),
                   "stages": [{"name": "retrieve", "seeds": "a.jsonl",
@@ -86,7 +90,12 @@ class TestValidation:
          "backend.retries"),
         ({"name": "annotate", "corpus": "f.json", "backend": {
             "kind": "http", "url": "http://localhost:9", "timeout": False}},
-         "backend.timeout")])
+         "backend.timeout"),
+        # A key the stage does not define, named after the declared ones.
+        ({"name": "train-filter", "corpus": "f.json", "labels": "f.json",
+          "epoch": 5}, "epoch"),
+        ({"name": "retrieve", "seeds": "f.json", "candidates": "f.json",
+          "k": "five", "kk": 5}, "k")])
     def test_mistyped_field_exits_2_and_names_it(self, tmp_path, capsys,
                                                  stage, field):
         (tmp_path / "f.json").write_text("")
@@ -463,26 +472,31 @@ class TestFullPipeline:
             str(tmp_path / "mixout" / "mix.00000.jsonl")]
 
     @pytest.mark.parametrize("read_before", [False, True])
-    def test_in_place_rewrite_has_one_digest(self, tmp_path, read_before):
+    def test_in_place_rewrite_digests_what_it_read_and_wrote(self, tmp_path,
+                                                             read_before):
         docs = make_random_docs(15, seed=8)
         write_corpus(docs, str(tmp_path / "c"), docs_per_shard=5)
         (tmp_path / "s.jsonl").write_text("".join(
             json.dumps({"id": d.id, "score": i / 15}) + "\n"
             for i, d in enumerate(docs)))
+        shards = [str(tmp_path / f"c.{i:05d}.jsonl") for i in range(3)]
+        read = {path: corpus_mod.sha256_file(path)
+                for path in shards + [str(tmp_path / "s.jsonl")]}
         stages = [{"name": "filter", "corpus": "c", "scores": "s.jsonl",
                    "keep_fraction": 0.3, "out": "c"}]
         if read_before:
             stages.insert(0, {"name": "stats", "corpus": "c", "out": "st.json"})
         report = run_pipeline({"workspace": str(tmp_path), "stages": stages})
         stage = report["stages"][-1]
-        before = report["stages"][0]["inputs"] if read_before else {}
         # The kept docs fit one shard, so the rewrite deletes c.00001 and
-        # c.00002: an input keeps the digest an earlier stage took, if any.
-        shard = str(tmp_path / "c.00000.jsonl")
-        assert list(stage["outputs"]) == [shard]
-        assert stage["inputs"] == {**before, shard: stage["outputs"][shard],
-                                   str(tmp_path / "s.jsonl"): ANY}
-        assert before.get(shard) != stage["outputs"][shard]
+        # c.00002; the stage still lists the three shards it read.
+        assert list(stage["outputs"]) == [shards[0]]
+        assert stage["inputs"] == read
+        if read_before:
+            assert stage["inputs"] == {**report["stages"][0]["inputs"],
+                                       str(tmp_path / "s.jsonl"): ANY}
+        for entry in report["stages"]:
+            assert entry["inputs"][shards[0]] != stage["outputs"][shards[0]]
 
     def test_read_after_in_place_rewrite_sees_new_documents(self, tmp_path):
         docs = make_random_docs(15, seed=8)
