@@ -20,6 +20,7 @@ writes, and hashes a document's new grams in one stable_hashes call.
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -69,10 +70,7 @@ def build_vocab(texts, min_count: int) -> dict:
     min_count applies to unigrams only; higher-order n-grams are always
     hashed (they have no stored vocabulary).
     """
-    counts = {}
-    for text in texts:
-        for tok in tokenize(text):
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(tok for text in texts for tok in tokenize(text))
     return {tok: c for tok, c in counts.items() if c >= min_count}
 
 

@@ -127,16 +127,6 @@ class CorpusStats:
     total_tokens: int = 0
     total_docs: int = 0
 
-    @classmethod
-    def empty(cls) -> "CorpusStats":
-        return cls({c: 0 for c in DATA_CLASSES}, {c: 0 for c in DATA_CLASSES}, 0, 0)
-
-    def add(self, doc: Document) -> None:
-        self.tokens_by_class[doc.data_class] += doc.token_count
-        self.docs_by_class[doc.data_class] += 1
-        self.total_tokens += doc.token_count
-        self.total_docs += 1
-
 
 def compute_stats(docs: Iterable[Document]) -> CorpusStats:
     """Single-pass, order-independent corpus statistics.
@@ -144,9 +134,12 @@ def compute_stats(docs: Iterable[Document]) -> CorpusStats:
     Duplicate ids are a hard error: silently double counting a document
     would corrupt every downstream token budget.
     """
-    stats = CorpusStats.empty()
+    stats = CorpusStats({c: 0 for c in DATA_CLASSES}, {c: 0 for c in DATA_CLASSES})
     for doc in _unique(docs):
-        stats.add(doc)
+        stats.tokens_by_class[doc.data_class] += doc.token_count
+        stats.docs_by_class[doc.data_class] += 1
+        stats.total_tokens += doc.token_count
+        stats.total_docs += 1
     return stats
 
 
@@ -293,26 +286,29 @@ def _numbered_shards(corpus_prefix: str) -> list:
 
 
 def shard_paths(corpus_prefix: str) -> list:
-    """All shard files for a corpus prefix, in shard order."""
+    """All shard files for a corpus prefix, in shard order, or the one file
+    it names."""
     paths = [path for _, path in _numbered_shards(corpus_prefix)]
-    if paths:
-        return paths
-    if os.path.isdir(corpus_prefix):
-        return sorted(glob.glob(os.path.join(corpus_prefix, "*.jsonl")))
-    if os.path.isfile(corpus_prefix):
+    if not paths and os.path.isfile(corpus_prefix):
         return [corpus_prefix]
-    return []
+    return paths
 
 
 def read_corpus(corpus_prefix: str) -> Iterator[Document]:
     """The documents of every shard in shard order, a whole shard at a
-    time; from a shard prefix, a .jsonl directory or one file."""
+    time; from a shard prefix or one file. A repeated id, in one shard or
+    across shards, raises DuplicateIdError naming the shard."""
     paths = shard_paths(corpus_prefix)
     if not paths:
         raise CorpusError(f"no corpus shards found at {corpus_prefix!r}")
+    seen = set()
     for path in paths:
-        yield from parse_once(path, "corpus", lambda p: tuple(
-            read_jsonl(p, _document, ParseError)))
+        for doc in parse_once(path, "corpus", lambda p: tuple(
+                read_jsonl(p, _document, ParseError))):
+            if doc.id in seen:
+                raise DuplicateIdError(f"{path}: duplicate document id {doc.id!r}")
+            seen.add(doc.id)
+            yield doc
 
 
 def write_corpus(docs: Iterable[Document], corpus_prefix: str,

@@ -1,4 +1,4 @@
-"""Seed-source registry, class assignment, and URL-frontier expansion.
+"""Source manifests and URL-frontier expansion.
 
 The pipeline never fetches the network: it consumes a source manifest, a
 set of already-fetched seed URLs, and a link graph file, and expands the
@@ -47,41 +47,22 @@ class SourceSpec:
             raise IngestError("declared_tokens must be non-negative")
 
 
-def assign_data_class(spec: SourceSpec) -> str:
-    return KIND_TO_CLASS[spec.kind]
-
-
-class SourceRegistry:
-    """Name-keyed registry of seed sources. Single-writer by contract."""
-
-    def __init__(self):
-        self._specs = {}
-
-    def register(self, spec: SourceSpec) -> None:
-        if spec.name in self._specs:
-            raise IngestError(f"source {spec.name!r} already registered")
-        self._specs[spec.name] = spec
-
-    def __len__(self):
-        return len(self._specs)
-
-    def __iter__(self):
-        return iter(self._specs.values())
-
-    @classmethod
-    def from_manifest(cls, path: str) -> "SourceRegistry":
-        """Load a JSON array of SourceSpec objects."""
-        def parse(entries):
-            if not isinstance(entries, list):
-                raise IngestError("manifest must be a JSON array")
-            registry = cls()
-            for entry in entries:
-                registry.register(SourceSpec(
-                    entry["name"], entry["kind"], entry["format"],
-                    declared_tokens=int(entry.get("declared_tokens", 0)),
-                    origin=entry.get("origin", "")))
-            return registry
-        return read_json(path, parse, IngestError)
+def load_sources(path: str) -> list:
+    """The SourceSpecs of a manifest (a JSON array of them), in name order."""
+    def parse(entries):
+        if not isinstance(entries, list):
+            raise IngestError("manifest must be a JSON array")
+        specs = {}
+        for entry in entries:
+            spec = SourceSpec(
+                entry["name"], entry["kind"], entry["format"],
+                declared_tokens=int(entry.get("declared_tokens", 0)),
+                origin=entry.get("origin", ""))
+            if spec.name in specs:
+                raise IngestError(f"source {spec.name!r} already registered")
+            specs[spec.name] = spec
+        return [specs[name] for name in sorted(specs)]
+    return read_json(path, parse, IngestError)
 
 
 def is_valid_url(url: str) -> bool:

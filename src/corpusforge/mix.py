@@ -36,10 +36,6 @@ class MixSpec:
         if any(r < 0 for r in self.ratios.values()):
             raise MixError("ratios must be non-negative")
 
-    def normalized_ratios(self) -> dict:
-        total = sum(self.ratios.values())
-        return {name: r / total for name, r in self.ratios.items()}
-
     def spec_hash(self) -> str:
         canonical = json.dumps(
             {"ratios": self.ratios, "total_token_budget": self.total_token_budget,
@@ -101,17 +97,17 @@ def compose_mixture(pools: dict, spec: MixSpec):
     pools maps class name -> iterable of Documents. Returns (manifest,
     docs) with docs in the deterministic interleaved output order.
     """
-    ratios = spec.normalized_ratios()
-    active = {name for name, r in ratios.items() if r > 0}
-    missing = active - set(pools)
+    total = sum(spec.ratios.values())
+    ratios = {name: share for name, r in spec.ratios.items()
+              if (share := r / total) > 0}
+    missing = ratios.keys() - pools.keys()
     if missing:
         raise MixError(f"no pool supplied for classes: {sorted(missing)}")
 
-    targets = apportion_budget(spec.total_token_budget,
-                               {n: r for n, r in ratios.items() if r > 0})
+    targets = apportion_budget(spec.total_token_budget, ratios)
 
     per_class = {}
-    queues = {}
+    keyed = []
     for name in sorted(targets):
         pool_rng = np.random.default_rng(
             [spec.rng_seed & 0xFFFFFFFFFFFFFFFF,
@@ -123,19 +119,16 @@ def compose_mixture(pools: dict, spec: MixSpec):
             "realized_tokens": realized,
             "doc_ids": [d.id for d in selected],
         }
-        queues[name] = list(selected)
+        emitted = 0
+        for position, doc in enumerate(selected):
+            keyed.append((emitted / max(targets[name], 1), name, position, doc))
+            emitted += doc.token_count
 
     # Deterministic interleave: always emit from the class furthest below
-    # its target token share, ties broken by class name.
-    emitted = {name: 0 for name in queues}
-    output = []
-    while any(queues.values()):
-        candidates = [n for n in sorted(queues) if queues[n]]
-        name = min(candidates,
-                   key=lambda n: (emitted[n] / max(targets[n], 1), n))
-        doc = queues[name].pop(0)
-        emitted[name] += doc.token_count
-        output.append(doc)
+    # its target token share (the share it had emitted before the doc),
+    # ties broken by class name. A class's keys never decrease along its
+    # draw order, so one sort gives that order.
+    output = [doc for *_, doc in sorted(keyed)]
 
     seen = set()
     for doc in output:

@@ -196,13 +196,13 @@ def _stats(run, corpus=INPUT, out=OUTPUT):
 
 
 def _ingest(run, manifest=INPUT, out=OUTPUT):
-    registry = ingest_mod.SourceRegistry.from_manifest(manifest)
+    sources = ingest_mod.load_sources(manifest)
 
     def docs():
-        for spec in sorted(registry, key=lambda s: s.name):
+        for spec in sources:
             if not spec.origin:
                 continue
-            data_class = ingest_mod.assign_data_class(spec)
+            data_class = ingest_mod.KIND_TO_CLASS[spec.kind]
 
             def parse(obj, lineno):
                 if not (isinstance(obj, dict)
@@ -223,7 +223,7 @@ def _ingest(run, manifest=INPUT, out=OUTPUT):
                                   ingest_mod.IngestError)
 
     paths = write_corpus(docs(), out)
-    return paths, {"sources": len(registry), "shards": len(paths)}
+    return paths, {"sources": len(sources), "shards": len(paths)}
 
 
 def _frontier(run, seeds=INPUT, graph=INPUT, out=OUTPUT,
@@ -277,6 +277,10 @@ def _prune(run, vecs=INPUT, report=Field(kind=OUT, flag="--report-out"),
                       "removed": len(result.removed_pairs)}
 
 
+BACKEND_KEYS = {"file": {"kind", "labels"},
+                "http": {"kind", "url", "timeout", "retries"}}
+
+
 def _annotate(run, corpus=INPUT, out=OUTPUT,
               backend=Field(dict, flag=None)):
     def setting(key, cast=str, default=REQUIRED):
@@ -297,6 +301,9 @@ def _annotate(run, corpus=INPUT, out=OUTPUT,
     else:
         raise ConfigError("stages[annotate].backend.kind",
                           f"must be 'file' or 'http', got {kind!r}")
+    unknown = sorted(backend.keys() - BACKEND_KEYS[kind])
+    if unknown:
+        raise ConfigError(f"stages[annotate].backend.{unknown[0]}", "unknown key")
     samples, errors = quality_mod.annotate_batch(read_corpus(corpus), annotator)
     quality_mod.save_labels(samples, out)
     return [out], {"labeled": len(samples), "errors": len(errors)}

@@ -12,6 +12,7 @@ import re
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from dataclasses import asdict, dataclass
 from importlib import resources
 
@@ -178,26 +179,17 @@ def evaluate_filter(model, labeled_texts) -> FilterMetrics:
     labeled_texts yields (text, label) pairs; agent is the positive class
     and the hard-decision threshold is 0.5 (score >= 0.5 predicts agent).
     """
-    tp = fn = fp = tn = 0
-    count = 0
+    pairs = Counter()
     for text, label in labeled_texts:
-        count += 1
         predicted_agent = model.predict_score(text) >= 0.5
-        if label == "agent":
-            if predicted_agent:
-                tp += 1
-            else:
-                fn += 1
-        elif label == "general":
-            if predicted_agent:
-                fp += 1
-            else:
-                tn += 1
-        else:
+        if label not in LABELS:
             raise QualityError(f"unknown label {label!r}")
-    if count == 0:
+        pairs[label, predicted_agent] += 1
+    if not pairs:
         raise QualityError("empty labeled set")
-    return metrics_from_confusion(tp, fn, fp, tn)
+    return metrics_from_confusion(
+        tp=pairs["agent", True], fn=pairs["agent", False],
+        fp=pairs["general", True], tn=pairs["general", False])
 
 
 def filter_by_rank(scored, keep_token_fraction: float) -> list:

@@ -41,8 +41,6 @@ class MixObservation:
     x: float
     loss: float
     benchmark: str
-    model_params: int | None = None
-    tokens: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.x <= 1.0:
@@ -228,6 +226,4 @@ def compute_budget(spec: BudgetSpec):
 
 def load_observations(path: str) -> list:
     return list(read_jsonl(path, lambda o, _: MixObservation(
-        x=float(o["x"]), loss=float(o["loss"]), benchmark=o["benchmark"],
-        model_params=o.get("model_params"), tokens=o.get("tokens")),
-        ScalingError))
+        float(o["x"]), float(o["loss"]), o["benchmark"]), ScalingError))

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from corpusforge import corpus as corpus_mod
 from corpusforge.corpus import (
+    CorpusError,
     DuplicateIdError,
     ParseError,
     ValidationError,
@@ -94,6 +95,16 @@ class TestParseDocumentRecord:
         with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: .*'id'"):
             self.read_lines(tmp_path, {"source_id": "s", "data_class": "text",
                                        "text": "x"})
+
+    @pytest.mark.parametrize("record,what", [
+        ("[1, 2]", "not a JSON object"),
+        ({"id": 5, "source_id": "s", "data_class": "text", "text": "x"},
+         "'id' must be a string"),
+        ({"id": "d1", "source_id": "s", "data_class": "text", "text": "x",
+          "token_count": "3"}, "'token_count' must be an integer")])
+    def test_mistyped_record_names_line(self, tmp_path, record, what):
+        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: .*" + what):
+            self.read_lines(tmp_path, record)
 
     def test_malformed_json(self, tmp_path):
         with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: "):
@@ -212,6 +223,23 @@ class TestShardIO:
             write_corpus(docs + [clash], prefix, docs_per_shard=10)
         assert list(read_corpus(prefix)) == old
         assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("shards", [
+        [["a", "b", "a"]], [["a", "b"], ["c", "a"]]],
+        ids=["one_shard", "two_shards"])
+    def test_repeated_id_on_read_names_shard_and_id(self, tmp_path, shards):
+        for index, ids in enumerate(shards):
+            (tmp_path / f"c.{index:05d}.jsonl").write_text("".join(
+                serialize_document(make_document(i, "s", "text", "x")) + "\n"
+                for i in ids))
+        last = re.escape(str(tmp_path / f"c.{len(shards) - 1:05d}.jsonl"))
+        with pytest.raises(DuplicateIdError, match=last + ": .*'a'"):
+            list(read_corpus(str(tmp_path / "c")))
+
+    def test_directory_of_jsonl_files_is_not_a_corpus(self, tmp_path):
+        write_corpus(make_random_docs(3, seed=1), str(tmp_path / "d" / "c"))
+        with pytest.raises(CorpusError, match="no corpus shards"):
+            list(read_corpus(str(tmp_path / "d")))
 
     def test_empty_corpus_still_writes_one_shard(self, tmp_path):
         paths = write_corpus([], str(tmp_path / "empty"), docs_per_shard=10)

@@ -5,51 +5,60 @@ from urllib.parse import urlparse
 import pytest
 from hypothesis import given, strategies as st
 
+from corpusforge.corpus import read_corpus
 from corpusforge.ingest import (
     DEFAULT_DOC_KEYWORDS,
     IngestError,
-    SourceRegistry,
     SourceSpec,
-    assign_data_class,
     expand_url_frontier,
     filter_doc_urls,
     is_valid_url,
     load_link_graph,
+    load_sources,
 )
+from corpusforge.pipeline import run_pipeline
+
+
+def write_manifest(tmp_path, entries):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(entries))
+    return str(path)
 
 
 class TestRegistry:
-    def test_register_toolbench_spec(self):
-        registry = SourceRegistry()
-        spec = SourceSpec(name="ToolBench", kind="trajectory", format="dialog",
-                          declared_tokens=530_000_000,
-                          origin="https://github.com/OpenBMB/ToolBench")
-        registry.register(spec)
-        assert list(registry) == [spec]
-        assert len(registry) == 1
+    def test_register_toolbench_spec(self, tmp_path):
+        path = write_manifest(tmp_path, [{
+            "name": "ToolBench", "kind": "trajectory", "format": "dialog",
+            "declared_tokens": 530_000_000,
+            "origin": "https://github.com/OpenBMB/ToolBench"}])
+        assert load_sources(path) == [SourceSpec(
+            name="ToolBench", kind="trajectory", format="dialog",
+            declared_tokens=530_000_000,
+            origin="https://github.com/OpenBMB/ToolBench")]
 
-    def test_duplicate_name_rejected(self):
-        registry = SourceRegistry()
-        spec = SourceSpec("x", "code", "code")
-        registry.register(spec)
-        with pytest.raises(IngestError, match="already registered"):
-            registry.register(SourceSpec("x", "text", "plain_text"))
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = write_manifest(tmp_path, [
+            {"name": "x", "kind": "code", "format": "code"},
+            {"name": "x", "kind": "text", "format": "plain_text"}])
+        with pytest.raises(IngestError, match=re.escape(
+                f"{path}: source 'x' already registered")):
+            load_sources(path)
 
     def test_manifest_with_61_sources(self, tmp_path):
-        entries = [{"name": f"source_{i}", "kind": "trajectory",
-                    "format": "api_seq"} for i in range(61)]
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(entries))
-        registry = SourceRegistry.from_manifest(str(path))
-        assert len(registry) == 61
+        names = [f"source_{i}" for i in range(61)]
+        path = write_manifest(tmp_path, [
+            {"name": name, "kind": "trajectory", "format": "api_seq"}
+            for name in reversed(names)])
+        assert [spec.name for spec in load_sources(path)] == sorted(names)
 
     @pytest.mark.parametrize("text", [
-        json.dumps([{"name": "s", "format": "plain_text"}]), "not json"])
+        json.dumps([{"name": "s", "format": "plain_text"}]), "not json",
+        json.dumps({"name": "s", "kind": "text", "format": "plain_text"})])
     def test_bad_manifest_names_file(self, tmp_path, text):
         path = tmp_path / "manifest.json"
         path.write_text(text)
         with pytest.raises(IngestError, match=re.escape(f"{path}: ")):
-            SourceRegistry.from_manifest(str(path))
+            load_sources(str(path))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(IngestError):
@@ -63,9 +72,18 @@ class TestAssignDataClass:
         ("code", "code"),
         ("text", "text"),
     ])
-    def test_mapping_total(self, kind, expected):
+    def test_mapping_total(self, tmp_path, kind, expected):
         fmt = "code" if kind == "code" else "plain_text"
-        assert assign_data_class(SourceSpec("s", kind, fmt)) == expected
+        # A source without an origin is counted, but has nothing to read.
+        write_manifest(tmp_path, [
+            {"name": "s", "kind": kind, "format": fmt, "origin": "s.jsonl"},
+            {"name": "t", "kind": "text", "format": "plain_text"}])
+        (tmp_path / "s.jsonl").write_text('{"text": "call the api"}\n')
+        report = run_pipeline({"workspace": str(tmp_path), "stages": [
+            {"name": "ingest", "manifest": "manifest.json", "out": "seed"}]})
+        assert report["stages"][0]["stats"]["sources"] == 2
+        assert [(d.id, d.data_class) for d in read_corpus(
+            str(tmp_path / "seed"))] == [("s:1", expected)]
 
 
 class TestUrlValidity:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from corpusforge.corpus import compute_stats, make_document, read_corpus
 from corpusforge.mix import (
@@ -100,6 +101,49 @@ class TestComposeMixture:
     def test_missing_pool_error(self):
         with pytest.raises(MixError, match="no pool"):
             compose_mixture({}, MixSpec({"a": 1}, 100, rng_seed=1))
+
+    def test_same_id_drawn_from_two_pools_error(self):
+        pools = {name: [make_document("same", name, "text", "t t")]
+                 for name in ("a", "b")}
+        with pytest.raises(MixError, match="'same' drawn twice"):
+            compose_mixture(pools, MixSpec({"a": 1, "b": 1}, 4, rng_seed=1))
+
+    @given(st.data())
+    def test_interleave_matches_the_emit_loop(self, data):
+        """The output order is the one a loop that always emits next from
+        the class furthest below its target share (ties by name) gives."""
+        names = data.draw(st.lists(st.sampled_from("abcd"), min_size=1,
+                                   max_size=4, unique=True))
+        pools = {name: [make_document(f"{name}{i}", name, "text",
+                                      " ".join(["t"] * n))
+                        for i, n in enumerate(data.draw(st.lists(
+                            st.integers(0, 6), min_size=1, max_size=12)))]
+                 for name in names}
+        ratios = {name: data.draw(st.integers(0, 3)) for name in names}
+        assume(any(ratios.values()))
+        # A budget no active pool's tokens fall short of: none runs out.
+        most = min(sum(d.token_count for d in pools[name])
+                   for name in names if ratios[name])
+        assume(most > 0)
+        budget = data.draw(st.integers(1, most))
+        manifest, docs = compose_mixture(
+            pools, MixSpec(ratios, budget, rng_seed=data.draw(st.integers(0, 9))))
+
+        by_id = {d.id: d for pool in pools.values() for d in pool}
+        queues = {name: [by_id[i] for i in entry["doc_ids"]]
+                  for name, entry in manifest.per_class.items()}
+        targets = {name: entry["target_tokens"]
+                   for name, entry in manifest.per_class.items()}
+        emitted = {name: 0 for name in queues}
+        expected = []
+        while any(queues.values()):
+            candidates = [n for n in sorted(queues) if queues[n]]
+            name = min(candidates,
+                       key=lambda n: (emitted[n] / max(targets[n], 1), n))
+            doc = queues[name].pop(0)
+            emitted[name] += doc.token_count
+            expected.append(doc.id)
+        assert [d.id for d in docs] == expected
 
     def test_spec_validation(self):
         with pytest.raises(MixError):

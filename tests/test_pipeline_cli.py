@@ -95,7 +95,14 @@ class TestValidation:
         ({"name": "train-filter", "corpus": "f.json", "labels": "f.json",
           "epoch": 5}, "epoch"),
         ({"name": "retrieve", "seeds": "f.json", "candidates": "f.json",
-          "k": "five", "kk": 5}, "k")])
+          "k": "five", "kk": 5}, "k"),
+        # A backend key the backend kind does not define.
+        ({"name": "annotate", "corpus": "f.json", "backend": {
+            "kind": "file", "labels": "f.json", "timeuot": 9}},
+         "backend.timeuot"),
+        ({"name": "annotate", "corpus": "f.json", "backend": {
+            "kind": "http", "url": "http://localhost:9", "labels": "f.json"}},
+         "backend.labels")])
     def test_mistyped_field_exits_2_and_names_it(self, tmp_path, capsys,
                                                  stage, field):
         (tmp_path / "f.json").write_text("")

@@ -85,6 +85,19 @@ class TestRetrieveTopK:
         with pytest.raises(RetrieveError):
             retrieve_top_k(make_embeddings({}), make_random_vectors(3, 4), 1)
 
+    @pytest.mark.parametrize("cands,k,what", [
+        ({"c": [1.0, 0.0]}, 0, "k must be >= 1"),
+        ({"z": [0.0, 0.0], "y": [0.0, 0.0]}, 1, "no nonzero candidate")],
+        ids=["k_below_one", "all_zero_candidates"])
+    def test_bad_k_or_candidates_error(self, cands, k, what):
+        with pytest.raises(RetrieveError, match=what):
+            retrieve_top_k(make_embeddings({"s": [1.0, 0.0]}),
+                           make_embeddings(cands), k)
+
+    def test_no_candidates_no_hits(self):
+        seeds = make_random_vectors(2, 4, seed=1, prefix="s")
+        assert retrieve_top_k(seeds, make_embeddings({}), 3) == []
+
     def test_dims_mismatch_error(self):
         seeds = make_random_vectors(2, 4, seed=1, prefix="s")
         cands = make_random_vectors(2, 8, seed=1, prefix="c")
