@@ -60,13 +60,9 @@ RUN_SEED = object()  # default of a field that takes the run's rng_seed
 
 @dataclass(frozen=True)
 class Field:
-    """One config key of a stage, named by the body's parameter.
-
-    kind is IN (an input path: resolved against the workspace, checked to
-    exist and hashed as the files `shard_paths` finds for it), OUT (an
-    output path, resolved) or VALUE (converted by `type`). A missing or
-    null key takes `default`, which is given in config form and converted
-    like a configured value.
+    """One key of a config object, read by `read_fields`: of the root, a
+    stage (named by the body's parameter), an `annotate` backend or the
+    `mix` pools. kind is IN (an input path), OUT (an output path) or VALUE.
 
     The field's `forge <stage>` flag is `flag`, or --key with "_" -> "-"
     when `flag` is empty; None means the field has no flag of its own and
@@ -85,25 +81,25 @@ OUTPUT = Field(kind=OUT)
 
 
 class StageRun:
-    """Per-call state of one stage: the workspace and the inputs' digests."""
+    """Per-call state of one stage: the workspace, the run's seed and the
+    digests of the inputs it declared (its own, its backend's, its pools')."""
 
-    def __init__(self, name: str, workspace: str, digests: dict):
-        self.name = name
+    def __init__(self, workspace: str, seed: int, digests: dict):
         self.workspace = workspace
+        self.seed = seed
         self.digests = digests
         self.inputs = {}
 
     def resolve(self, path: str) -> str:
-        return path if os.path.isabs(path) else os.path.join(self.workspace, path)
+        return os.path.join(self.workspace, path)  # keeps an absolute path
 
     def input(self, path: str, field: str) -> str:
-        """Resolve an input path, check that it exists and record the digest
-        of each file `shard_paths` finds, hashed unless the run has it."""
+        """Resolve an input path, check that it names a file or shards and
+        record the digest of each, hashed unless the run has it."""
         path = self.resolve(path)
         paths = corpus_mod.shard_paths(path)
-        if not (paths or os.path.exists(path)):
-            raise ConfigError(f"stages[{self.name}].{field}",
-                              f"input does not exist: {path}")
+        if not paths:
+            raise ConfigError(field, f"no input file or shards at {path}")
         for p in paths:
             if p not in self.digests:
                 self.digests[p] = sha256_file(p)
@@ -111,15 +107,44 @@ class StageRun:
         return path
 
 
+def read_fields(where: str, fields: dict, obj: dict, run=None) -> dict:
+    """The values of config object `obj`, keyed as its table `fields`.
+
+    In table order, a missing or null key takes its default (given in
+    config form; RUN_SEED is run.seed), the value is converted by the
+    field's type, an OUT path is resolved and an IN path declared in `run`.
+    Then a key the table lacks is refused. A ConfigError names the key
+    after `where`, as in "stages[mix].pools.agent".
+    """
+    values = {}
+    for key, f in fields.items():
+        value = obj.get(key)
+        if value is None:
+            value = run.seed if f.default is RUN_SEED else f.default
+        if value is REQUIRED:
+            raise ConfigError(where + key, "missing required field")
+        if value is not None:
+            try:
+                value = _convert(f.type, value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(where + key, str(exc)) from exc
+            if f.kind == IN:
+                value = run.input(value, where + key)
+            elif f.kind == OUT:
+                value = run.resolve(value)
+        values[key] = value
+    unknown = sorted(obj.keys() - fields.keys())
+    if unknown:
+        raise ConfigError(where + unknown[0], "unknown key")
+    return values
+
+
 class Stage:
     """A stage body and the fields its signature declares.
 
-    `body(run, **fields)` returns (output_paths, stats), where the output
-    paths are exactly the files it wrote. Calling the stage with
-    (stage_dict, ctx) reads the fields in order, refuses a key that is not
-    one of them, runs the body on their values and returns ({input_path:
-    sha256}, output_paths, stats); the runner hashes the outputs.
-    """
+    `body(run, **fields)` returns (output_paths, stats), the output paths
+    being exactly the files it wrote. Called with (stage_dict, run), the
+    stage runs the body on the values of the dict's keys but `name`."""
 
     def __init__(self, name: str, help: str, body: Callable):
         self.name = name
@@ -128,47 +153,24 @@ class Stage:
         params = list(inspect.signature(body).parameters.values())[1:]
         self.fields = {p.name: p.default for p in params}
 
-    def __call__(self, stage: dict, ctx: dict):
-        run = StageRun(self.name, ctx["workspace"], ctx["digests"])
-        args = {}
-        for key, f in self.fields.items():
-            value = stage.get(key)
-            if value is None:
-                value = ctx["rng_seed"] if f.default is RUN_SEED else f.default
-            if value is REQUIRED:
-                raise ConfigError(f"stages[{self.name}].{key}",
-                                  "missing required field")
-            if f.kind == IN:
-                value = run.input(value, key)
-            elif f.kind == OUT:
-                value = run.resolve(value)
-            elif value is not None:
-                value = _checked(f"stages[{self.name}].{key}", f.type, value)
-            args[key] = value
-        unknown = sorted(stage.keys() - self.fields.keys() - {"name"})
-        if unknown:
-            raise ConfigError(f"stages[{self.name}].{unknown[0]}", "unknown key")
-        outputs, stats = self.body(run, **args)
-        return run.inputs, outputs, stats
+    def __call__(self, stage: dict, run: StageRun):
+        keys = {k: v for k, v in stage.items() if k != "name"}
+        return self.body(run, **read_fields(f"stages[{self.name}].",
+                                            self.fields, keys, run))
 
 
 def _convert(cast, value):
     """cast(value), refusing what it would bend: only a bool field takes a
-    boolean, and an int field takes only an integral float (int(8.9) is 8)."""
+    boolean, an int field takes only an integral float (int(8.9) is 8) and
+    a str field only a string (str(3) is "3")."""
     if isinstance(value, bool) != (cast is bool):
         wanted = "true or false" if cast is bool else "no boolean"
         raise TypeError(f"must be {wanted}, got {value!r}")
     if cast is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"must be an integer, got {value!r}")
+    if cast is str and not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
     return cast(value)
-
-
-def _checked(field: str, cast, value):
-    """_convert(cast, value), refusing with a ConfigError naming field."""
-    try:
-        return _convert(cast, value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(field, str(exc)) from exc
 
 
 def _listed(cast):
@@ -219,7 +221,7 @@ def _ingest(run, manifest=INPUT, out=OUTPUT):
                     text=obj["text"],
                     meta={"origin": spec.origin},
                 )
-            yield from read_jsonl(run.input(spec.origin, "origin"), parse,
+            yield from read_jsonl(run.input(spec.origin, "stages[ingest].origin"), parse,
                                   ingest_mod.IngestError)
 
     paths = write_corpus(docs(), out)
@@ -277,33 +279,22 @@ def _prune(run, vecs=INPUT, report=Field(kind=OUT, flag="--report-out"),
                       "removed": len(result.removed_pairs)}
 
 
-BACKEND_KEYS = {"file": {"kind", "labels"},
-                "http": {"kind", "url", "timeout", "retries"}}
+# Backend kind -> its class and its fields, in the class's parameter order.
+BACKENDS = {"file": (quality_mod.FileLabelBackend, {"labels": INPUT}),
+            "http": (quality_mod.HttpAnnotationBackend,
+                     {"url": Field(), "timeout": Field(float, 30.0),
+                      "retries": Field(int, 2)})}
 
 
 def _annotate(run, corpus=INPUT, out=OUTPUT,
               backend=Field(dict, flag=None)):
-    def setting(key, cast=str, default=REQUIRED):
-        field, value = f"stages[annotate].backend.{key}", backend.get(key)
-        if value is None and default is REQUIRED:
-            raise ConfigError(field, "missing required field")
-        return _checked(field, cast, default if value is None else value)
-
-    kind = backend.get("kind")
-    if kind == "file":
-        annotator = quality_mod.FileLabelBackend(
-            run.input(setting("labels"), "backend.labels"))
-    elif kind == "http":
-        annotator = quality_mod.HttpAnnotationBackend(
-            setting("url"),
-            timeout=setting("timeout", float, 30.0),
-            retries=setting("retries", int, 2))
-    else:
+    kind = backend.pop("kind", None)  # from the field's copy, dict(value)
+    if kind not in list(BACKENDS):  # compared, so an unhashable kind is refused
         raise ConfigError("stages[annotate].backend.kind",
                           f"must be 'file' or 'http', got {kind!r}")
-    unknown = sorted(backend.keys() - BACKEND_KEYS[kind])
-    if unknown:
-        raise ConfigError(f"stages[annotate].backend.{unknown[0]}", "unknown key")
+    cls, fields = BACKENDS[kind]
+    annotator = cls(*read_fields("stages[annotate].backend.", fields,
+                                 backend, run).values())
     samples, errors = quality_mod.annotate_batch(read_corpus(corpus), annotator)
     quality_mod.save_labels(samples, out)
     return [out], {"labeled": len(samples), "errors": len(errors)}
@@ -378,7 +369,8 @@ def _optimize(run, fits=Field(_listed(str),
                               help="comma-separated fit-report paths"),
               out=OUTPUT, weights=Field(_listed(float), None),
               domain=Field(_span, "0.05:0.6"), step=Field(float, 1e-3)):
-    curves = [read_json(run.input(p, "fits"), lambda o: scaling_mod.ScalingCurve(
+    curves = [read_json(run.input(p, "stages[optimize].fits"),
+                        lambda o: scaling_mod.ScalingCurve(
         float(o["c"]), float(o["k"]), float(o["alpha"]),
         float(o.get("rmse", 0.0)), o.get("benchmark", "")),
         scaling_mod.ScalingError) for p in fits]
@@ -393,10 +385,13 @@ def _optimize(run, fits=Field(_listed(str),
 
 
 def _mix(run, spec=INPUT, pools=Field(dict, flag=None), out=OUTPUT):
-    corpora = {name: list(read_corpus(run.input(prefix, f"pools.{name}")))
-               for name, prefix in pools.items()}
-    manifest, paths = mix_mod.compose_to_dir(
-        corpora, mix_mod.MixSpec.from_file(spec), out)
+    mix_spec = mix_mod.MixSpec.from_file(spec)
+    prefixes = read_fields("stages[mix].pools.", {
+        name: Field(kind=IN, default=REQUIRED if ratio else None)
+        for name, ratio in mix_spec.ratios.items()}, pools, run)
+    corpora = {name: list(read_corpus(prefix))
+               for name, prefix in prefixes.items() if prefix is not None}
+    manifest, paths = mix_mod.compose_to_dir(corpora, mix_spec, out)
     check = mix_mod.verify_manifest(manifest, os.path.join(out, "mix"))
     realized = {n: e["realized_tokens"] for n, e in manifest.per_class.items()}
     return paths, {"realized_tokens": realized, "verify_manifest": {
@@ -420,22 +415,28 @@ STAGES = {name: Stage(name, help, body) for name, help, body in (
 )}
 
 
-def validate_config(config: dict) -> dict:
-    if not isinstance(config, dict):
-        raise ConfigError("(root)", "config must be a JSON object")
-    unknown = sorted(config.keys() - {"workspace", "rng_seed", "report", "stages"})
-    if unknown:
-        raise ConfigError(unknown[0], "unknown key")
-    stages = config.get("stages")
-    if not isinstance(stages, list) or not stages:
-        raise ConfigError("stages", "must be a non-empty array")
-    for i, stage in enumerate(stages):
+def _stages(value):
+    """A non-empty array of stages, each an object naming a known stage."""
+    if not isinstance(value, list) or not value:
+        raise ValueError("must be a non-empty array")
+    for i, stage in enumerate(value):
         if not isinstance(stage, dict) or "name" not in stage:
             raise ConfigError(f"stages[{i}]", "each stage needs a 'name'")
         if stage["name"] not in STAGES:
             raise ConfigError(f"stages[{i}].name",
                               f"unknown stage {stage['name']!r}")
-    return config
+    return value
+
+
+ROOT = {"workspace": Field(str, "."), "rng_seed": Field(int, 0),
+        "report": Field(str, "run_report.json"), "stages": Field(_stages)}
+
+
+def validate_config(config: dict) -> dict:
+    """The root's values; a stage's own keys are read when it runs."""
+    if not isinstance(config, dict):
+        raise ConfigError("(root)", "config must be a JSON object")
+    return read_fields("", ROOT, config)
 
 
 def run_pipeline(config: dict, workspace: str | None = None) -> dict:
@@ -445,25 +446,24 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
     stage fails at run time; in both cases the report written so far is
     attached to the exception as `.report` when available.
     """
-    validate_config(config)
-    rng_seed = _checked("rng_seed", int, config.get("rng_seed", 0))
-    workspace = workspace or config.get("workspace", ".")
+    root = validate_config(config)
+    workspace = workspace or root["workspace"]
     os.makedirs(workspace, exist_ok=True)
-    ctx = {"workspace": workspace, "rng_seed": rng_seed, "digests": {}}
-
-    report = {"rng_seed": ctx["rng_seed"], "workspace": workspace, "stages": []}
-    report_path = os.path.join(workspace, config.get("report", "run_report.json"))
+    digests = {}  # path -> sha256 of each file version the run has hashed
+    report = {"rng_seed": root["rng_seed"], "workspace": workspace, "stages": []}
+    report_path = os.path.join(workspace, root["report"])
 
     with corpus_mod.run_table():  # each file parsed at most once per run
-        for stage in config["stages"]:
+        for stage in root["stages"]:
             name = stage["name"]
             log_event(event="stage_start", stage=name)
             started = time.perf_counter()
+            run = StageRun(workspace, root["rng_seed"], digests)
             try:
-                inputs, outputs, stats = STAGES[name](stage, ctx)
+                outputs, stats = STAGES[name](stage, run)
                 duration_s = round(time.perf_counter() - started, 6)
                 outputs = {path: sha256_file(path) for path in sorted(set(outputs))}
-                ctx["digests"].update(outputs)
+                digests.update(outputs)
             except ConfigError:
                 write_json(report_path, report)
                 raise
@@ -476,7 +476,7 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
                 raise err from exc
             report["stages"].append({
                 "name": name, "status": "ok", "duration_s": duration_s,
-                "inputs": inputs, "outputs": outputs, "stats": stats})
+                "inputs": run.inputs, "outputs": outputs, "stats": stats})
             log_event(event="stage_done", stage=name, duration_s=duration_s)
     write_json(report_path, report)
     return report

@@ -102,13 +102,22 @@ class TestValidation:
          "backend.timeuot"),
         ({"name": "annotate", "corpus": "f.json", "backend": {
             "kind": "http", "url": "http://localhost:9", "labels": "f.json"}},
-         "backend.labels")])
+         "backend.labels"),
+        # A path or name key takes only a string, even when a file is
+        # named like the number ("3" and "9" exist).
+        ({"name": "stats", "corpus": 5}, "corpus"),
+        ({"name": "stats", "corpus": "f.json", "out": 7}, "out"),
+        ({"name": "fit", "obs": "f.json", "benchmark": 3}, "benchmark"),
+        ({"name": "annotate", "corpus": "f.json", "backend": {
+            "kind": "file", "labels": 9}}, "backend.labels"),
+        ({"name": "optimize", "fits": [3]}, "fits")])
     def test_mistyped_field_exits_2_and_names_it(self, tmp_path, capsys,
                                                  stage, field):
-        (tmp_path / "f.json").write_text("")
+        for name in ("f.json", "3", "9"):
+            (tmp_path / name).write_text("")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"workspace": str(tmp_path), "stages": [
-            dict(stage, out="out.json")]}))
+            {"out": "out.json", **stage}]}))
         assert main(["run", "--config", str(path)]) == 2
         event = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert event["event"] == "config_error"
@@ -129,6 +138,62 @@ class TestValidation:
         assert event["event"] == "config_error"
         assert event["field"] == "rng_seed"
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("root,field", [({"report": 5}, "report"),
+                                            ({"workspace": 7}, "workspace")])
+    def test_mistyped_root_string_exits_2_before_the_workspace_exists(
+            self, tmp_path, capsys, monkeypatch, root, field):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"workspace": "ws", **root, "stages": [
+            {"name": "stats", "corpus": "c", "out": "s.json"}]}))
+        assert main(["run", "--config", str(path)]) == 2
+        event = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (event["event"], event["field"]) == ("config_error", field)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_directory_input_exits_2_and_names_it(self, tmp_path, capsys):
+        write_corpus(make_random_docs(3, seed=2), str(tmp_path / "d" / "c"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"workspace": str(tmp_path), "stages": [
+            {"name": "stats", "corpus": "d", "out": "s.json"}]}))
+        assert main(["run", "--config", str(path)]) == 2
+        event = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (event["event"], event["field"]) == ("config_error",
+                                                    "stages[stats].corpus")
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("pools,field,error", [
+        ({"a": "c", "agnet": "c"}, "agnet", "unknown key"),
+        ({"a": 5}, "a", "must be a string, got 5"),
+        ({"a": "c", "b": 7}, "b", "must be a string, got 7"),
+        ({"b": "c"}, "a", "missing required field")])
+    def test_mix_pools_are_the_names_the_spec_lists(self, tmp_path, capsys,
+                                                    pools, field, error):
+        write_corpus(make_random_docs(20, seed=4), str(tmp_path / "c"))
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"ratios": {"a": 1, "b": 0}, "total_token_budget": 50}))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"workspace": str(tmp_path), "stages": [
+            {"name": "mix", "spec": "spec.json", "pools": pools,
+             "out": "mixout"}]}))
+        assert main(["run", "--config", str(path)]) == 2
+        event = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert event["event"] == "config_error"
+        assert event["error"] == f"stages[mix].pools.{field}: {error}"
+        assert not (tmp_path / "mixout").exists()
+
+    def test_mix_reads_only_the_pools_it_mixes(self, tmp_path):
+        write_corpus(make_random_docs(20, seed=4), str(tmp_path / "c"))
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"ratios": {"a": 1, "b": 0}, "total_token_budget": 50}))
+        config = {"workspace": str(tmp_path), "stages": [
+            {"name": "mix", "spec": "spec.json", "pools": {"a": "c"},
+             "out": "mixout"}]}
+        (stage,) = run_pipeline(config)["stages"]
+        assert sorted(stage["inputs"]) == [str(tmp_path / "c.00000.jsonl"),
+                                           str(tmp_path / "spec.json")]
+        assert list(stage["stats"]["realized_tokens"]) == ["a"]
 
     def test_missing_ingest_origin_is_config_error(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps([
@@ -719,6 +784,10 @@ class TestCliConfig:
         ["embed", "--corpus", "c", "--out", "v", "--ngrams", "3"],
         ["embed", "--corpus", "c", "--out", "v", "--ngrams", "x:5"],
     ])
-    def test_bad_hook_flags_exit_2(self, captured, argv):
+    def test_bad_hook_flags_exit_2(self, captured, capsys, argv):
         assert main(argv) == 2
         assert captured == []
+        field = {"annotate": "annotate", "mix": "mix.pool",
+                 "embed": "embed.ngrams"}[argv[0]]
+        event = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (event["event"], event["field"]) == ("config_error", field)
