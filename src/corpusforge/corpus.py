@@ -18,7 +18,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
@@ -55,65 +55,59 @@ def count_tokens(text: str) -> int:
 
 @dataclass(frozen=True)
 class Document:
+    """One corpus record; building one checks every field, so each Document
+    a shard holds reads back. A token_count of None is counted from the
+    text."""
+
     id: str
     source_id: str
     data_class: str
     text: str
-    token_count: int
+    token_count: int | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("id", "source_id", "data_class", "text"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"field {name!r} must be a string")
         if not self.id:
             raise ValidationError("document id must be non-empty")
         if self.data_class not in DATA_CLASSES:
             raise ValidationError(
                 f"unknown data_class {self.data_class!r}; expected one of {DATA_CLASSES}"
             )
+        if self.token_count is None:
+            object.__setattr__(self, "token_count", count_tokens(self.text))
+        elif type(self.token_count) is not int:  # bool is a subclass
+            raise ValidationError("field 'token_count' must be an integer")
         if self.token_count < 0:
             raise ValidationError(f"negative token_count for doc {self.id!r}")
+        if not isinstance(self.meta, dict) or not all(
+                isinstance(k, str) and isinstance(v, str)
+                for k, v in self.meta.items()):
+            raise ValidationError("field 'meta' must be a string-to-string map")
 
     def with_meta(self, **extra: str) -> "Document":
-        merged = dict(self.meta)
-        merged.update(extra)
-        return Document(self.id, self.source_id, self.data_class, self.text,
-                        self.token_count, merged)
+        return replace(self, meta={**self.meta, **extra})
 
 
 def make_document(id: str, source_id: str, data_class: str, text: str,
                   meta: dict | None = None) -> Document:
     """Build a Document with token_count computed from the text."""
-    return Document(id, source_id, data_class, text, count_tokens(text),
-                    dict(meta or {}))
+    return Document(id, source_id, data_class, text, meta=dict(meta or {}))
 
 
 def _document(obj, _lineno: int) -> Document:
-    """The Document of one decoded corpus record (a read_jsonl parse).
-
-    token_count is recomputed when absent; when present it is trusted as-is
-    (validated only for sign) so externally counted corpora round-trip.
-    """
+    """The Document of one decoded corpus record (a read_jsonl parse): a JSON
+    object with the four required keys. A token_count that is present is
+    kept as-is, so externally counted corpora round-trip."""
     if not isinstance(obj, dict):
         raise ParseError("record is not a JSON object")
-
     for name in ("id", "source_id", "data_class", "text"):
         if name not in obj:
             raise ParseError(f"record missing required field {name!r}")
-        if not isinstance(obj[name], str):
-            raise ParseError(f"field {name!r} must be a string")
-
-    token_count = obj.get("token_count")
-    if token_count is None:
-        token_count = count_tokens(obj["text"])
-    elif not isinstance(token_count, int) or isinstance(token_count, bool):
-        raise ParseError("field 'token_count' must be an integer")
-
-    meta = obj.get("meta", {})
-    if not isinstance(meta, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):
-        raise ParseError("field 'meta' must be a string-to-string map")
-
     return Document(obj["id"], obj["source_id"], obj["data_class"],
-                    obj["text"], token_count, meta)
+                    obj["text"], obj.get("token_count"), obj.get("meta", {}))
 
 
 def serialize_document(doc: Document) -> str:
@@ -157,6 +151,23 @@ def _unique(docs: Iterable[Document]) -> Iterator[Document]:
 # (OverflowError: a JSON integer too large for a float).
 PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes
+
+
+# The JSON values that convert takes for each type, and how to name them.
+_DECODED = {bool: (bool, "true or false"), int: ((int, float), "an integer"),
+            float: ((int, float), "a number"), str: (str, "a string"),
+            list: (list, "an array"), dict: (dict, "an object")}
+
+
+def convert(cast, value):
+    """cast(value) if value has the JSON type _DECODED gives for cast (a
+    cast it lacks takes anything but a boolean), so what cast would bend is
+    refused: "5" or 8.9 for int, 3 for str, [["a", 1]] for dict."""
+    types, wanted = _DECODED.get(cast, (object, "no boolean"))
+    if (isinstance(value, bool) != (cast is bool) or not isinstance(value, types)
+            or cast is int and isinstance(value, float) and not value.is_integer()):
+        raise TypeError(f"must be {wanted}, got {value!r}")
+    return cast(value)
 
 
 def read_lines(path: str, error: type) -> Iterator:

@@ -8,7 +8,7 @@ frontier breadth-first with an optional documentation-keyword filter.
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from .corpus import read_json, read_jsonl
+from .corpus import convert, read_json, read_jsonl
 
 SOURCE_KINDS = ("documentation", "trajectory", "code", "text")
 SOURCE_FORMATS = ("dialog", "react", "nl_plan", "api_seq", "json", "qa",
@@ -37,6 +37,9 @@ class SourceSpec:
     origin: str = ""
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and isinstance(self.origin, str)):
+            raise IngestError("source name and origin must be strings, got "
+                              f"{self.name!r} and {self.origin!r}")
         if not self.name:
             raise IngestError("source name must be non-empty")
         if self.kind not in SOURCE_KINDS:
@@ -56,7 +59,7 @@ def load_sources(path: str) -> list:
         for entry in entries:
             spec = SourceSpec(
                 entry["name"], entry["kind"], entry["format"],
-                declared_tokens=int(entry.get("declared_tokens", 0)),
+                declared_tokens=convert(int, entry.get("declared_tokens", 0)),
                 origin=entry.get("origin", ""))
             if spec.name in specs:
                 raise IngestError(f"source {spec.name!r} already registered")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import corpus as corpus_mod
-from .corpus import Document, read_json, write_corpus, write_json
+from .corpus import convert, read_json, write_corpus, write_json
 
 
 class MixError(Exception):
@@ -24,17 +24,17 @@ class MixError(Exception):
 
 @dataclass(frozen=True)
 class MixSpec:
-    ratios: dict  # pool name -> non-negative weight, normalized on use
+    ratios: dict  # pool name -> weight >= 0 as decoded; normalized on use
     total_token_budget: int
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.total_token_budget <= 0:
             raise MixError("total_token_budget must be positive")
-        if not self.ratios or all(r == 0 for r in self.ratios.values()):
-            raise MixError("at least one ratio must be positive")
-        if any(r < 0 for r in self.ratios.values()):
+        if any(convert(float, r) < 0 for r in self.ratios.values()):
             raise MixError("ratios must be non-negative")
+        if not any(self.ratios.values()):
+            raise MixError("at least one ratio must be positive")
 
     def spec_hash(self) -> str:
         canonical = json.dumps(
@@ -45,9 +45,9 @@ class MixSpec:
     @classmethod
     def from_file(cls, path: str) -> "MixSpec":
         return read_json(path, lambda obj: cls(
-            ratios=dict(obj["ratios"]),
-            total_token_budget=int(obj["total_token_budget"]),
-            rng_seed=int(obj.get("rng_seed", 0))), MixError)
+            ratios=convert(dict, obj["ratios"]),
+            total_token_budget=convert(int, obj["total_token_budget"]),
+            rng_seed=convert(int, obj.get("rng_seed", 0))), MixError)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from . import quality as quality_mod
 from . import retrieve as retrieve_mod
 from . import scaling as scaling_mod
 from .classifier import FilterHyperparams, load_model, save_model, train_filter
-from .corpus import (compute_stats, make_document, read_corpus, read_json,
+from .corpus import (compute_stats, convert, make_document, read_corpus,
                      read_jsonl, read_lines, sha256_file, write_corpus,
                      write_json, write_lines)
 
@@ -125,7 +125,7 @@ def read_fields(where: str, fields: dict, obj: dict, run=None) -> dict:
             raise ConfigError(where + key, "missing required field")
         if value is not None:
             try:
-                value = _convert(f.type, value)
+                value = convert(f.type, value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(where + key, str(exc)) from exc
             if f.kind == IN:
@@ -159,33 +159,21 @@ class Stage:
                                             self.fields, keys, run))
 
 
-def _convert(cast, value):
-    """cast(value), refusing what it would bend: only a bool field takes a
-    boolean, an int field takes only an integral float (int(8.9) is 8) and
-    a str field only a string (str(3) is "3")."""
-    if isinstance(value, bool) != (cast is bool):
-        wanted = "true or false" if cast is bool else "no boolean"
-        raise TypeError(f"must be {wanted}, got {value!r}")
-    if cast is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"must be an integer, got {value!r}")
-    if cast is str and not isinstance(value, str):
-        raise TypeError(f"must be a string, got {value!r}")
-    return cast(value)
-
-
 def _listed(cast):
     """A list value, also accepted as a comma-separated string."""
-    def convert(value):
+    def convert_list(value):
         if isinstance(value, str):
-            value = [v for v in value.split(",") if v]
-        return [_convert(cast, v) for v in value]
-    return convert
+            return [cast(v) for v in value.split(",") if v]
+        return [convert(cast, v) for v in convert(list, value)]
+    return convert_list
 
 
 def _span(value):
     """A [lo, hi] pair of floats, also accepted as a "lo:hi" string."""
-    lo, hi = value.split(":") if isinstance(value, str) else value
-    return [_convert(float, lo), _convert(float, hi)]
+    if isinstance(value, str):
+        value = [float(v) for v in value.split(":")]
+    lo, hi = value
+    return [convert(float, lo), convert(float, hi)]
 
 
 # Bodies look up corpus and model functions as module globals at call time.
@@ -331,14 +319,13 @@ def _filter(run, corpus=INPUT, scores=INPUT, out=OUTPUT,
     score_of = {}
 
     def parse(obj, _):
-        doc_id, score = obj["id"], obj["score"]
+        doc_id, score = obj["id"], convert(float, obj["score"])
         if doc_id in score_of:
             raise quality_mod.QualityError(f"duplicate score for id {doc_id!r}")
-        if (isinstance(score, bool) or not isinstance(score, (int, float))
-                or not 0.0 <= score <= 1.0):
+        if not 0.0 <= score <= 1.0:
             raise quality_mod.QualityError(
                 f"score must be a number in [0, 1], got {score!r}")
-        return doc_id, float(score)
+        return doc_id, score
 
     for doc_id, score in read_jsonl(scores, parse, quality_mod.QualityError):
         score_of[doc_id] = score
@@ -369,11 +356,8 @@ def _optimize(run, fits=Field(_listed(str),
                               help="comma-separated fit-report paths"),
               out=OUTPUT, weights=Field(_listed(float), None),
               domain=Field(_span, "0.05:0.6"), step=Field(float, 1e-3)):
-    curves = [read_json(run.input(p, "stages[optimize].fits"),
-                        lambda o: scaling_mod.ScalingCurve(
-        float(o["c"]), float(o["k"]), float(o["alpha"]),
-        float(o.get("rmse", 0.0)), o.get("benchmark", "")),
-        scaling_mod.ScalingError) for p in fits]
+    curves = [scaling_mod.load_curve(run.input(p, "stages[optimize].fits"))
+              for p in fits]
     if weights is None:
         weights = [1.0] * len(curves)
     x_star, loss = scaling_mod.optimal_mix_ratio(curves, weights,

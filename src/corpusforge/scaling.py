@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import read_jsonl
+from .corpus import convert, read_json, read_jsonl
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -226,4 +226,13 @@ def compute_budget(spec: BudgetSpec):
 
 def load_observations(path: str) -> list:
     return list(read_jsonl(path, lambda o, _: MixObservation(
-        float(o["x"]), float(o["loss"]), o["benchmark"]), ScalingError))
+        convert(float, o["x"]), convert(float, o["loss"]),
+        convert(str, o["benchmark"])), ScalingError))
+
+
+def load_curve(path: str) -> ScalingCurve:
+    """The ScalingCurve of a fit report (what the `fit` stage writes)."""
+    return read_json(path, lambda o: ScalingCurve(
+        convert(float, o["c"]), convert(float, o["k"]),
+        convert(float, o["alpha"]), convert(float, o.get("rmse", 0.0)),
+        convert(str, o.get("benchmark", ""))), ScalingError)

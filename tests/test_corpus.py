@@ -10,7 +10,9 @@ from hypothesis import given, strategies as st
 
 from corpusforge import corpus as corpus_mod
 from corpusforge.corpus import (
+    DATA_CLASSES,
     CorpusError,
+    Document,
     DuplicateIdError,
     ParseError,
     ValidationError,
@@ -103,7 +105,10 @@ class TestParseDocumentRecord:
         ({"id": "d1", "source_id": "s", "data_class": "text", "text": "x",
           "token_count": "3"}, "'token_count' must be an integer")])
     def test_mistyped_record_names_line(self, tmp_path, record, what):
-        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: .*" + what):
+        # A line that is no JSON object does not decode; a mistyped field
+        # decodes and breaks the document contract.
+        error = ParseError if isinstance(record, str) else ValidationError
+        with pytest.raises(error, match=r"c\.00000\.jsonl:2: .*" + what):
             self.read_lines(tmp_path, record)
 
     def test_malformed_json(self, tmp_path):
@@ -124,7 +129,7 @@ class TestParseDocumentRecord:
     def test_bad_meta(self, tmp_path):
         doc = {"id": "d", "source_id": "s", "data_class": "text", "text": "x",
                "meta": {"k": 1}}
-        with pytest.raises(ParseError, match=r"c\.00000\.jsonl:2: .*meta"):
+        with pytest.raises(ValidationError, match=r"c\.00000\.jsonl:2: .*meta"):
             self.read_lines(tmp_path, doc)
 
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
@@ -132,6 +137,49 @@ class TestParseDocumentRecord:
         doc = make_document("d", "s", "code", text)
         with tempfile.TemporaryDirectory() as root:
             assert self.read_back([doc], root) == [doc]
+
+
+# Field values for Document(...), each valid or not: strings without lone
+# surrogates (which UTF-8 cannot write), other JSON values, unknown classes,
+# bools and negative, None or float token counts, meta values of any type.
+_STRINGS = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                   max_size=12)
+_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                    _STRINGS, st.lists(st.integers(), max_size=2))
+_FIELDS = {
+    "id": st.one_of(_STRINGS, _VALUES),
+    "source_id": st.one_of(_STRINGS, _STRINGS, _VALUES),
+    "data_class": st.one_of(st.sampled_from(DATA_CLASSES), _VALUES),
+    "text": st.one_of(_STRINGS, _STRINGS, _VALUES),
+    "token_count": st.one_of(st.none(), st.integers(-3, 10**20), _VALUES),
+    "meta": st.one_of(st.dictionaries(_STRINGS, _STRINGS, max_size=3),
+                      st.dictionaries(_STRINGS, _VALUES, max_size=2), _VALUES),
+}
+
+
+def _follows_contract(f):
+    """The document contract, written out from its description."""
+    count = f["token_count"]
+    return (all(isinstance(f[k], str)
+                for k in ("id", "source_id", "data_class", "text"))
+            and f["id"] != "" and f["data_class"] in DATA_CLASSES
+            and (count is None or type(count) is int and count >= 0)
+            and isinstance(f["meta"], dict)
+            and all(isinstance(v, str) for v in f["meta"].values()))
+
+
+class TestDocumentContract:
+    @given(st.fixed_dictionaries(_FIELDS))
+    def test_built_is_read_back_or_refused(self, fields):
+        try:
+            doc = Document(**fields)
+        except ValidationError:
+            assert not _follows_contract(fields)
+            return
+        assert _follows_contract(fields)
+        with tempfile.TemporaryDirectory() as root:
+            write_corpus([doc], os.path.join(root, "c"))
+            assert list(read_corpus(os.path.join(root, "c"))) == [doc]
 
 
 class TestComputeStats:

@@ -25,6 +25,7 @@ from corpusforge.pipeline import (
 from conftest import build_pipeline_fixture, make_random_docs
 from corpusforge.corpus import DuplicateIdError, read_corpus, write_corpus
 from corpusforge.ingest import IngestError
+from corpusforge.mix import MixError
 from corpusforge.quality import QualityError
 from corpusforge.scaling import ScalingError
 
@@ -123,6 +124,24 @@ class TestValidation:
         assert event["event"] == "config_error"
         assert event["field"] == f"stages[{stage['name']}].{field}"
         assert not (tmp_path / "out.json").exists()
+
+    # Values that a cast would bend into the field's type: dict() of an
+    # array of pairs, int() and float() of a string, list() of an object.
+    @pytest.mark.parametrize("stage,field", [
+        ({"name": "annotate", "corpus": "f.json",
+          "backend": [["kind", "file"], ["labels", "f.json"]]}, "backend"),
+        ({"name": "mix", "spec": "f.json", "pools": [["a", "f.json"]]},
+         "pools"),
+        ({"name": "embed", "corpus": "f.json", "dims": "5"}, "dims"),
+        ({"name": "filter", "corpus": "f.json", "scores": "f.json",
+          "keep_fraction": "0.5"}, "keep_fraction"),
+        ({"name": "optimize", "fits": {"f.json": 1}}, "fits")],
+        ids=["backend_pairs", "pools_pairs", "int_string", "float_string",
+             "list_object"])
+    def test_bent_value_exits_2_and_names_it(self, tmp_path, capsys, stage,
+                                             field):
+        self.test_mistyped_field_exits_2_and_names_it(tmp_path, capsys,
+                                                      stage, field)
 
     @pytest.mark.parametrize("seed", [1.5, True, "abc"])
     def test_mistyped_rng_seed_exits_2_and_names_it(self, tmp_path, capsys,
@@ -349,6 +368,48 @@ class TestValidation:
         with pytest.raises(StageError, match=r"obs\.jsonl:3: .*finite") as info:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, ScalingError)
+
+    # A data file takes JSON numbers and strings as they are: a string
+    # holding a number is not a number, an array of pairs is not an object.
+    @pytest.mark.parametrize("stage,file,text,error", [
+        ({"name": "ingest", "manifest": "m.json"}, "m.json", json.dumps(
+            [{"name": 5, "kind": "text", "format": "plain_text",
+              "origin": "o.jsonl"}]), IngestError),
+        ({"name": "ingest", "manifest": "m.json"}, "m.json", json.dumps(
+            [{"name": "s", "kind": "text", "format": "plain_text",
+              "origin": 5}]), IngestError),
+        ({"name": "ingest", "manifest": "m.json"}, "m.json", json.dumps(
+            [{"name": "s", "kind": "text", "format": "plain_text",
+              "origin": "o.jsonl", "declared_tokens": "12"}]), IngestError),
+        ({"name": "mix", "spec": "spec.json", "pools": {"text": "c"}},
+         "spec.json", json.dumps({"ratios": [["text", 1]],
+                                  "total_token_budget": 5}), MixError),
+        ({"name": "mix", "spec": "spec.json", "pools": {"text": "c"}},
+         "spec.json", json.dumps({"ratios": {"text": 1},
+                                  "total_token_budget": 2.7}), MixError),
+        ({"name": "mix", "spec": "spec.json", "pools": {"text": "c"}},
+         "spec.json", json.dumps({"ratios": {"text": True},
+                                  "total_token_budget": 5}), MixError),
+        ({"name": "fit", "obs": "obs.jsonl"}, "obs.jsonl:1",
+         "".join(json.dumps({"x": x, "loss": 1.0, "benchmark": "b"}) + "\n"
+                 for x in ("0.1", 0.2, 0.3, 0.4)), ScalingError),
+        ({"name": "optimize", "fits": ["fit.json"]}, "fit.json", json.dumps(
+            {"c": "0.5", "k": 0.7, "alpha": -0.3}), ScalingError)],
+        ids=["source_name", "source_origin", "declared_tokens",
+             "ratios_pairs", "budget_fraction", "ratio_bool", "obs_x",
+             "fit_c"])
+    def test_data_value_of_another_json_type_fails_naming_the_file(
+            self, tmp_path, stage, file, text, error):
+        write_corpus(make_random_docs(3, seed=2), str(tmp_path / "c"))
+        (tmp_path / "o.jsonl").write_text('{"text": "a b"}\n')
+        (tmp_path / file.split(":")[0]).write_text(text)
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"out": "out", **stage}]}
+        with pytest.raises(StageError, match=re.escape(
+                f"{tmp_path / file}: ")) as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, error)
+        assert not list(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("backend,field", [
         ({"kind": "file"}, "labels"), ({"kind": "file", "labels": None}, "labels"),
