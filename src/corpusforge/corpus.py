@@ -86,15 +86,13 @@ class Document:
                 isinstance(k, str) and isinstance(v, str)
                 for k, v in self.meta.items()):
             raise ValidationError("field 'meta' must be a string-to-string map")
+        joined = "".join((self.id, self.source_id, self.text, *self.meta,
+                          *self.meta.values()))  # one test; isascii is O(1)
+        if not joined.isascii() and _SURROGATE.search(joined):
+            raise ValidationError("a string holds a surrogate (U+D800-DFFF)")
 
     def with_meta(self, **extra: str) -> "Document":
         return replace(self, meta={**self.meta, **extra})
-
-
-def make_document(id: str, source_id: str, data_class: str, text: str,
-                  meta: dict | None = None) -> Document:
-    """Build a Document with token_count computed from the text."""
-    return Document(id, source_id, data_class, text, meta=dict(meta or {}))
 
 
 def _document(obj, _lineno: int) -> Document:
@@ -150,7 +148,9 @@ def _unique(docs: Iterable[Document]) -> Iterator[Document]:
 # What a parse may raise on a record it rejects, raised as the reader's error
 # (OverflowError: a JSON integer too large for a float).
 PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
-_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # what surrogateescape makes
+# Surrogate code points: a str holding one cannot be written as UTF-8. In a
+# line read with surrogateescape, each stands for a byte that is not UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 # The JSON values that convert takes for each type, and how to name them.
@@ -177,7 +177,7 @@ def read_lines(path: str, error: type) -> Iterator:
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line.isascii() and (bad := _NOT_UTF8.search(line)):
+            if not line.isascii() and (bad := _SURROGATE.search(line)):
                 raise error(f"{path}:{lineno}: invalid UTF-8 byte "
                             f"0x{ord(bad[0]) - 0xDC00:02x}")
             if line:
@@ -200,6 +200,23 @@ def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
         except PARSE_ERRORS as exc:
             raise error(f"{path}:{lineno}: {exc!r}") from exc
         yield record
+
+
+def read_keyed(path: str, key: str, parse: Callable, error: type) -> dict:
+    """{record[key]: parse(record, lineno)} of the records of a JSON Lines
+    file, read as read_jsonl reads it, in file order; a key already seen
+    raises `error` with the `path:lineno:` prefix."""
+    out = {}
+
+    def keyed(record, lineno):
+        value = parse(record, lineno)
+        if record[key] in out:
+            raise error(f"duplicate {key} {record[key]!r}")
+        return record[key], value
+
+    for record_key, value in read_jsonl(path, keyed, error):
+        out[record_key] = value
+    return out
 
 
 def read_json(path: str, parse: Callable, error: type):

@@ -219,12 +219,15 @@ def load_external_embeddings(path: str) -> Embeddings:
 def _check_record(obj, rows: dict) -> None:
     """Check a decoded {"id", "v"} record against the unit rows before it
     (`rows`, by id), as a load does, and add its row, unit-normalized."""
-    doc_id, row = obj["id"], np.asarray(obj["v"], dtype=np.float64)
+    doc_id, v = obj["id"], obj["v"]
     if not isinstance(doc_id, str):
         raise EmbedError(f"id must be a string, got {doc_id!r}")
     if doc_id in rows:
         raise EmbedError(f"duplicate id {doc_id!r}")
-    if row.ndim != 1 or not np.isfinite(norm := np.linalg.norm(row)):
+    if not (isinstance(v, list) and set(map(type, v)) <= {int, float}):
+        raise EmbedError(f"v must be an array of numbers, got {v!r:.80}")
+    row = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(norm := np.linalg.norm(row)):
         raise EmbedError("not a finite vector")
     dims = len(next(iter(rows.values()), row))
     if len(row) != dims:

@@ -8,7 +8,7 @@ frontier breadth-first with an optional documentation-keyword filter.
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
-from .corpus import convert, read_json, read_jsonl
+from .corpus import convert, read_json, read_keyed
 
 SOURCE_KINDS = ("documentation", "trajectory", "code", "text")
 SOURCE_FORMATS = ("dialog", "react", "nl_plan", "api_seq", "json", "qa",
@@ -127,18 +127,12 @@ def filter_doc_urls(urls, keywords) -> set:
 def load_link_graph(path: str) -> dict:
     """Read a JSONL link graph: one {"url": ..., "out": [...]} per line,
     each url on one line only."""
-    graph = {}
-
     def parse(obj, _):
         url, out = obj["url"], obj["out"]
         if not (isinstance(url, str) and isinstance(out, list)
                 and all(isinstance(u, str) for u in out)):
             raise IngestError('expected a string "url" and an array of '
                               'string "out" URLs')
-        if url in graph:
-            raise IngestError(f"duplicate url {url!r}")
-        return url, out
+        return out
 
-    for url, out in read_jsonl(path, parse, IngestError):
-        graph[url] = out
-    return graph
+    return read_keyed(path, "url", parse, IngestError)

@@ -27,9 +27,9 @@ from . import quality as quality_mod
 from . import retrieve as retrieve_mod
 from . import scaling as scaling_mod
 from .classifier import FilterHyperparams, load_model, save_model, train_filter
-from .corpus import (compute_stats, convert, make_document, read_corpus,
-                     read_jsonl, read_lines, sha256_file, write_corpus,
-                     write_json, write_lines)
+from .corpus import (Document, compute_stats, convert, read_corpus,
+                     read_jsonl, read_keyed, read_lines, sha256_file,
+                     write_corpus, write_json, write_lines)
 
 
 class ConfigError(Exception):
@@ -202,13 +202,9 @@ def _ingest(run, manifest=INPUT, out=OUTPUT):
                         'expected a JSON object with a string "text" and an '
                         'optional string "id"')
                 # Default ids count physical lines, blank ones included.
-                return make_document(
-                    id=obj.get("id", f"{spec.name}:{lineno}"),
-                    source_id=spec.name,
-                    data_class=data_class,
-                    text=obj["text"],
-                    meta={"origin": spec.origin},
-                )
+                return Document(obj.get("id", f"{spec.name}:{lineno}"),
+                                spec.name, data_class, obj["text"],
+                                meta={"origin": spec.origin})
             yield from read_jsonl(run.input(spec.origin, "stages[ingest].origin"), parse,
                                   ingest_mod.IngestError)
 
@@ -295,9 +291,9 @@ def _train_filter(run, corpus=INPUT, labels=INPUT, out=OUTPUT,
                   epochs=Field(int, 3),
                   bucket_count=Field(int, 2_000_000, flag="--buckets"),
                   seed=Field(int, RUN_SEED, flag=None)):
-    label_of = quality_mod.FileLabelBackend(labels).labels
-    samples = [(doc.text, label_of[doc.id]) for doc in read_corpus(corpus)
-               if doc.id in label_of]
+    labeled = quality_mod.FileLabelBackend(labels).samples
+    samples = [(doc.text, labeled[doc.id].label) for doc in read_corpus(corpus)
+               if doc.id in labeled]
     model = train_filter(samples, FilterHyperparams(
         dims=dims, learning_rate=learning_rate, word_ngram_max=word_ngram_max,
         min_count=min_count, epochs=epochs, bucket_count=bucket_count,
@@ -316,19 +312,13 @@ def _score(run, model=INPUT, corpus=INPUT, out=OUTPUT):
 
 def _filter(run, corpus=INPUT, scores=INPUT, out=OUTPUT,
             keep_fraction=Field(float)):
-    score_of = {}
-
     def parse(obj, _):
-        doc_id, score = obj["id"], convert(float, obj["score"])
-        if doc_id in score_of:
-            raise quality_mod.QualityError(f"duplicate score for id {doc_id!r}")
-        if not 0.0 <= score <= 1.0:
+        if not 0.0 <= (score := convert(float, obj["score"])) <= 1.0:
             raise quality_mod.QualityError(
                 f"score must be a number in [0, 1], got {score!r}")
-        return doc_id, score
+        return score
 
-    for doc_id, score in read_jsonl(scores, parse, quality_mod.QualityError):
-        score_of[doc_id] = score
+    score_of = read_keyed(scores, "id", parse, quality_mod.QualityError)
     scored, no_score = [], 0
     for doc in read_corpus(corpus):
         if doc.id in score_of:

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from importlib import resources
 
 from .classifier import LABELS
-from .corpus import read_jsonl, write_lines
+from .corpus import read_keyed, write_lines
 
 ANNOTATOR_PROMPT_ASSET = "llm_annotator.txt"
 
@@ -35,8 +35,9 @@ class LabeledSample:
     annotator: str
 
     def __post_init__(self):
-        if not isinstance(self.doc_id, str):
-            raise QualityError(f"doc_id must be a string, got {self.doc_id!r}")
+        for name in ("doc_id", "annotator"):
+            if not isinstance(value := getattr(self, name), str):
+                raise QualityError(f"{name} must be a string, got {value!r}")
         if self.label not in LABELS:
             raise QualityError(f"label must be one of {LABELS}, got {self.label!r}")
 
@@ -77,25 +78,13 @@ class FileLabelBackend:
     name = "file"
 
     def __init__(self, path: str):
-        self.labels = {}
-        self.annotators = {}
-
-        def parse(obj, _):
-            sample = LabeledSample(obj["doc_id"], obj["label"],
-                                   obj.get("annotator", "file"))
-            if sample.doc_id in self.labels:
-                raise QualityError(f"duplicate doc_id {sample.doc_id!r}")
-            return sample
-
-        for s in read_jsonl(path, parse, QualityError):
-            self.labels[s.doc_id] = s.label
-            self.annotators[s.doc_id] = s.annotator
+        self.samples = read_keyed(path, "doc_id", lambda obj, _: LabeledSample(
+            obj["doc_id"], obj["label"], obj.get("annotator", "file")),
+            QualityError)
 
     def annotate(self, doc, prompt: str):
-        label = self.labels.get(doc.id)
-        if label is None:
-            return None, None
-        return label, self.annotators[doc.id]
+        sample = self.samples.get(doc.id)
+        return (sample.label, sample.annotator) if sample else (None, None)
 
 
 class HttpAnnotationBackend:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from corpusforge.corpus import make_document
+from corpusforge.corpus import Document
 from corpusforge.embed import Embeddings, unit_row
 
 # `pytest --hypothesis-profile=ci`: the same examples on every run, and
@@ -42,7 +42,7 @@ def make_random_docs(n, seed=7, classes=("agent_doc", "agent_traj", "code", "tex
     for i in range(n):
         length = int(rng.integers(1, 40))
         text = " ".join(rng.choice(words, size=length))
-        docs.append(make_document(
+        docs.append(Document(
             id=f"doc{i:06d}",
             source_id="synthetic",
             data_class=classes[int(rng.integers(len(classes)))],
@@ -111,7 +111,7 @@ def build_pipeline_fixture(root):
     for i in range(2000):
         agent_like = i % 2 == 0
         vocab = AGENT_VOCAB if agent_like else GENERAL_VOCAB
-        web_docs.append(make_document(
+        web_docs.append(Document(
             id=f"web-{i:05d}", source_id="webcrawl", data_class="text",
             text=text_from(vocab)))
     write_corpus(web_docs, os.path.join(root, "web"), docs_per_shard=500)
@@ -146,7 +146,7 @@ def build_pipeline_fixture(root):
 
     # Extra pools for the final mix.
     for pool, vocab in (("textpool", GENERAL_VOCAB), ("codepool", GENERAL_VOCAB)):
-        docs = [make_document(f"{pool}-{i:04d}", pool, "text", text_from(vocab))
+        docs = [Document(f"{pool}-{i:04d}", pool, "text", text_from(vocab))
                 for i in range(400)]
         write_corpus(docs, os.path.join(root, pool), docs_per_shard=500)
 

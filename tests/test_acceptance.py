@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from corpusforge.classifier import FilterHyperparams, save_model, train_filter
-from corpusforge.corpus import make_document
+from corpusforge.corpus import Document
 from corpusforge.mix import MixSpec, compose_to_dir
 from corpusforge.pipeline import run_pipeline
 from corpusforge.quality import evaluate_filter, filter_by_rank
@@ -119,8 +119,8 @@ def test_05_rank_and_keep_ratio():
     scored = []
     for i in range(1000):
         length = int(rng.integers(1, 80))
-        scored.append((make_document(f"d{i:05d}", "s", "text",
-                                     " ".join(["w"] * length)),
+        scored.append((Document(f"d{i:05d}", "s", "text",
+                                " ".join(["w"] * length)),
                        float(rng.random())))
     total = sum(d.token_count for d, _ in scored)
     kept = filter_by_rank(scored, 0.4)
@@ -187,8 +187,8 @@ def test_09_mixture_ratios(tmp_path):
         i = 0
         while total < 1_000_000:
             length = int(rng.integers(50, 150))
-            docs.append(make_document(f"{name}-{i:06d}", name, "text",
-                                      " ".join(["w"] * length)))
+            docs.append(Document(f"{name}-{i:06d}", name, "text",
+                                 " ".join(["w"] * length)))
             total += length
             i += 1
         pools[name] = docs

@@ -18,7 +18,6 @@ from corpusforge.corpus import (
     ValidationError,
     compute_stats,
     count_tokens,
-    make_document,
     read_corpus,
     run_table,
     serialize_document,
@@ -79,8 +78,8 @@ class TestParseDocumentRecord:
         return list(read_corpus(str(tmp_path / "c")))
 
     def test_round_trip(self, tmp_path):
-        doc = make_document("d1", "s1", "agent_doc", "call the api",
-                            meta={"url": "https://x"})
+        doc = Document("d1", "s1", "agent_doc", "call the api",
+                       meta={"url": "https://x"})
         assert self.read_back([doc], str(tmp_path)) == [doc]
 
     def test_token_count_recomputed_when_absent(self, tmp_path):
@@ -134,7 +133,7 @@ class TestParseDocumentRecord:
 
     @given(st.text(alphabet=st.characters(blacklist_categories=("Cs",))))
     def test_round_trip_any_text(self, text):
-        doc = make_document("d", "s", "code", text)
+        doc = Document("d", "s", "code", text)
         with tempfile.TemporaryDirectory() as root:
             assert self.read_back([doc], root) == [doc]
 
@@ -181,6 +180,24 @@ class TestDocumentContract:
             write_corpus([doc], os.path.join(root, "c"))
             assert list(read_corpus(os.path.join(root, "c"))) == [doc]
 
+    @pytest.mark.parametrize("fields", [
+        {"id": "d\ud800"}, {"source_id": "\udfff"}, {"text": "a \ud800 b"},
+        {"meta": {"k\udc80": "v"}}, {"meta": {"k": "\udbff"}}],
+        ids=["id", "source_id", "text", "meta_key", "meta_value"])
+    def test_lone_surrogate_refused(self, fields):
+        with pytest.raises(ValidationError, match="surrogate"):
+            Document(**{"id": "d", "source_id": "s", "data_class": "text",
+                        "text": "x", **fields})
+
+    def test_shard_line_with_escaped_surrogate_names_line(self, tmp_path):
+        doc = Document("d0", "s", "text", "fine")
+        (tmp_path / "c.00000.jsonl").write_text(
+            serialize_document(doc) + "\n\n" + '{"id": "d1", "source_id": "s", '
+            '"data_class": "text", "text": "a \\ud800 b"}\n')
+        with pytest.raises(ValidationError,
+                           match=r"c\.00000\.jsonl:3: .*surrogate"):
+            list(read_corpus(str(tmp_path / "c")))
+
 
 class TestComputeStats:
     def test_empty_stream(self):
@@ -189,7 +206,7 @@ class TestComputeStats:
         assert all(v == 0 for v in stats.tokens_by_class.values())
 
     def test_small_arithmetic(self):
-        docs = [make_document(f"d{i}", "s", cls, "t1 t2 t3 t4 t5")
+        docs = [Document(f"d{i}", "s", cls, "t1 t2 t3 t4 t5")
                 for i, cls in enumerate(["agent_doc", "code", "text"])]
         stats = compute_stats(docs)
         assert stats.tokens_by_class == {"agent_doc": 5, "agent_traj": 0,
@@ -207,7 +224,7 @@ class TestComputeStats:
         assert stats.total_tokens == sum(expected.values())
 
     def test_duplicate_id_error(self):
-        doc = make_document("dup", "s", "text", "x")
+        doc = Document("dup", "s", "text", "x")
         with pytest.raises(DuplicateIdError, match="dup"):
             compute_stats([doc, doc])
 
@@ -266,7 +283,7 @@ class TestShardIO:
         old = make_random_docs(30, seed=1)
         write_corpus(old, prefix, docs_per_shard=10)
         docs = make_random_docs(20, seed=3)
-        clash = make_document(docs[2].id, "other", "text", "same id again")
+        clash = Document(docs[2].id, "other", "text", "same id again")
         with pytest.raises(DuplicateIdError, match=re.escape(repr(clash.id))):
             write_corpus(docs + [clash], prefix, docs_per_shard=10)
         assert list(read_corpus(prefix)) == old
@@ -278,7 +295,7 @@ class TestShardIO:
     def test_repeated_id_on_read_names_shard_and_id(self, tmp_path, shards):
         for index, ids in enumerate(shards):
             (tmp_path / f"c.{index:05d}.jsonl").write_text("".join(
-                serialize_document(make_document(i, "s", "text", "x")) + "\n"
+                serialize_document(Document(i, "s", "text", "x")) + "\n"
                 for i in ids))
         last = re.escape(str(tmp_path / f"c.{len(shards) - 1:05d}.jsonl"))
         with pytest.raises(DuplicateIdError, match=last + ": .*'a'"):
@@ -296,7 +313,7 @@ class TestShardIO:
 
 class TestRunTable:
     def _half_bad_shard(self, tmp_path):
-        doc = make_document("d0", "s", "text", "first document")
+        doc = Document("d0", "s", "text", "first document")
         (tmp_path / "c.00000.jsonl").write_text(
             serialize_document(doc) + "\n{not json\n")
         return doc, str(tmp_path / "c")

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from corpusforge import corpus as corpus_mod
 from corpusforge import embed as embed_mod
-from corpusforge.corpus import make_document, run_table
+from corpusforge.corpus import Document, run_table
 from corpusforge.embed import (
     EmbedError,
     EmbedderConfig,
@@ -224,7 +224,7 @@ class TestEmbedder:
         assert repr(used) == repr(fresh)
 
     def test_embed_document_uses_text(self):
-        doc = make_document("d", "s", "text", "hello world text")
+        doc = Document("d", "s", "text", "hello world text")
         a = embed_document(doc, CFG)
         b = embed_text("hello world text", CFG)
         np.testing.assert_array_equal(a, b)
@@ -269,6 +269,16 @@ class TestExternalEmbeddings:
         path.write_text(json.dumps({"id": "a", "v": [1.0, 0.0]}) + "\n"
                         + '{"id": "b", "v": %s}\n' % v)
         with pytest.raises(EmbedError, match=":2:"):
+            load_external_embeddings(str(path))
+
+    # A numeric string or a boolean would cast to a float; null is no array.
+    @pytest.mark.parametrize("v", ['["0.6", "0.8"]', "[true, 0]", "null"])
+    def test_vector_of_non_numbers_names_line(self, tmp_path, v):
+        path = tmp_path / "vecs.jsonl"
+        path.write_text(json.dumps({"id": "a", "v": [1.0, 0.0]}) + "\n"
+                        + '{"id": "b", "v": %s}\n' % v)
+        with pytest.raises(EmbedError,
+                           match=r"vecs\.jsonl:2: v must be an array of numbers"):
             load_external_embeddings(str(path))
 
     @pytest.mark.parametrize("doc_id", ['["a"]', "1", "null"])

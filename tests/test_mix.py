@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from corpusforge.corpus import compute_stats, make_document, read_corpus
+from corpusforge.corpus import Document, compute_stats, read_corpus
 from corpusforge.mix import (
     MixError,
     MixManifest,
@@ -22,8 +22,8 @@ def make_pool(name, n_docs, tokens_per_doc=None, seed=0, data_class="text"):
     docs = []
     for i in range(n_docs):
         length = tokens_per_doc or int(rng.integers(5, 60))
-        docs.append(make_document(f"{name}-{i:05d}", name, data_class,
-                                  " ".join(["tok"] * length)))
+        docs.append(Document(f"{name}-{i:05d}", name, data_class,
+                             " ".join(["tok"] * length)))
     return docs
 
 
@@ -103,7 +103,7 @@ class TestComposeMixture:
             compose_mixture({}, MixSpec({"a": 1}, 100, rng_seed=1))
 
     def test_same_id_drawn_from_two_pools_error(self):
-        pools = {name: [make_document("same", name, "text", "t t")]
+        pools = {name: [Document("same", name, "text", "t t")]
                  for name in ("a", "b")}
         with pytest.raises(MixError, match="'same' drawn twice"):
             compose_mixture(pools, MixSpec({"a": 1, "b": 1}, 4, rng_seed=1))
@@ -114,8 +114,8 @@ class TestComposeMixture:
         the class furthest below its target share (ties by name) gives."""
         names = data.draw(st.lists(st.sampled_from("abcd"), min_size=1,
                                    max_size=4, unique=True))
-        pools = {name: [make_document(f"{name}{i}", name, "text",
-                                      " ".join(["t"] * n))
+        pools = {name: [Document(f"{name}{i}", name, "text",
+                                 " ".join(["t"] * n))
                         for i, n in enumerate(data.draw(st.lists(
                             st.integers(0, 6), min_size=1, max_size=12)))]
                  for name in names}

@@ -238,6 +238,21 @@ class TestValidation:
             run_pipeline(config)
         assert isinstance(info.value.__cause__, IngestError)
 
+    def test_origin_line_with_escaped_surrogate_names_file_and_line(
+            self, tmp_path):
+        (tmp_path / "m.json").write_text(json.dumps([
+            {"name": "s", "kind": "text", "format": "plain_text",
+             "origin": "o.jsonl"}]))
+        (tmp_path / "o.jsonl").write_text(
+            '{"text": "fine"}\n{"text": "a \\ud800 b"}\n')
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "ingest", "manifest": "m.json",
+                              "out": "seed"}]}
+        with pytest.raises(StageError, match=r"o\.jsonl:2: .*surrogate") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, corpus_mod.ValidationError)
+        assert not list(tmp_path.glob("seed*"))
+
     def test_invalid_utf8_shard_names_file_and_line(self, tmp_path):
         write_corpus(make_random_docs(2, seed=4), str(tmp_path / "c"))
         shard = tmp_path / "c.00000.jsonl"

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 
 from corpusforge.classifier import FilterHyperparams, train_filter
-from corpusforge.corpus import make_document
+from corpusforge.corpus import Document
 from corpusforge.quality import (
     FileLabelBackend,
     HttpAnnotationBackend,
@@ -104,7 +104,7 @@ class TestPromptAssets:
 
 class TestAnnotateBatch:
     def _docs(self, n=3):
-        return [make_document(f"d{i}", "s", "text", f"doc number {i}")
+        return [Document(f"d{i}", "s", "text", f"doc number {i}")
                 for i in range(n)]
 
     def test_file_backend_lookup(self, tmp_path):
@@ -290,7 +290,7 @@ class TestAnnotateBatch:
         path = tmp_path / "out.jsonl"
         save_labels(samples, str(path))
         backend = FileLabelBackend(str(path))
-        assert backend.labels == {"d0": "agent"}
+        assert backend.samples == {"d0": samples[0]}
 
     @pytest.mark.parametrize("doc_id", ['["d0"]', "7"])
     def test_non_string_doc_id_names_line(self, tmp_path, doc_id):
@@ -298,6 +298,13 @@ class TestAnnotateBatch:
         path.write_text('{"doc_id": "d1", "label": "agent"}\n'
                         '{"doc_id": %s, "label": "agent"}\n' % doc_id)
         with pytest.raises(QualityError, match=r"labels\.jsonl:2: .*string"):
+            FileLabelBackend(str(path))
+
+    def test_non_string_annotator_names_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"doc_id": "d0", "label": "agent", "annotator": 5}\n')
+        with pytest.raises(QualityError,
+                           match=r"labels\.jsonl:1: annotator must be a string"):
             FileLabelBackend(str(path))
 
     def test_repeated_doc_id_names_line(self, tmp_path):
@@ -397,8 +404,8 @@ class TestFilterByRank:
         docs = []
         for i in range(n):
             length = int(rng.integers(1, 50))
-            docs.append((make_document(f"d{i:05d}", "s", "text",
-                                       " ".join(["w"] * length)),
+            docs.append((Document(f"d{i:05d}", "s", "text",
+                                  " ".join(["w"] * length)),
                          float(rng.random())))
         return docs
 
@@ -410,7 +417,7 @@ class TestFilterByRank:
         assert scores == sorted(scores, reverse=True)
 
     def test_forty_percent_equal_lengths(self):
-        docs = [(make_document(f"d{i:03d}", "s", "text", "a b c d e"),
+        docs = [(Document(f"d{i:03d}", "s", "text", "a b c d e"),
                  i / 100) for i in range(100)]
         kept = filter_by_rank(docs, 0.4)
         assert len(kept) == 40
@@ -451,6 +458,6 @@ class TestFilterByRank:
             filter_by_rank(self._scored(5), 1.5)
 
     def test_bad_score(self):
-        doc = make_document("d", "s", "text", "x")
+        doc = Document("d", "s", "text", "x")
         with pytest.raises(QualityError):
             filter_by_rank([(doc, 1.5)], 0.5)
