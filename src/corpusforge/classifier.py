@@ -10,23 +10,24 @@ learning rate. Training is deterministic given (sample order, rng_seed).
 Only buckets that training touches get a stored row: row_ids, ascending
 uint64 bucket ids, and embedding_rows, their (n, dims) float64 table. An
 initial row is SplitMix64 draws 1..dims from a per-bucket seed, mapped
-to [-1/dims, 1/dims). Scoring regenerates the initial row of each
-untrained bucket it meets and keeps none, so this initializer is part of
-the model format (version 2).
+to [-1/dims, 1/dims); `embed.mix64` is the draws' finalizer. Scoring
+regenerates the initial row of each untrained bucket it meets and keeps
+none, so this initializer is part of the model format (version 2).
 
 Each model memoizes its grams' buckets in a dict that save_model never
-writes, and hashes a document's new grams in one stable_hashes call.
+writes, and hashes a document's new grams in one stable_hashes call: keyed
+blake2b, which the embedder's n-grams no longer share.
 """
 
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .corpus import replacing
-from .embed import stable_hash64, stable_hashes
+from .corpus import convert, replacing
+from .embed import mix64, stable_hash64, stable_hashes
 
 LABELS = ("agent", "general")
 LABEL_INDEX = {"agent": 0, "general": 1}
@@ -58,6 +59,9 @@ class FilterHyperparams:
             raise ClassifierError("learning_rate, epochs, bucket_count must be positive")
         if self.bucket_count >= 2**64:
             raise ClassifierError("bucket_count must be below 2**64 (uint64 ids)")
+
+
+_HYPERPARAM_TYPES = {f.name: f.type for f in fields(FilterHyperparams)}
 
 
 def tokenize(text: str) -> list:
@@ -100,10 +104,9 @@ _SEED_BLOCK_ROWS = 64  # rows per block of uint64 draws: 128 kB at dims 256
 
 
 def _seed_rows(seeds, dims: int):
-    """SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) draws 1..dims from
-    each seed, as doubles in [0, 1) mapped to [-1/dims, 1/dims): one row
-    per seed, in one (n, dims) array. uint64 arithmetic wraps, as the
-    generator needs."""
+    """SplitMix64 draws 1..dims from each seed (`embed.mix64` of the seed
+    plus k * 0x9E3779B97F4A7C15), as doubles in [0, 1) mapped to
+    [-1/dims, 1/dims): one row per seed, in one (n, dims) array."""
     u64 = np.uint64
     seeds = np.asarray(seeds, dtype=u64).reshape(-1, 1)
     steps = np.arange(1, dims + 1, dtype=u64) * u64(0x9E3779B97F4A7C15)
@@ -117,12 +120,7 @@ def _seed_rows(seeds, dims: int):
     for start in range(0, len(seeds), _SEED_BLOCK_ROWS):
         block = seeds[start:start + _SEED_BLOCK_ROWS]
         z, t = z[:len(block)], t[:len(block)]  # only the last block is short
-        np.add(block, steps, out=z)
-        z ^= np.right_shift(z, u64(30), out=t)
-        z *= u64(0xBF58476D1CE4E5B9)
-        z ^= np.right_shift(z, u64(27), out=t)
-        z *= u64(0x94D049BB133111EB)
-        z ^= np.right_shift(z, u64(31), out=t)
+        mix64(np.add(block, steps, out=z), t)
         z >>= u64(11)
         rows = np.multiply(z, scale, out=table[start:start + len(block)])
         rows += -bound
@@ -300,8 +298,11 @@ def load_model(path: str) -> NgramLinearClassifier:
             version = header["format_version"]
             if version != MODEL_FORMAT_VERSION:
                 raise ValueError(f"unsupported format version {version}")
-            hp = FilterHyperparams(**header["hyperparams"])
-            vocab = header["vocab"]
+            hp = FilterHyperparams(**{
+                name: convert(_HYPERPARAM_TYPES[name], value)
+                for name, value in convert(dict, header["hyperparams"]).items()})
+            vocab = {token: convert(int, count)
+                     for token, count in convert(dict, header["vocab"]).items()}
             rows = header["rows"]
             _check_rows(rows, hp.bucket_count)
         except (ClassifierError, KeyError, TypeError, ValueError) as exc:

@@ -204,12 +204,15 @@ def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
 
 def read_keyed(path: str, key: str, parse: Callable, error: type) -> dict:
     """{record[key]: parse(record, lineno)} of the records of a JSON Lines
-    file, read as read_jsonl reads it, in file order; a key already seen
-    raises `error` with the `path:lineno:` prefix."""
+    file, read as read_jsonl reads it, in file order; a key that is not a
+    string or was already seen raises `error` with the `path:lineno:`
+    prefix."""
     out = {}
 
     def keyed(record, lineno):
         value = parse(record, lineno)
+        if not isinstance(record[key], str):
+            raise error(f"{key} must be a string, got {record[key]!r}")
         if record[key] in out:
             raise error(f"duplicate {key} {record[key]!r}")
         return record[key], value

@@ -5,14 +5,16 @@ buckets with signed hashing and L2-normalizes the bucket counts. It is a
 dependency-free, reproducible stand-in for an external dense encoder;
 real deployments load precomputed vectors with load_external_embeddings.
 
-Each distinct byte n-gram is hashed once per EmbedderConfig, which the
-embed stage builds once per call: the config memoizes every n-gram's
-signed bucket in two sorted array levels, so the vectors are those of
-hashing every occurrence. N-grams longer than 7 bytes do not fit the
-memo's packed keys and are hashed per occurrence.
+An n-gram's hash chains `mix64`, the SplitMix64 finalizer, byte by byte,
+wrapping mod 2**64: h_0 = mix64(hash_seed), and the n-gram that extends
+an (n-1)-gram by byte b hashes to h_n = mix64(h_{n-1} + (b + 1) *
+0x9E3779B97F4A7C15). So one array pass per n hashes every n-gram of a
+text. Each n-gram adds +1, or -1 when bit 63 of its hash is set, at
+bucket hash mod dims.
 
-stable_hashes, the one hashing primitive, hashes grams in bulk from one
-keyed state per call; stable_hash64 hashes one input.
+stable_hashes hashes grams in bulk with 8-byte keyed blake2b, one keyed
+state per call; stable_hash64 hashes one input. The classifier hashes its
+word grams and row seeds with them.
 
 A vectors file is parsed at most once per run: `corpus`'s run table holds
 the Embeddings a load returns, as it holds each shard's Documents, and
@@ -22,7 +24,7 @@ through the load's own per-record check. Loads share one read-only matrix.
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +33,9 @@ from .corpus import PARSE_ERRORS, parse_once, read_jsonl, write_lines
 
 class EmbedError(Exception):
     pass
+
+
+_U64 = np.uint64
 
 
 def stable_hashes(grams, seed: int) -> np.ndarray:
@@ -51,79 +56,30 @@ def stable_hash64(data: bytes, seed: int) -> int:
     return int(stable_hashes([data], seed)[0])
 
 
-def _gram_bytes(rows: np.ndarray) -> list:
-    """Each row of a 2-D uint8 array as one bytes object."""
-    return np.ascontiguousarray(rows).view(f"V{rows.shape[1]}")[:, 0].tolist()
-
-
-def _signed_buckets(grams, cfg: "EmbedderConfig") -> np.ndarray:
-    """Gram buckets, each ~bucket (< 0) when its hash's top bit is set."""
-    hashes = stable_hashes(grams, cfg.hash_seed)
-    buckets = (hashes % np.uint64(cfg.dims)).astype(np.int32)
-    return np.where(hashes >> np.uint64(63) != 0, ~buckets, buckets)
-
-
-# A packed key holds an n-gram of up to 7 bytes, first byte highest, under
-# its length n in the top byte.
-_PACKED_MAX_N = 7
-_EMPTY = (np.empty(0, np.uint64), np.empty(0, np.int32))  # (keys, values)
-_MERGE_EVERY = 4096
-
-
-def _unpacked(keys: np.ndarray) -> list:
-    """The n-gram bytes of ascending packed keys (so grouped by n)."""
-    rows = keys.astype(">u8").view(np.uint8).reshape(-1, 8)
-    ends = np.cumsum(np.bincount(rows[:, 0])).tolist()
-    return [gram for n in range(1, len(ends))
-            for gram in _gram_bytes(rows[ends[n - 1]:ends[n], 8 - n:])]
-
-
-def _merged(level: tuple, keys: np.ndarray, values: np.ndarray) -> tuple:
-    """The (keys, values) level with the ascending keys, new to it, added."""
-    new = np.zeros(len(level[0]) + len(keys), bool)
-    new[np.searchsorted(level[0], keys) + np.arange(len(keys))] = True
-    merged = tuple(np.empty(len(new), old.dtype) for old in level)
-    for out, old, added in zip(merged, level, (keys, values)):
-        out[new], out[~new] = added, old
-    return merged
-
-
-class _SignedBucketMemo:
-    """Packed n-gram key -> signed bucket for one (dims, hash_seed), in two
-    levels of ascending uint64 keys and int32 values. New keys join the
-    recent level; merging _MERGE_EVERY keys at a time copies main rarely."""
-
-    main = recent = _EMPTY  # each lookup replaces them, never mutates them
-
-    def lookup(self, keys: np.ndarray, cfg: "EmbedderConfig") -> np.ndarray:
-        """Buckets of ascending unique keys; new ones hashed in one call."""
-        values, miss = np.empty(len(keys), np.int32), np.arange(len(keys))
-        for level_keys, level_values in (self.main, self.recent):
-            if len(level_keys) and len(miss):  # [:-1] keeps pos a valid index
-                pos = np.searchsorted(level_keys[:-1], keys[miss])
-                hit = level_keys[pos] == keys[miss]
-                values[miss[hit]] = level_values[pos[hit]]
-                miss = miss[~hit]
-        if len(miss):
-            values[miss] = _signed_buckets(_unpacked(keys[miss]), cfg)
-            self.recent = _merged(self.recent, keys[miss], values[miss])
-            if len(self.recent[0]) >= _MERGE_EVERY:
-                self.main, self.recent = _merged(self.main, *self.recent), _EMPTY
-        return values
+def mix64(z: np.ndarray, t=None) -> np.ndarray:
+    """The SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014) of each
+    element of the uint64 array z, in place; `t`, a scratch array of z's
+    shape, saves an allocation. uint64 arithmetic wraps, as the mix needs;
+    every scalar is np.uint64, since numpy 1.x promotes uint64 mixed with
+    int64 to float64."""
+    t = np.empty_like(z) if t is None else t
+    z ^= np.right_shift(z, _U64(30), out=t)
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= np.right_shift(z, _U64(27), out=t)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= np.right_shift(z, _U64(31), out=t)
+    return z
 
 
 @dataclass(frozen=True)
 class EmbedderConfig:
-    """Embedder settings. `memo` caches signed buckets for these settings;
-    it lives as long as the config and takes no part in equality."""
+    """Embedder settings: `dims` buckets, n-grams of ngram_min to ngram_max
+    bytes, and the seed of the n-gram hash."""
 
     dims: int = 256
     ngram_min: int = 3
     ngram_max: int = 5
     hash_seed: int = 0
-    memo: _SignedBucketMemo = field(default_factory=_SignedBucketMemo,
-                                    init=False, repr=False, compare=False,
-                                    hash=False)
 
     def __post_init__(self):
         if self.dims < 2:
@@ -165,39 +121,27 @@ class Embeddings:
                           self.matrix[keep])
 
 
-def _packed_keys(data: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The packed key of every byte n-gram of `data` with lo <= n <= hi,
-    hi <= _PACKED_MAX_N; each n extends the (n-1)-gram keys by one byte."""
-    parts = []
-    grams = np.zeros(len(data) + 1, np.uint64)  # the empty gram at each start
-    for n in range(1, hi + 1):
-        grams = (grams[:-1] << 8) | data[n - 1:]
-        if n >= lo:
-            parts.append(grams | np.uint64(n << 56))
-    return np.concatenate(parts) if parts else np.empty(0, np.uint64)
-
-
 def embed_text(text: str, cfg: EmbedderConfig) -> np.ndarray:
-    """Signed-hashing character n-gram TF vector, L2-normalized.
+    """Signed-hashing byte n-gram TF vector, L2-normalized (module doc).
 
-    Empty or whitespace-only text has no n-grams and maps to the zero
+    Text of fewer than ngram_min bytes has no n-grams and maps to the zero
     vector; downstream retrieval excludes zero vectors instead of erroring.
     """
     data = np.frombuffer(text.encode("utf-8"), np.uint8)
-    keys = _packed_keys(data, cfg.ngram_min, min(cfg.ngram_max, _PACKED_MAX_N))
-    unique, inverse = np.unique(keys, return_inverse=True)
-    signed = cfg.memo.lookup(unique, cfg)[inverse]
-    long_n = range(max(cfg.ngram_min, _PACKED_MAX_N + 1),
-                   min(cfg.ngram_max, len(data)) + 1)
-    long_grams = [gram for n in long_n for gram in _gram_bytes(
-        np.lib.stride_tricks.sliding_window_view(data, n))]
-    if long_grams:
-        signed = np.concatenate([signed, _signed_buckets(long_grams, cfg)])
-    # Every count is a small integer, so the order of the adds is exact.
-    minus = signed < 0
-    counts = np.bincount(np.where(minus, ~signed, signed),
-                         weights=np.where(minus, -1.0, 1.0),
-                         minlength=cfg.dims)
+    steps = (data.astype(np.uint64) + _U64(1)) * _U64(0x9E3779B97F4A7C15)
+    start = mix64(np.array([cfg.hash_seed % 2**64], np.uint64))
+    grams = np.repeat(start, len(data))  # the empty gram at each start
+    scratch = np.empty_like(grams)
+    counts = np.zeros(cfg.dims)
+    for n in range(1, min(cfg.ngram_max, len(data)) + 1):
+        grams = grams[:len(data) - n + 1]  # each extends the (n-1)-gram
+        grams += steps[n - 1:]
+        mix64(grams, scratch[:len(grams)])
+        if n >= cfg.ngram_min:
+            # Every count is a small integer, so the order of the adds is exact.
+            counts += np.bincount((grams % _U64(cfg.dims)).astype(np.intp),
+                                  np.where(grams >> _U64(63), -1.0, 1.0),
+                                  cfg.dims)
     return unit_row(counts)
 
 

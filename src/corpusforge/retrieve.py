@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .corpus import read_jsonl, write_lines
+from .corpus import convert, read_keyed, write_lines
 from .embed import EmbedError, Embeddings
 
 
@@ -100,5 +100,11 @@ def save_hits(hits, path: str) -> None:
 
 
 def load_hits(path: str) -> list:
-    return list(read_jsonl(path, lambda obj, _: RetrievalHit(**obj),
-                           RetrieveError))
+    """The hits of a file save_hits wrote, in file order; each candidate
+    id appears once."""
+    def parse(obj, _):
+        if not isinstance(seed_id := obj["best_seed_id"], str):
+            raise RetrieveError(f"best_seed_id must be a string, got {seed_id!r}")
+        return RetrievalHit(**dict(obj, score=convert(float, obj["score"])))
+
+    return list(read_keyed(path, "candidate_id", parse, RetrieveError).values())

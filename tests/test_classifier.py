@@ -495,14 +495,15 @@ class TestModelFile:
             load_model(str(path))
 
     @staticmethod
-    def write_model(path, rows, version=MODEL_FORMAT_VERSION, **hyperparams):
+    def write_model(path, rows, version=MODEL_FORMAT_VERSION, vocab=None,
+                    **hyperparams):
         """A model file whose body fits its header: one zero row per entry
         of `rows`, then zero output weights."""
         hp = dict(asdict(FilterHyperparams(dims=2, bucket_count=10)),
                   **hyperparams)
         header = {"format_version": version, "hyperparams": hp,
-                  "vocab": {"a": 3}, "rows": rows}
-        floats = max(hp["dims"], 0) * (len(rows) + 2)
+                  "vocab": {"a": 3} if vocab is None else vocab, "rows": rows}
+        floats = int(max(hp["dims"], 0) * (len(rows) + 2))
         path.write_bytes(b"CFNG" + json.dumps(header).encode() + b"\n"
                          + bytes(8 * floats))
 
@@ -535,6 +536,17 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         self.write_model(path, [], **bad)
         with pytest.raises(ClassifierError, match=re.escape(f"{path}: ")):
+            load_model(str(path))
+
+    # Values that load at the wrong type and fail later, or fail unnamed.
+    @pytest.mark.parametrize("vocab, bad", [
+        (5, {}), ({"a": "3"}, {}), ({"a": 3}, {"dims": 2.5}),
+        ({"a": 3}, {"epochs": 2.5})])
+    def test_header_value_of_wrong_type_names_path(self, tmp_path, vocab, bad):
+        path = tmp_path / "model.bin"
+        self.write_model(path, [], vocab=vocab, **bad)
+        with pytest.raises(ClassifierError,
+                           match=re.escape(f"{path}: bad header")):
             load_model(str(path))
 
     def test_huge_dims_rejected_before_allocating(self, tmp_path):

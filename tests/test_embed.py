@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import struct
 import tempfile
 from unittest import mock
 
@@ -18,6 +20,7 @@ from corpusforge.embed import (
     embed_document,
     embed_text,
     load_external_embeddings,
+    mix64,
     save_embeddings,
     stable_hash64,
     stable_hashes,
@@ -29,19 +32,47 @@ from conftest import make_random_vectors
 CFG = EmbedderConfig(dims=64, hash_seed=42)
 
 
+MASK64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalizer(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def gram_hash(gram, seed):
+    """A byte n-gram's chained hash, in Python ints."""
+    h = splitmix64_finalizer(seed & MASK64)
+    for byte in gram:
+        h = splitmix64_finalizer((h + (byte + 1) * GOLDEN) & MASK64)
+    return h
+
+
 def reference_embed_text(text, cfg):
-    """The embedder as one blake2b call per n-gram occurrence, in text order."""
-    vec = np.zeros(cfg.dims, dtype=np.float64)
+    """The embedder as one chained hash per n-gram occurrence, in text
+    order, in plain Python: a list of floats."""
+    counts = [0] * cfg.dims
     data = text.encode("utf-8")
     for n in range(cfg.ngram_min, cfg.ngram_max + 1):
-        if len(data) < n:
-            break
         for i in range(len(data) - n + 1):
-            h = stable_hash64(data[i:i + n], cfg.hash_seed)
-            bucket = h % cfg.dims
-            sign = 1.0 if (h >> 63) & 1 == 0 else -1.0
-            vec[bucket] += sign
-    return unit_row(vec)
+            h = gram_hash(data[i:i + n], cfg.hash_seed)
+            counts[h % cfg.dims] += -1 if h >> 63 else 1
+    norm = math.sqrt(sum(c * c for c in counts))
+    return [c / norm if norm else 0.0 for c in counts]
+
+
+def assert_matches_reference(text, cfg):
+    got = embed_text(text, cfg)
+    assert got.dtype == np.float64
+    assert got.tobytes() == struct.pack(f"{cfg.dims}d",
+                                        *reference_embed_text(text, cfg))
+
+
+# Seeds that reduce mod 2**64 to the same key, and seeds on either side of
+# the wrap.
+HASH_SEEDS = [0, 1, -1, 2**64 - 1, 2**64, 2**64 + 1, -2**64, 2**63, 2**70 + 5]
 
 
 @st.composite
@@ -50,16 +81,11 @@ def embedder_configs(draw):
     return dict(dims=draw(st.integers(2, 300)), ngram_min=lo,
                 ngram_max=draw(st.integers(lo, 9)),
                 hash_seed=draw(st.integers(-2**64, -1) | st.integers(0, 2**64)
-                               | st.sampled_from([2**63, 2**64 - 1])))
+                               | st.sampled_from(HASH_SEEDS)))
 
 
 short_texts = st.text(max_size=12) | st.sampled_from(["", "a", "é", "ab "])
 texts = st.lists(short_texts | st.text(max_size=200), min_size=1, max_size=8)
-
-
-# Seeds that reduce mod 2**64 to the same key, and seeds on either side of
-# the wrap.
-HASH_SEEDS = [0, 1, -1, 2**64 - 1, 2**64, 2**64 + 1, -2**64, 2**63, 2**70 + 5]
 
 
 class TestStableHash:
@@ -101,50 +127,20 @@ class TestStableHashes:
         assert got.dtype == np.uint64 and got.shape == (0,)
 
 
-def byte_grams(texts, lo, hi):
-    """The distinct byte n-grams of the texts, lo <= n <= hi."""
-    return {data[i:i + n] for data in (t.encode("utf-8") for t in texts)
-            for n in range(lo, hi + 1) for i in range(len(data) - n + 1)}
+class TestMix64:
+    EDGES = [0, 1, 2**63, 2**64 - 1]
 
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=30))
+    def test_matches_scalar_finalizer(self, values):
+        values = self.EDGES + values
+        z = np.array(values, np.uint64)
+        assert mix64(z) is z
+        assert z.tolist() == [splitmix64_finalizer(v) for v in values]
 
-# Texts of 0 to 23 bytes, some with multi-byte characters.
-MEMO_TEXTS = ["call the weather api", "the api returns json é", "", "ab",
-              "call the api", "weather: 21°C", "tool use é", "get_id"]
-
-
-class TestMemoLevels:
-    def check(self, cfg, texts):
-        for text in texts + texts[::-1]:
-            assert embed_text(text, cfg).tobytes() == \
-                reference_embed_text(text, cfg).tobytes()
-        main, recent = cfg.memo.main[0], cfg.memo.recent[0]
-        assert np.all(np.diff(main) > 0) and np.all(np.diff(recent) > 0)
-        assert not np.isin(recent, main).any()
-        # Each n-gram short enough for a packed key is held exactly once.
-        assert len(main) + len(recent) == len(byte_grams(
-            texts, cfg.ngram_min, min(cfg.ngram_max, 7)))
-        return main, recent
-
-    def test_vocabulary_below_a_merge_is_never_merged(self):
-        main, recent = self.check(EmbedderConfig(dims=64, hash_seed=5),
-                                  MEMO_TEXTS)
-        assert len(main) == 0 and 0 < len(recent) < embed_mod._MERGE_EVERY
-
-    def test_merges_every_three_new_keys(self):
-        with mock.patch.object(embed_mod, "_MERGE_EVERY", 3):
-            main, recent = self.check(
-                EmbedderConfig(dims=97, ngram_min=1, ngram_max=4,
-                               hash_seed=2**64 + 9), MEMO_TEXTS)
-        assert len(main) > 3 and len(recent) < 3
-
-    def test_long_ngrams_bypass_the_memo(self):
-        # 8-byte and longer n-grams are hashed per occurrence, not held.
-        texts = MEMO_TEXTS + ["a much longer sentence about tool use é"]
-        cfg = EmbedderConfig(dims=31, ngram_min=5, ngram_max=11, hash_seed=-3)
-        self.check(cfg, texts)
-        cfg = EmbedderConfig(dims=31, ngram_min=8, ngram_max=9, hash_seed=-3)
-        main, recent = self.check(cfg, texts)
-        assert len(main) + len(recent) == 0
+    def test_first_splitmix64_draw_from_zero(self):
+        # The generator's published first output for state 0.
+        z = np.array([GOLDEN], np.uint64)
+        assert int(mix64(z)[0]) == 0xE220A8397B1DCDAF
 
 
 class TestEmbedder:
@@ -168,15 +164,17 @@ class TestEmbedder:
         assert not np.array_equal(a, b)
 
     def test_matches_direct_recomputation(self):
-        # Independent oracle: recount signed n-gram hashes with the same
-        # primitive, bucketing by hand.
-        from corpusforge.embed import stable_hash64
+        # Independent oracle: hash each n-gram on its own with the same
+        # primitive, mix64, bucketing by hand.
         text = "invoke the api endpoint"
         data = text.encode("utf-8")
         expected = np.zeros(CFG.dims)
         for n in range(CFG.ngram_min, CFG.ngram_max + 1):
             for i in range(len(data) - n + 1):
-                h = stable_hash64(data[i:i + n], CFG.hash_seed)
+                h = mix64(np.array([CFG.hash_seed], np.uint64))
+                for byte in data[i:i + n]:
+                    h = mix64(h + np.uint64((byte + 1) * GOLDEN & MASK64))
+                h = int(h[0])
                 expected[h % CFG.dims] += 1.0 if (h >> 63) & 1 == 0 else -1.0
         expected /= np.linalg.norm(expected)
         got = embed_text(text, CFG)
@@ -184,44 +182,15 @@ class TestEmbedder:
 
     @given(embedder_configs(), texts)
     def test_matches_reference_through_shared_config(self, params, batch):
-        # One config for the whole list: later texts hit the memo, and a
-        # merge every 3 new n-grams puts most hits in the sorted arrays.
+        # One config for the whole list: no text may leave state in it.
         cfg = EmbedderConfig(**params)
-        with mock.patch.object(embed_mod, "_MERGE_EVERY", 3):
-            for text in batch + batch[::-1]:
-                got = embed_text(text, cfg)
-                assert got.tobytes() == reference_embed_text(text, cfg).tobytes()
+        for text in batch + batch[::-1]:
+            assert_matches_reference(text, cfg)
 
     @given(embedder_configs(), texts)
     def test_matches_reference_through_fresh_configs(self, params, batch):
         for text in batch:
-            cfg = EmbedderConfig(**params)
-            got = embed_text(text, cfg)
-            assert got.tobytes() == reference_embed_text(text, cfg).tobytes()
-
-    def test_matches_reference_across_real_merges(self):
-        # Enough distinct n-grams for several merges at the real batch size.
-        rng = np.random.default_rng(3)
-        words = ["".join(rng.choice(list("abcdefghijklmnopqrstuvwxyzé"), 6))
-                 for _ in range(1500)]
-        cfg = EmbedderConfig(dims=97, ngram_min=2, ngram_max=8, hash_seed=-7)
-        for _ in range(40):
-            text = " ".join(rng.choice(words, 60))
-            assert embed_text(text, cfg).tobytes() == \
-                reference_embed_text(text, cfg).tobytes()
-        # Each n-gram is hashed once: the memo holds it once, in key order.
-        main, recent = cfg.memo.main[0], cfg.memo.recent[0]
-        assert len(main) > 2 * embed_mod._MERGE_EVERY
-        assert np.all(np.diff(main) > 0) and np.all(np.diff(recent) > 0)
-        assert not np.isin(recent, main).any()
-
-    def test_memo_is_not_part_of_the_config_value(self):
-        used, fresh = (EmbedderConfig(dims=64, hash_seed=42) for _ in "ab")
-        embed_text("call the weather api", used)
-        assert used == fresh and hash(used) == hash(fresh)
-        assert len(used.memo.recent[0]) + len(used.memo.main[0]) > 0
-        assert "memo" not in repr(used)
-        assert repr(used) == repr(fresh)
+            assert_matches_reference(text, EmbedderConfig(**params))
 
     def test_embed_document_uses_text(self):
         doc = Document("d", "s", "text", "hello world text")

@@ -292,7 +292,7 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [
         '{"id": "d1"}', "not json", '{"id": "d1", "score": 1.5}',
         '{"id": "d1", "score": NaN}', '{"id": "d1", "score": true}',
-        '{"id": "d1", "score": "0.5"}'])
+        '{"id": "d1", "score": "0.5"}', '{"id": 0, "score": 0.9}'])
     def test_bad_scores_line_names_file_and_line(self, tmp_path, bad):
         docs = make_random_docs(3, seed=4)
         write_corpus(docs, str(tmp_path / "c"))

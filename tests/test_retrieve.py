@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +113,21 @@ class TestRetrieveTopK:
         path = tmp_path / "hits.jsonl"
         save_hits(hits, str(path))
         assert load_hits(str(path)) == hits
+
+    @pytest.mark.parametrize("first, second, where", [
+        ({"candidate_id": 5, "best_seed_id": [], "score": "x"},
+         {"candidate_id": 5, "best_seed_id": "s", "score": 0.5}, ":1: "),
+        ({"candidate_id": "c", "best_seed_id": "s", "score": 0.5},
+         {"candidate_id": "c", "best_seed_id": "s", "score": 0.4},
+         ":2: duplicate"),
+        ({"candidate_id": 5, "best_seed_id": "s", "score": 0.5},
+         {"candidate_id": "c", "best_seed_id": "s", "score": 0.4},
+         ":1: candidate_id must be a string")])
+    def test_bad_hit_names_file_and_line(self, tmp_path, first, second, where):
+        path = tmp_path / "hits.jsonl"
+        path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+        with pytest.raises(RetrieveError, match=re.escape("hits.jsonl" + where)):
+            load_hits(str(path))
 
 
 class TestPruneRedundant:
