@@ -7,16 +7,19 @@ a document is the mean of its feature rows, classified by a linear
 softmax head trained with sequential SGD under a linearly decaying
 learning rate. Training is deterministic given (sample order, rng_seed).
 
+Every hash is `embed.mix64`, the SplitMix64 finalizer, wrapping mod
+2**64. A model keys each vocab token once, when it is built: the key is
+mix64 of the token's index in sorted(vocab) plus mix64(rng_seed). A word
+n-gram hashes to mix64 of n plus a weighted sum of its tokens' keys, and
+its bucket is that hash mod bucket_count; nothing per gram is kept.
+
 Only buckets that training touches get a stored row: row_ids, ascending
 uint64 bucket ids, and embedding_rows, their (n, dims) float64 table. An
-initial row is SplitMix64 draws 1..dims from a per-bucket seed, mapped
-to [-1/dims, 1/dims); `embed.mix64` is the draws' finalizer. Scoring
-regenerates the initial row of each untrained bucket it meets and keeps
-none, so this initializer is part of the model format (version 2).
-
-Each model memoizes its grams' buckets in a dict that save_model never
-writes, and hashes a document's new grams in one stable_hashes call: keyed
-blake2b, which the embedder's n-grams no longer share.
+initial row is SplitMix64 draws 1..dims from the bucket's seed,
+mix64(bucket + mix64(rng_seed ^ 0x5EED)), mapped to [-1/dims, 1/dims).
+Scoring regenerates the initial row of each untrained bucket it meets and
+keeps none, so the hashes and this initializer are part of the model
+format (version 3).
 """
 
 import json
@@ -27,15 +30,15 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from .corpus import convert, replacing
-from .embed import mix64, stable_hash64, stable_hashes
+from .embed import mix64
 
 LABELS = ("agent", "general")
 LABEL_INDEX = {"agent": 0, "general": 1}
 
 MODEL_MAGIC = b"CFNG"
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
-_NGRAM_SEP = b"\x1f"
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, odd
 
 
 class ClassifierError(Exception):
@@ -78,28 +81,6 @@ def build_vocab(texts, min_count: int) -> dict:
     return {tok: c for tok, c in counts.items() if c >= min_count}
 
 
-def _feature_rows(tokens, vocab, hp: FilterHyperparams, memo=None) -> list:
-    """Hashed bucket ids of the kept tokens' n-grams, n = 1..word_ngram_max,
-    each n in text order (a 1-gram is the token's own UTF-8 bytes). A memo
-    (gram bytes -> bucket) hashes each distinct gram once, a document's
-    new grams in one call; without one, every occurrence is hashed."""
-    kept = [t.encode("utf-8") for t in tokens if t in vocab]
-    grams = [_NGRAM_SEP.join(kept[i:i + n])
-             for n in range(1, hp.word_ngram_max + 1)
-             for i in range(len(kept) - n + 1)]
-    if memo is None:
-        return [_bucket(gram, hp) for gram in grams]
-    new = dict.fromkeys(gram for gram in grams if gram not in memo)
-    if new:
-        buckets = stable_hashes(new, hp.rng_seed) % np.uint64(hp.bucket_count)
-        memo.update(zip(new, buckets.tolist()))
-    return [memo[gram] for gram in grams]
-
-
-def _bucket(gram: bytes, hp: FilterHyperparams) -> int:
-    return stable_hash64(gram, hp.rng_seed) % hp.bucket_count
-
-
 _SEED_BLOCK_ROWS = 64  # rows per block of uint64 draws: 128 kB at dims 256
 
 
@@ -109,7 +90,7 @@ def _seed_rows(seeds, dims: int):
     [-1/dims, 1/dims): one row per seed, in one (n, dims) array."""
     u64 = np.uint64
     seeds = np.asarray(seeds, dtype=u64).reshape(-1, 1)
-    steps = np.arange(1, dims + 1, dtype=u64) * u64(0x9E3779B97F4A7C15)
+    steps = np.arange(1, dims + 1, dtype=u64) * u64(_GOLDEN)
     table = np.empty((len(seeds), dims), dtype=np.float64)
     # uniform(low, high)'s low + (high - low) * draw, the draw's 2**-53 folded
     # into the scale: scalings by powers of two are exact, so rounding is unchanged.
@@ -164,15 +145,40 @@ class NgramLinearClassifier:
         self.vocab = vocab
         self.row_ids = np.zeros(0, dtype=np.uint64)  # trained, ascending
         self.embedding_rows = np.zeros((0, hyperparams.dims))  # their rows
-        self._buckets = {}  # gram bytes -> bucket, never saved
+        seed = hyperparams.rng_seed
+        key_base, self._row_base = mix64(np.array(
+            [seed % 2**64, (seed ^ 0x5EED) % 2**64], np.uint64))
+        keys = mix64(np.arange(len(vocab), dtype=np.uint64) + key_base)
+        self._keys = dict(zip(sorted(vocab), keys.tolist()))  # token -> key
         self.output_weights = np.zeros((hyperparams.dims, 2), dtype=np.float64)
         self.epoch_losses = []
 
     def _init_rows(self, buckets):
-        """The initial rows of the buckets, as one (n, dims) array."""
-        ids = np.asarray(buckets, "<u8").view("V8").tolist()  # 8 bytes each
-        seeds = stable_hashes(ids, self.hyperparams.rng_seed ^ 0x5EED)
+        """The initial rows of the buckets, as one (n, dims) array: each
+        from the seed mix64(bucket + mix64(rng_seed ^ 0x5EED))."""
+        seeds = mix64(np.asarray(buckets, np.uint64) + self._row_base)
         return _seed_rows(seeds, self.hyperparams.dims)
+
+    def _feature_rows(self, text: str) -> np.ndarray:
+        """Bucket ids, as uint64, of the word n-grams of the text's vocab
+        tokens, n = 1 to word_ngram_max, each n in text order. The n-gram
+        at kept token i hashes to mix64(n + sum over j < n of key[i + j] *
+        (2j + 1) * 0x9E3779B97F4A7C15), wrapping mod 2**64: one mix64
+        pass over every n-gram of the text."""
+        hp = self.hyperparams
+        kept = np.array([self._keys[t] for t in tokenize(text)
+                         if t in self._keys], np.uint64)
+        n_max = min(hp.word_ngram_max, len(kept))
+        sums = np.zeros(len(kept), np.uint64)  # each n-gram's sum at token i
+        grams = np.empty(n_max * len(kept) - n_max * (n_max - 1) // 2,
+                         np.uint64)
+        end = 0
+        for n in range(1, n_max + 1):
+            sums = sums[:len(kept) - n + 1]  # each extends the (n-1)-gram
+            sums += kept[n - 1:] * np.uint64((2 * n - 1) * _GOLDEN % 2**64)
+            end += len(sums)
+            np.add(sums, np.uint64(n), out=grams[end - len(sums):end])
+        return mix64(grams) % np.uint64(hp.bucket_count)
 
     def _rows(self, buckets):
         """The buckets' rows as one (len(buckets), dims) array; an untrained
@@ -190,9 +196,8 @@ class NgramLinearClassifier:
 
     def predict_proba(self, text: str):
         """(p_agent, p_general); featureless text sits at the 0.5 prior."""
-        rows = _feature_rows(tokenize(text), self.vocab, self.hyperparams,
-                             self._buckets)
-        return _softmax2(_mean_row(self._rows(rows)) @ self.output_weights)
+        rows = self._rows(self._feature_rows(text))
+        return _softmax2(_mean_row(rows) @ self.output_weights)
 
     def predict_score(self, text: str) -> float:
         """Probability the text is agent-relevant."""
@@ -220,11 +225,10 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
         raise ClassifierError(f"empty vocabulary after min_count={hp.min_count}")
 
     model = NgramLinearClassifier(hp, vocab)
-    featurized = [(_feature_rows(tokenize(text), vocab, hp, model._buckets),
-                   LABEL_INDEX[label])
+    featurized = [(model._feature_rows(text), LABEL_INDEX[label])
                   for text, label in samples]
     # Each occurrence's slot in the table of distinct buckets, ascending.
-    occurrences = np.array([b for rows, _ in featurized for b in rows], np.uint64)
+    occurrences = np.concatenate([rows for rows, _ in featurized])
     row_ids = np.unique(occurrences)
     table = model._init_rows(row_ids)
     ends = np.cumsum([len(rows) for rows, _ in featurized])[:-1]

@@ -113,6 +113,16 @@ def _single_stage_config(args) -> dict:
             "stages": [{"name": name, **params}]}
 
 
+def _read_config(path: str):
+    """The JSON value in the file at `path`; a file that cannot be read or
+    decoded is a ConfigError that names the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
+        raise ConfigError("config", f"{path}: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -122,16 +132,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-            run_pipeline(config)
+            run_pipeline(_read_config(args.config))
         else:
             run_pipeline(_single_stage_config(args))
     except ConfigError as exc:
         log_event(event="config_error", field=exc.field, error=str(exc))
-        return EXIT_CONFIG_ERROR
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        log_event(event="config_error", error=str(exc))
         return EXIT_CONFIG_ERROR
     except StageError as exc:
         log_event(event="stage_failure", error=str(exc))

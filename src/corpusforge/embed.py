@@ -12,9 +12,8 @@ an (n-1)-gram by byte b hashes to h_n = mix64(h_{n-1} + (b + 1) *
 text. Each n-gram adds +1, or -1 when bit 63 of its hash is set, at
 bucket hash mod dims.
 
-stable_hashes hashes grams in bulk with 8-byte keyed blake2b, one keyed
-state per call; stable_hash64 hashes one input. The classifier hashes its
-word grams and row seeds with them.
+mix64 is the program's one hash primitive: the classifier hashes its
+vocab tokens, word n-grams and row seeds with it too.
 
 A vectors file is parsed at most once per run: `corpus`'s run table holds
 the Embeddings a load returns, as it holds each shard's Documents, and
@@ -22,7 +21,6 @@ lasts one run. save_embeddings puts in what a load of its bytes returns,
 through the load's own per-record check. Loads share one read-only matrix.
 """
 
-import hashlib
 import json
 from dataclasses import dataclass
 
@@ -36,24 +34,6 @@ class EmbedError(Exception):
 
 
 _U64 = np.uint64
-
-
-def stable_hashes(grams, seed: int) -> np.ndarray:
-    """Each bytes-like gram's seeded 64-bit hash, stable across platforms:
-    8-byte blake2b keyed by the seed mod 2**64, as one uint64 array."""
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    keyed = hashlib.blake2b(digest_size=8, key=key)
-    digests = []
-    for gram in grams:
-        state = keyed.copy()
-        state.update(gram)
-        digests.append(state.digest())
-    return np.frombuffer(b"".join(digests), "<u8").astype(np.uint64)
-
-
-def stable_hash64(data: bytes, seed: int) -> int:
-    """stable_hashes of one input."""
-    return int(stable_hashes([data], seed)[0])
 
 
 def mix64(z: np.ndarray, t=None) -> np.ndarray:

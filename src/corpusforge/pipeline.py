@@ -299,7 +299,8 @@ def _train_filter(run, corpus=INPUT, labels=INPUT, out=OUTPUT,
         min_count=min_count, epochs=epochs, bucket_count=bucket_count,
         rng_seed=seed))
     save_model(model, out)
-    return [out], {"samples": len(samples), "epoch_losses": model.epoch_losses}
+    return [out], {"samples": len(samples), "epoch_losses": model.epoch_losses,
+                   "dropped": {"no_doc": len(labeled) - len(samples)}}
 
 
 def _score(run, model=INPUT, corpus=INPUT, out=OUTPUT):

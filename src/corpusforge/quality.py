@@ -170,10 +170,9 @@ def evaluate_filter(model, labeled_texts) -> FilterMetrics:
     """
     pairs = Counter()
     for text, label in labeled_texts:
-        predicted_agent = model.predict_score(text) >= 0.5
         if label not in LABELS:
             raise QualityError(f"unknown label {label!r}")
-        pairs[label, predicted_agent] += 1
+        pairs[label, model.predict_score(text) >= 0.5] += 1
     if not pairs:
         raise QualityError("empty labeled set")
     return metrics_from_confusion(

@@ -14,44 +14,61 @@ from corpusforge.classifier import (
     ClassifierError,
     FilterHyperparams,
     NgramLinearClassifier,
-    _bucket,
-    _feature_rows,
-    _mean_row,
     _seed_rows,
     _softmax2,
     build_vocab,
     load_model,
     save_model,
-    tokenize,
     train_filter,
 )
-from corpusforge.embed import stable_hash64
-
-from conftest import AGENT_VOCAB, GENERAL_VOCAB, make_separable_samples
+from conftest import make_separable_samples
 
 HP = FilterHyperparams(rng_seed=7)
 MASK64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalizer(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
 
 
 def splitmix64_row(seed, dims):
     """SplitMix64 draws 1..dims from seed, one at a time in Python ints,
     mapped to [-1/dims, 1/dims) as uniform(low, high) maps a draw."""
-    draws = []
-    for k in range(1, dims + 1):
-        z = (seed + k * 0x9E3779B97F4A7C15) & MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        draws.append(((z ^ (z >> 31)) >> 11) * 2.0 ** -53)
+    draws = [(splitmix64_finalizer((seed + k * GOLDEN) & MASK64) >> 11)
+             * 2.0 ** -53 for k in range(1, dims + 1)]
     bound = 1.0 / dims
     return -bound + (2 * bound) * np.array(draws, dtype=np.float64)
+
+
+def reference_feature_rows(text, vocab, hp):
+    """The bucket of each word n-gram occurrence of the text, n-major and
+    in text order, one hash per occurrence in plain Python ints."""
+    base = splitmix64_finalizer(hp.rng_seed % 2**64)
+    key = {tok: splitmix64_finalizer((i + base) & MASK64)
+           for i, tok in enumerate(sorted(vocab))}
+    kept = [key[t] for t in text.split() if t in key]
+    rows = []
+    for n in range(1, hp.word_ngram_max + 1):
+        for i in range(len(kept) - n + 1):
+            h = n + sum(kept[i + j] * (2 * j + 1) * GOLDEN for j in range(n))
+            rows.append(splitmix64_finalizer(h & MASK64) % hp.bucket_count)
+    return rows
+
+
+def reference_seed(hp, bucket):
+    """A bucket's initial-row seed, in plain Python ints."""
+    base = splitmix64_finalizer((hp.rng_seed ^ 0x5EED) % 2**64)
+    return splitmix64_finalizer((bucket + base) & MASK64)
 
 
 def reference_row(hp, rows, bucket):
     """A bucket's row in a dict of rows; a missing one starts as the
     SplitMix64 row of the bucket's seed and is stored."""
     if bucket not in rows:
-        seed = stable_hash64(bucket.to_bytes(8, "little"), hp.rng_seed ^ 0x5EED)
-        rows[bucket] = splitmix64_row(seed, hp.dims)
+        rows[bucket] = splitmix64_row(reference_seed(hp, bucket), hp.dims)
     return rows[bucket]
 
 
@@ -62,7 +79,7 @@ def reference_train(samples, hp):
     vocab = build_vocab((text for text, _ in samples), hp.min_count)
     model = NgramLinearClassifier(hp, vocab)
     table = {}  # bucket id -> row
-    featurized = [(_feature_rows(tokenize(text), vocab, hp), LABEL_INDEX[label])
+    featurized = [(reference_feature_rows(text, vocab, hp), LABEL_INDEX[label])
                   for text, label in samples]
     total_updates = hp.epochs * len(featurized)
     step = 0
@@ -125,8 +142,8 @@ class TestVocab:
         assert build_vocab(texts, 3) == {"a": 4}
 
     def test_ngrams_built_over_kept_tokens(self):
-        vocab = {"a": 5, "b": 5}
-        rows = _feature_rows(tokenize("a x b"), vocab, HP)
+        model = NgramLinearClassifier(HP, {"a": 5, "b": 5})
+        rows = model._feature_rows("a x b")
         # 2 unigrams + 1 bigram over the kept sequence [a, b]
         assert len(rows) == 3
 
@@ -178,8 +195,8 @@ class TestTraining:
         with pytest.raises(ClassifierError, match="2\\*\\*64"):
             FilterHyperparams(bucket_count=2**64)
         hp = FilterHyperparams(bucket_count=2**64 - 1)
-        assert _feature_rows(["a"], {"a": 1}, hp, {}) == \
-            _feature_rows(["a"], {"a": 1}, hp) == [_bucket(b"a", hp)]
+        rows = NgramLinearClassifier(hp, {"a": 1})._feature_rows("a a")
+        assert rows.tolist() == reference_feature_rows("a a", {"a": 1}, hp)
 
 
 # Seeds at the ends of the uint64 range and at its 32- and 63-bit
@@ -219,11 +236,10 @@ class TestRowInit:
 
     @given(st.lists(st.integers(0, 2**64 - 1), max_size=20),
            st.integers(-2**70, 2**70))
-    def test_init_rows_seed_each_bucket_with_stable_hash64(self, buckets, seed):
+    def test_init_rows_seed_each_bucket_with_mix64(self, buckets, seed):
         hp = FilterHyperparams(dims=3, rng_seed=seed)
         buckets = [0, 1, 2**64 - 1] + buckets
-        seeds = [stable_hash64(b.to_bytes(8, "little"), seed ^ 0x5EED)
-                 for b in buckets]
+        seeds = [reference_seed(hp, b) for b in buckets]
         got = NgramLinearClassifier(hp, {})._init_rows(buckets)
         assert got.tobytes() == _seed_rows(seeds, hp.dims).tobytes()
 
@@ -231,6 +247,36 @@ class TestRowInit:
     def test_no_buckets_no_rows(self, dims):
         model = NgramLinearClassifier(FilterHyperparams(dims=dims), {})
         assert model._init_rows([]).shape == (0, dims)
+
+
+# Tokens in and beyond ASCII; "x" is never in the vocabulary.
+GRAM_WORDS = ["a", "b", "c", "\u00e9t\u00e9", "\u4e2d", "\U0001f600", "x"]
+
+
+@st.composite
+def featurizations(draw):
+    """A text of repeated tokens, a vocabulary, and hyperparams with
+    n-grams longer than the text, bucket counts up to 2**64 - 1 and seeds
+    outside the uint64 range."""
+    vocab = dict.fromkeys(draw(st.lists(st.sampled_from(GRAM_WORDS[:-1]),
+                                        unique=True)), 3)
+    text = " ".join(draw(st.lists(st.sampled_from(GRAM_WORDS), max_size=12)))
+    hp = FilterHyperparams(
+        word_ngram_max=draw(st.integers(1, 6)),
+        bucket_count=draw(st.integers(1, 2**64 - 1)
+                          | st.sampled_from([1, 2, 997, 2**63, 2**64 - 1])),
+        rng_seed=draw(st.integers(-2**70, 2**70)
+                      | st.sampled_from([0, -1, 2**64 - 1, 2**64])))
+    return text, vocab, hp
+
+
+class TestFeatureRows:
+    @given(featurizations())
+    def test_match_per_occurrence_reference(self, case):
+        text, vocab, hp = case
+        rows = NgramLinearClassifier(hp, vocab)._feature_rows(text)
+        assert rows.dtype == np.uint64
+        assert rows.tolist() == reference_feature_rows(text, vocab, hp)
 
 
 WORDS = ["a", "b", "c", "d", "e"]
@@ -269,54 +315,6 @@ class TestTrainingOracle:
         assert model_bytes(model, directory) == model_bytes(expected, directory)
 
 
-def memo_free_proba(model, text):
-    """predict_proba's rows and probabilities, hashing every occurrence."""
-    rows = _feature_rows(tokenize(text), model.vocab, model.hyperparams)
-    return rows, _softmax2(_mean_row(model._rows(rows)) @ model.output_weights)
-
-
-@pytest.fixture(scope="module")
-def memo_models(tmp_path_factory):
-    """A small trained model, shared across examples so that its memo
-    grows, and its saved file."""
-    hp = FilterHyperparams(dims=8, min_count=2, bucket_count=997, rng_seed=11)
-    model = train_filter(make_separable_samples(200, seed=5), hp)
-    path = tmp_path_factory.mktemp("memo") / "model.bin"
-    save_model(model, str(path))
-    return model, str(path)
-
-
-MEMO_WORDS = AGENT_VOCAB[:4] + GENERAL_VOCAB[:4] + ["unseen", "\u00e9t\u00e9"]
-memo_texts = st.lists(st.sampled_from(MEMO_WORDS), max_size=12).map(" ".join)
-
-
-class TestBucketMemo:
-    @given(st.lists(memo_texts, max_size=10))
-    def test_memo_matches_memo_free_featurization(self, memo_models, texts):
-        model, path = memo_models
-        fresh = load_model(path)
-        for text in texts:
-            rows = _feature_rows(tokenize(text), model.vocab, model.hyperparams,
-                                 model._buckets)
-            proba = model.predict_proba(text)
-            expected_rows, expected = memo_free_proba(fresh, text)
-            assert rows == expected_rows
-            assert proba.tobytes() == expected.tobytes()
-
-    def test_memo_holds_each_gram_bucket(self, memo_models):
-        model, _ = memo_models
-        assert model._buckets
-        for gram, bucket in model._buckets.items():
-            assert bucket == _bucket(gram, model.hyperparams)
-
-    def test_trained_and_loaded_memos_score_alike(self, memo_models):
-        model, path = memo_models
-        loaded = load_model(path)
-        assert not loaded._buckets
-        for text, _ in make_separable_samples(100, seed=6):
-            assert loaded.predict_score(text) == model.predict_score(text)
-
-
 @st.composite
 def row_lookups(draw):
     """Trained rows and buckets to look up: trained and untrained ones,
@@ -348,11 +346,10 @@ class TestPrediction:
 
     def test_scoring_unseen_buckets_keeps_no_memory(self):
         # Every word is in the vocabulary but untrained, so each text
-        # meets a new untrained bucket; its gram memo is filled first.
+        # meets a new untrained bucket.
         words = [f"w{i}" for i in range(2020)]
         hp = FilterHyperparams(dims=256, word_ngram_max=1, rng_seed=5)
         model = NgramLinearClassifier(hp, dict.fromkeys(words, 3))
-        _feature_rows(words, model.vocab, hp, model._buckets)
 
         def peak(texts):
             tracemalloc.start()
@@ -366,6 +363,23 @@ class TestPrediction:
         few, many = peak(words[:20]), peak(words[20:])
         # One row is 2 kB; keeping the 2,000 rows would take over 4 MB.
         assert many - few < 64 * 1024
+
+    def test_scoring_new_text_keeps_no_state(self):
+        # Each pass meets only grams no earlier text had, 5,400 of them:
+        # any state kept per gram would grow by all of them.
+        words = [f"w{i}" for i in range(4000)]
+        model = NgramLinearClassifier(FilterHyperparams(dims=4, rng_seed=5),
+                                      dict.fromkeys(words, 3))
+        held = []
+        tracemalloc.start()
+        try:
+            for start in (0, 2000):
+                for i in range(start, start + 2000, 10):
+                    model.predict_score(" ".join(words[i:i + 10]))
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert held[1] - held[0] < 16 * 1024
 
     def test_probabilities_sum_to_one(self, trained):
         model, train, _ = trained
@@ -391,7 +405,7 @@ class TestPrediction:
         hp = model.hyperparams
         rows_of = dict(zip(model.row_ids.tolist(), model.embedding_rows))
         for text, _ in train[:100]:
-            rows = _feature_rows(tokenize(text), model.vocab, hp)
+            rows = reference_feature_rows(text, model.vocab, hp)
             if rows:
                 hidden = np.mean([reference_row(hp, rows_of, r) for r in rows],
                                  axis=0)
@@ -521,6 +535,15 @@ class TestModelFile:
                            match="unsupported format version 1"):
             load_model(str(path))
 
+    def test_version_2_file_rejected(self, tmp_path):
+        # Version 2 hashed grams and row seeds with keyed blake2b, so its
+        # buckets and untrained rows are not this version's.
+        path = tmp_path / "model.bin"
+        self.write_model(path, [0, 3, 9], version=2)
+        with pytest.raises(ClassifierError,
+                           match="unsupported format version 2"):
+            load_model(str(path))
+
     @pytest.mark.parametrize("rows", [
         ["x"], [1.0], [True], [-1], [10], [3, 1], [2, 2], {"0": 1}])
     def test_rows_not_ascending_bucket_ids_rejected(self, tmp_path, rows):
@@ -564,8 +587,8 @@ class TestModelFile:
         samples = make_separable_samples(10)
         model = train_filter(samples, FilterHyperparams(dims=8, rng_seed=3))
         text = "endpoint invoke_api garden"
-        assert set(_feature_rows(tokenize(text), model.vocab, model.hyperparams)
-                   ) - set(model.row_ids.tolist()), "text must hit untrained rows"
+        assert set(model._feature_rows(text).tolist()) - set(
+            model.row_ids.tolist()), "text must hit untrained rows"
         trained = model_bytes(model, tmp_path)
         rows = len(model.embedding_rows)
         loaded = load_model(str(tmp_path / "model.bin"))

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -22,8 +21,6 @@ from corpusforge.embed import (
     load_external_embeddings,
     mix64,
     save_embeddings,
-    stable_hash64,
-    stable_hashes,
     unit_row,
 )
 
@@ -86,45 +83,6 @@ def embedder_configs(draw):
 
 short_texts = st.text(max_size=12) | st.sampled_from(["", "a", "é", "ab "])
 texts = st.lists(short_texts | st.text(max_size=200), min_size=1, max_size=8)
-
-
-class TestStableHash:
-    @given(st.lists(st.tuples(
-        st.binary(max_size=300),
-        st.sampled_from(HASH_SEEDS) | st.integers(-2**80, 2**80)
-        | st.integers(0, 40)), min_size=1, max_size=60))
-    def test_matches_keyed_blake2b(self, calls):
-        # Interleaved seeds: no call may keep data from an earlier call
-        # or answer for another seed.
-        for data, seed in calls + [(b"", seed) for _, seed in calls]:
-            key = (seed % 2**64).to_bytes(8, "little")
-            expected = hashlib.blake2b(data, digest_size=8, key=key).digest()
-            assert stable_hash64(data, seed) == int.from_bytes(expected, "little")
-
-
-def keyed_blake2b(data, seed):
-    key = (seed % 2**64).to_bytes(8, "little")
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8, key=key).digest(),
-                          "little")
-
-
-class TestStableHashes:
-    @given(st.lists(st.binary(max_size=40), max_size=30),
-           st.sampled_from(HASH_SEEDS) | st.integers(-2**80, 2**80))
-    def test_matches_keyed_blake2b(self, grams, seed):
-        # The same grams as bytes and as memoryview slices of one buffer.
-        ends = np.cumsum([0] + [len(g) for g in grams]).tolist()
-        buffer = memoryview(b"".join(grams))
-        views = [buffer[a:b] for a, b in zip(ends, ends[1:])]
-        expected = [keyed_blake2b(g, seed) for g in grams]
-        for batch in (grams, views):
-            got = stable_hashes(batch, seed)
-            assert got.dtype == np.uint64 and got.shape == (len(grams),)
-            assert got.tolist() == expected
-
-    def test_empty_list(self):
-        got = stable_hashes([], 3)
-        assert got.dtype == np.uint64 and got.shape == (0,)
 
 
 class TestMix64:

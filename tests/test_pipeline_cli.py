@@ -24,6 +24,7 @@ from corpusforge.pipeline import (
 
 from conftest import build_pipeline_fixture, make_random_docs
 from corpusforge.corpus import DuplicateIdError, read_corpus, write_corpus
+from corpusforge.classifier import LABELS
 from corpusforge.ingest import IngestError
 from corpusforge.mix import MixError
 from corpusforge.quality import QualityError
@@ -333,6 +334,22 @@ class TestValidation:
         stats = run_pipeline(config)["stages"][0]["stats"]
         assert stats["kept_docs"] == 2
         assert stats["dropped"] == {"no_score": 3}
+
+    def test_train_filter_counts_labels_without_doc(self, tmp_path):
+        docs = make_random_docs(6, seed=4)
+        write_corpus(docs, str(tmp_path / "c"))
+        labels = [(doc.id, LABELS[i % 2]) for i, doc in enumerate(docs[:4])]
+        (tmp_path / "labels.jsonl").write_text("".join(
+            json.dumps({"doc_id": doc_id, "label": label}) + "\n"
+            for doc_id, label in labels + [("gone-1", "agent"),
+                                           ("gone-2", "general")]))
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "train-filter", "corpus": "c",
+                              "labels": "labels.jsonl", "out": "m.bin",
+                              "min_count": 1}]}
+        stats = run_pipeline(config)["stages"][0]["stats"]
+        assert stats["samples"] == 4
+        assert stats["dropped"] == {"no_doc": 2}
 
     def test_colliding_source_ids_fail_at_ingest(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps([
@@ -722,6 +739,20 @@ class TestCli:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"stages": [{"name": "bogus"}]}))
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None, pathlib.Path.mkdir,
+        lambda path: path.write_bytes(b'{"stages": "\xff"}'),
+        lambda path: path.write_text("{bad")],
+        ids=["missing", "directory", "not_utf8", "not_json"])
+    def test_unreadable_config_exits_2_and_names_it(self, tmp_path, capsys,
+                                                    make):
+        path = tmp_path / "cfg.json"
+        make(path)
+        assert main(["run", "--config", str(path)]) == 2
+        event = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (event["event"], event["field"]) == ("config_error", "config")
+        assert str(path) in event["error"]
 
     def test_run_stage_failure_exits_1(self, tmp_path):
         docs = make_random_docs(5, seed=5)

@@ -396,6 +396,20 @@ class TestEvaluateFilter:
         with pytest.raises(QualityError):
             evaluate_filter(model, [])
 
+    def test_unknown_label_rejected_before_scoring_its_text(self):
+        class CountingModel:
+            calls = 0
+
+            def predict_score(self, text):
+                self.calls += 1
+                return 0.9
+
+        model = CountingModel()
+        with pytest.raises(QualityError, match="unknown label 'spam'"):
+            evaluate_filter(model, [("a", "agent"), ("b", "spam"),
+                                    ("c", "general")])
+        assert model.calls == 1
+
 
 class TestFilterByRank:
     def _scored(self, n, seed=17):
