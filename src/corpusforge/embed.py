@@ -10,7 +10,11 @@ wrapping mod 2**64: h_0 = mix64(hash_seed), and the n-gram that extends
 an (n-1)-gram by byte b hashes to h_n = mix64(h_{n-1} + (b + 1) *
 0x9E3779B97F4A7C15). So one array pass per n hashes every n-gram of a
 text. Each n-gram adds +1, or -1 when bit 63 of its hash is set, at
-bucket hash mod dims.
+bucket hash mod dims: one integer bincount over the n-grams of every
+length counts the +1s at bin `bucket` and the -1s at bin `dims +
+bucket`, and a bucket's value is the difference. Every count is a small
+integer, so the float64 row is exactly what adding the ±1s one by one,
+in any order, would give.
 
 mix64 is the program's one hash primitive: the classifier hashes its
 vocab tokens, word n-grams and row seeds with it too.
@@ -23,6 +27,7 @@ through the load's own per-record check. Loads share one read-only matrix.
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +39,8 @@ class EmbedError(Exception):
 
 
 _U64 = np.uint64
+# The step (b + 1) * 0x9E3779B97F4A7C15 mod 2**64 of each byte b.
+_STEPS = np.arange(1, 257, dtype=np.uint64) * _U64(0x9E3779B97F4A7C15)
 
 
 def mix64(z: np.ndarray, t=None) -> np.ndarray:
@@ -66,6 +73,11 @@ class EmbedderConfig:
             raise EmbedError("dims must be >= 2")
         if not (1 <= self.ngram_min <= self.ngram_max):
             raise EmbedError("ngram range must satisfy 1 <= min <= max")
+
+    @cached_property
+    def start_hash(self) -> np.uint64:
+        """h_0 = mix64(hash_seed mod 2**64), the hash of the empty gram."""
+        return mix64(np.array([self.hash_seed % 2**64], np.uint64))[0]
 
 
 def unit_row(row: np.ndarray, norm=None) -> np.ndarray:
@@ -108,21 +120,27 @@ def embed_text(text: str, cfg: EmbedderConfig) -> np.ndarray:
     vector; downstream retrieval excludes zero vectors instead of erroring.
     """
     data = np.frombuffer(text.encode("utf-8"), np.uint8)
-    steps = (data.astype(np.uint64) + _U64(1)) * _U64(0x9E3779B97F4A7C15)
-    start = mix64(np.array([cfg.hash_seed % 2**64], np.uint64))
-    grams = np.repeat(start, len(data))  # the empty gram at each start
+    steps = _STEPS[data]
+    size, top = len(data), min(cfg.ngram_max, len(data))
+    grams = np.full(size, cfg.start_hash, np.uint64)  # empty gram per start
     scratch = np.empty_like(grams)
-    counts = np.zeros(cfg.dims)
-    for n in range(1, min(cfg.ngram_max, len(data)) + 1):
-        grams = grams[:len(data) - n + 1]  # each extends the (n-1)-gram
+    # The hash of every counted n-gram, one block per n.
+    hashes = np.empty(
+        sum(size - n + 1 for n in range(cfg.ngram_min, top + 1)), np.uint64)
+    at = 0
+    for n in range(1, top + 1):
+        grams = grams[:size - n + 1]  # each extends the (n-1)-gram
         grams += steps[n - 1:]
         mix64(grams, scratch[:len(grams)])
         if n >= cfg.ngram_min:
-            # Every count is a small integer, so the order of the adds is exact.
-            counts += np.bincount((grams % _U64(cfg.dims)).astype(np.intp),
-                                  np.where(grams >> _U64(63), -1.0, 1.0),
-                                  cfg.dims)
-    return unit_row(counts)
+            hashes[at:at + len(grams)] = grams
+            at += len(grams)
+    # Bin `bucket` counts the +1s, bin `dims + bucket` the -1s (module doc).
+    dims = _U64(cfg.dims)
+    bins = hashes % dims + (hashes >> _U64(63)) * dims
+    counts = np.bincount(bins.astype(np.intp), minlength=2 * cfg.dims)
+    signed = counts[:cfg.dims] - counts[cfg.dims:]
+    return unit_row(signed.astype(np.float64))
 
 
 def embed_document(doc, cfg: EmbedderConfig) -> np.ndarray:

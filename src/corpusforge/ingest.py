@@ -5,6 +5,7 @@ set of already-fetched seed URLs, and a link graph file, and expands the
 frontier breadth-first with an optional documentation-keyword filter.
 """
 
+import re
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -68,8 +69,24 @@ def load_sources(path: str) -> list:
     return read_json(path, parse, IngestError)
 
 
+# is_valid_url's plain form, for fullmatch; group 1 is the host. The host
+# ends at "/", "?", "#" or the end, so a failed match takes linear time.
+_PLAIN_URL = re.compile(
+    r"https?://([^/?#\t\r\n\[\]]*)(?:[/?#][^\t\r\n\[\]]*)?")
+
+
 def is_valid_url(url: str) -> bool:
-    """Absolute http/https URL with a host."""
+    """Whether urlsplit reads `url` as an http or https URL with a host.
+
+    A plain URL, "http://" or "https://" and then ASCII with no tab, CR,
+    LF, "[" or "]", is read directly: urlsplit would take that scheme, and
+    as its host the text after "//" up to the first "/", "?" or "#", and
+    would check nothing more, so the verdict is the same. Every other
+    string goes through urlsplit.
+    """
+    plain = url.isascii() and _PLAIN_URL.fullmatch(url)
+    if plain:
+        return bool(plain[1])
     try:
         parts = urlsplit(url)
     except ValueError:

@@ -150,6 +150,22 @@ class TestEmbedder:
         for text in batch:
             assert_matches_reference(text, EmbedderConfig(**params))
 
+    @given(embedder_configs(), embedder_configs(), texts)
+    def test_configs_in_turn_match_the_reference(self, base, other, batch):
+        # Configs that differ from one another in hash_seed, in dims or in
+        # the n-gram range, called in turn: nothing one computes may reach
+        # another.
+        cfgs = [EmbedderConfig(**p) for p in (
+            base, {**base, "hash_seed": other["hash_seed"]},
+            {**base, "dims": other["dims"]},
+            {**base, "ngram_min": other["ngram_min"],
+             "ngram_max": other["ngram_max"]})]
+        for text in batch:
+            for cfg in cfgs:
+                assert_matches_reference(text, cfg)
+        for cfg in cfgs:
+            assert type(cfg.start_hash) is np.uint64  # numpy 1.x casting
+
     def test_embed_document_uses_text(self):
         doc = Document("d", "s", "text", "hello world text")
         a = embed_document(doc, CFG)

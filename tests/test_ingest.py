@@ -1,6 +1,6 @@
 import json
 import re
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, strategies as st
@@ -86,6 +86,16 @@ class TestAssignDataClass:
             str(tmp_path / "seed"))] == [("s:1", expected)]
 
 
+def assert_agrees_with_urlsplit(url):
+    try:
+        parts = urlsplit(url)
+    except ValueError:
+        assert not is_valid_url(url)
+        return
+    assert is_valid_url(url) == (parts.scheme in ("http", "https")
+                                 and bool(parts.netloc))
+
+
 class TestUrlValidity:
     def test_accepts_http_https(self):
         assert is_valid_url("https://example.com/docs")
@@ -97,16 +107,39 @@ class TestUrlValidity:
         assert not is_valid_url("https://")
         assert not is_valid_url("http://[::1/docs")  # urlsplit's ValueError
 
+    @pytest.mark.parametrize("url", [
+        # Plain http(s) URLs, read without urlsplit.
+        "http://a", "https://a.b/c?d#e", "http://a?", "http://a#",
+        "http://user@a:80/x", "http://@", "http://:", "http://a/%7e x",
+        "http://?x", "http://#x", "https://?", "https://#", "http:///x",
+        "http://",
+        # Not plain: urlsplit decides.
+        "http://a/é", "http://a\t/b", "http://a\r", "http://\na",
+        "http:/\t/a",
+        "http://\t/x", "https://\r\n#x", "http://a\n\n/\t?",
+        "ht\ttp://a", "http\n://a", "\thttp://a", " http://a",
+        "\x00http://a", "\x1fhttps://a", "HTTP://a", "Https://a",
+        "http://[::1]/x", "http://[::1/x", "http://a]/x", "http://a/[x]",
+        "http://a/x]", "http://a?[", "http://exämple.com/",
+        "http://例え.jp", "http://\uff03x", "http://a\u2100b", "http:a",
+        "http:/a", "//a", "ftp://a", "",
+    ])
+    def test_agrees_with_urlsplit_at_the_plain_form_edges(self, url):
+        assert_agrees_with_urlsplit(url)
+
     @given(st.from_regex(r"(https?|ftp|HTTP)?:?/{0,3}[\w.:@\[\];=/-]*",
-                         fullmatch=True) | st.text())
-    def test_agrees_with_urlparse(self, url):
-        try:
-            parts = urlparse(url)
-        except ValueError:
-            assert not is_valid_url(url)
-            return
-        assert is_valid_url(url) == (parts.scheme in ("http", "https")
-                                     and bool(parts.netloc))
+                         fullmatch=True)
+           | st.builds(str.__add__,
+                       st.lists(st.sampled_from(
+                           ["http", "https", "HTTP", "ht\ttp", "ftp", ":",
+                            "://", "/", " ", "\x00", "\x1f", "\n"]),
+                           max_size=3).map("".join),
+                       st.text(st.sampled_from(
+                           "a.-:@/?#[]\t\r\n %é例\uff03\u2100")
+                           | st.characters(), max_size=20))
+           | st.text())
+    def test_agrees_with_urlsplit(self, url):
+        assert_agrees_with_urlsplit(url)
 
 
 class TestFrontier:
