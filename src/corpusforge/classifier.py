@@ -7,6 +7,15 @@ a document is the mean of its feature rows, classified by a linear
 softmax head trained with sequential SGD under a linearly decaying
 learning rate. Training is deterministic given (sample order, rng_seed).
 
+Model bytes, epoch_losses and scores rest on one floating-point order:
+a hidden row is np.add.reduce(axis=0) over the document's gathered rows
+in occurrence order (a running sum at dims 1), over their count;
+hidden @ output_weights and output_weights @ grad_logits are BLAS calls;
+the softmax shifts both logits by their max and calls np.exp once on the
+2-element array; the output weights drop lr * outer(hidden, grad_logits),
+lr times the product; each row drops (lr / n) * grad_hidden once per
+occurrence, one layer of distinct rows at a time.
+
 Every hash is `embed.mix64`, the SplitMix64 finalizer, wrapping mod
 2**64. A model keys each vocab token once, when it is built: the key is
 mix64 of the token's index in sorted(vocab) plus mix64(rng_seed). A word
@@ -23,6 +32,7 @@ format (version 3).
 """
 
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass, asdict, fields
@@ -34,6 +44,7 @@ from .embed import mix64
 
 LABELS = ("agent", "general")
 LABEL_INDEX = {"agent": 0, "general": 1}
+_ONE_HOT = np.eye(2)  # row t: the target distribution of label index t
 
 MODEL_MAGIC = b"CFNG"
 MODEL_FORMAT_VERSION = 3
@@ -58,8 +69,10 @@ class FilterHyperparams:
     def __post_init__(self):
         if self.dims < 1 or self.word_ngram_max < 1 or self.min_count < 1:
             raise ClassifierError("dims, word_ngram_max, min_count must be positive")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.bucket_count < 1:
-            raise ClassifierError("learning_rate, epochs, bucket_count must be positive")
+        if not 0 < self.learning_rate < math.inf:  # false for NaN too
+            raise ClassifierError("learning_rate must be finite and positive")
+        if self.epochs < 1 or self.bucket_count < 1:
+            raise ClassifierError("epochs, bucket_count must be positive")
         if self.bucket_count >= 2**64:
             raise ClassifierError("bucket_count must be below 2**64 (uint64 ids)")
 
@@ -108,22 +121,32 @@ def _seed_rows(seeds, dims: int):
     return table
 
 
+def _unique_slots(occurrences):
+    """np.unique(occurrences, return_inverse=True) with fewer temporaries
+    alive at once; np.unique raised peak RSS by 4 MB on zipf_filter."""
+    order = occurrences.argsort()
+    occurrences = occurrences[order]
+    first = np.ones(len(order), bool)
+    np.not_equal(occurrences[1:], occurrences[:-1], out=first[1:])
+    slots = np.empty(len(order), np.intp)
+    slots[order] = np.cumsum(first) - 1
+    return occurrences[first], slots
+
+
 def _occurrence_layers(slots):
-    """Split slots into layers of distinct slots, the k-th layer holding
-    each slot's k-th occurrence, so that updating one layer at a time
-    updates a repeated slot once per occurrence, in order."""
-    layers = []
-    while len(slots):
-        layer, first = np.unique(slots, return_index=True)
-        layers.append(layer)
-        slots = np.delete(slots, first)
-    return layers
+    """A document's distinct slots, most repeated first, and its layer
+    sizes: layer k, the first sizes[k] slots, holds those seen more than k
+    times, so updating layer by layer updates a slot once per occurrence."""
+    distinct, counts = np.unique(slots, return_counts=True)
+    sizes = len(distinct) - np.cumsum(np.bincount(counts)[:-1])
+    return distinct[np.argsort(-counts, kind="stable")], sizes.tolist()
 
 
 def _softmax2(logits):
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    """Softmax of two logits as floats: shifted by their max, one np.exp."""
+    a, b = logits.tolist()
+    ea, eb = np.exp(np.array((a - max(a, b), b - max(a, b)))).tolist()
+    return ea / (ea + eb), eb / (ea + eb)
 
 
 def _mean_row(rows):
@@ -166,8 +189,8 @@ class NgramLinearClassifier:
         (2j + 1) * 0x9E3779B97F4A7C15), wrapping mod 2**64: one mix64
         pass over every n-gram of the text."""
         hp = self.hyperparams
-        kept = np.array([self._keys[t] for t in tokenize(text)
-                         if t in self._keys], np.uint64)
+        kept = np.array([k for k in map(self._keys.get, tokenize(text))
+                         if k is not None], np.uint64)
         n_max = min(hp.word_ngram_max, len(kept))
         sums = np.zeros(len(kept), np.uint64)  # each n-gram's sum at token i
         grams = np.empty(n_max * len(kept) - n_max * (n_max - 1) // 2,
@@ -188,20 +211,22 @@ class NgramLinearClassifier:
         ids = np.asarray(buckets, dtype=np.uint64)
         if not len(self.row_ids):
             return self._init_rows(ids)
-        pos = np.searchsorted(self.row_ids, ids).clip(max=len(self.row_ids) - 1)
-        rows, miss = self.embedding_rows[pos], self.row_ids[pos] != ids
-        if miss.any():
+        pos = np.searchsorted(self.row_ids, ids)
+        np.minimum(pos, len(self.row_ids) - 1, out=pos)
+        rows = self.embedding_rows.take(pos, axis=0)
+        miss = np.flatnonzero(self.row_ids.take(pos) != ids)
+        if len(miss):
             rows[miss] = self._init_rows(ids[miss])
         return rows
 
     def predict_proba(self, text: str):
-        """(p_agent, p_general); featureless text sits at the 0.5 prior."""
+        """(p_agent, p_general) floats; featureless text gets the 0.5 prior."""
         rows = self._rows(self._feature_rows(text))
         return _softmax2(_mean_row(rows) @ self.output_weights)
 
     def predict_score(self, text: str) -> float:
         """Probability the text is agent-relevant."""
-        return float(self.predict_proba(text)[0])
+        return self.predict_proba(text)[0]
 
 
 def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
@@ -225,34 +250,36 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
         raise ClassifierError(f"empty vocabulary after min_count={hp.min_count}")
 
     model = NgramLinearClassifier(hp, vocab)
-    featurized = [(model._feature_rows(text), LABEL_INDEX[label])
-                  for text, label in samples]
-    # Each occurrence's slot in the table of distinct buckets, ascending.
-    occurrences = np.concatenate([rows for rows, _ in featurized])
-    row_ids = np.unique(occurrences)
+    featurized = [model._feature_rows(text) for text, _ in samples]
+    ends = np.cumsum([len(rows) for rows in featurized])[:-1]
+    row_ids, slots = _unique_slots(np.concatenate(featurized))
+    del featurized
+    docs = [(s, *_occurrence_layers(s), LABEL_INDEX[label])
+            for s, (_, label) in zip(np.split(slots, ends), samples)]
     table = model._init_rows(row_ids)
-    ends = np.cumsum([len(rows) for rows, _ in featurized])[:-1]
-    slots = np.split(np.searchsorted(row_ids, occurrences), ends)
-    docs = [(s, _occurrence_layers(s), t) for s, (_, t) in zip(slots, featurized)]
 
+    weights = model.output_weights
     total_updates = hp.epochs * len(docs)
     step = 0
     for _ in range(hp.epochs):
         epoch_loss = 0.0
-        for slots, layers, target in docs:
+        for slots, distinct, sizes, target in docs:
             lr = hp.learning_rate * (1.0 - step / total_updates)
             step += 1
-            hidden = _mean_row(table[slots])
-            probs = _softmax2(hidden @ model.output_weights)
+            hidden = _mean_row(table.take(slots, axis=0))
+            probs = _softmax2(hidden @ weights)
             epoch_loss += -np.log(max(probs[target], 1e-300))
 
-            grad_logits = probs.copy()
-            grad_logits[target] -= 1.0
-            grad_hidden = model.output_weights @ grad_logits
-            model.output_weights -= lr * np.outer(hidden, grad_logits)
+            grad_logits = np.subtract(probs, _ONE_HOT[target])
+            grad_hidden = weights @ grad_logits
+            # lr * outer(hidden, grad_logits), transposed: 2 rows of dims.
+            np.subtract(weights.T, lr * np.multiply.outer(grad_logits, hidden),
+                        out=weights.T)
             delta = (lr / max(len(slots), 1)) * grad_hidden
-            for layer in layers:
-                table[layer] -= delta
+            rows = table.take(distinct, axis=0)
+            for size in sizes:
+                rows[:size] -= delta
+            table[distinct] = rows
         model.epoch_losses.append(float(epoch_loss) / len(docs))
     model.row_ids, model.embedding_rows = row_ids, table
     return model

@@ -9,6 +9,7 @@ byte-identical shards and manifest.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -31,8 +32,9 @@ class MixSpec:
     def __post_init__(self):
         if self.total_token_budget <= 0:
             raise MixError("total_token_budget must be positive")
-        if any(convert(float, r) < 0 for r in self.ratios.values()):
-            raise MixError("ratios must be non-negative")
+        if not all(0 <= convert(float, r) < math.inf  # false for NaN too
+                   for r in self.ratios.values()):
+            raise MixError("ratios must be finite and non-negative")
         if not any(self.ratios.values()):
             raise MixError("at least one ratio must be positive")
 

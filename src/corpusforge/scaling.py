@@ -193,12 +193,12 @@ def optimal_mix_ratio(curves, weights, domain=(0.05, 0.6),
         raise ScalingError("no curves to optimize over")
     if len(weights) != len(curves):
         raise ScalingError(f"{len(weights)} weights for {len(curves)} curves")
-    if any(w <= 0 for w in weights):
-        raise ScalingError("weights must be positive")
+    if not all(0 < w < math.inf for w in weights):  # false for NaN too
+        raise ScalingError(f"weights must be finite and positive, got {weights}")
     lo, hi = domain
     if not (0.0 < lo < hi <= 1.0):
         raise ScalingError(f"domain must satisfy 0 < lo < hi <= 1, got {domain}")
-    if grid_step <= 0 or grid_step > (hi - lo) / 10:
+    if not 0 < grid_step <= (hi - lo) / 10:
         raise ScalingError(f"grid_step must be in (0, (hi-lo)/10], got {grid_step}")
 
     def aggregate(x):

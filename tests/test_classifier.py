@@ -1,11 +1,12 @@
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from corpusforge.classifier import (
     LABEL_INDEX,
@@ -14,8 +15,10 @@ from corpusforge.classifier import (
     ClassifierError,
     FilterHyperparams,
     NgramLinearClassifier,
+    _occurrence_layers,
     _seed_rows,
     _softmax2,
+    _unique_slots,
     build_vocab,
     load_model,
     save_model,
@@ -93,7 +96,9 @@ def reference_train(samples, hp):
                 for r in rows:
                     hidden += reference_row(hp, table, r)
                 hidden = hidden / len(rows)
-            probs = _softmax2(hidden @ model.output_weights)
+            logits = hidden @ model.output_weights
+            e = np.exp(logits - logits.max())
+            probs = e / e.sum()
             epoch_loss += -np.log(max(probs[target], 1e-300))
 
             grad_logits = probs.copy()
@@ -190,6 +195,16 @@ class TestTraining:
             FilterHyperparams(learning_rate=0.0)
         with pytest.raises(ClassifierError):
             FilterHyperparams(epochs=0)
+
+    # NaN passed a `learning_rate <= 0` check and trained a NaN model.
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -0.1, 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ClassifierError, match="finite and positive"):
+            FilterHyperparams(learning_rate=lr)
+
+    def test_smallest_and_largest_finite_rates_accepted(self):
+        for lr in (5e-324, 1.7976931348623157e308):
+            assert FilterHyperparams(learning_rate=lr).learning_rate == lr
 
     def test_bucket_count_must_fit_uint64(self):
         with pytest.raises(ClassifierError, match="2\\*\\*64"):
@@ -304,6 +319,22 @@ def training_runs(draw):
     return samples, hp
 
 
+def zipf_samples(n_docs, seed):
+    """Documents of Zipf-drawn words from a 60-word vocabulary, every
+    seventh one a single word repeated 5 to 40 times."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(60)]
+    samples = []
+    for i in range(n_docs):
+        if i % 7 == 0:
+            text = " ".join([words[i % 5]] * int(rng.integers(5, 41)))
+        else:
+            ranks = np.minimum(rng.zipf(1.3, int(rng.integers(0, 60))), 60)
+            text = " ".join(words[r - 1] for r in ranks)
+        samples.append((text, LABELS[int(rng.integers(2))]))
+    return samples
+
+
 class TestTrainingOracle:
     @given(training_runs())
     def test_matches_per_occurrence_sgd(self, tmp_path_factory, run):
@@ -313,6 +344,107 @@ class TestTrainingOracle:
         directory = tmp_path_factory.mktemp("oracle")
         assert model.epoch_losses == expected.epoch_losses
         assert model_bytes(model, directory) == model_bytes(expected, directory)
+
+    def test_matches_at_default_dims_and_buckets(self, tmp_path):
+        # The default 256 dims and 2M buckets, on documents that repeat
+        # buckets many times over.
+        samples = zipf_samples(200, seed=11)
+        hp = FilterHyperparams(rng_seed=3)
+        model, expected = train_filter(samples, hp), reference_train(samples, hp)
+        assert max(len(layers) for layers in (
+            reference_layers(np.array(model._feature_rows(text)))
+            for text, _ in samples)) >= 20
+        assert model.epoch_losses == expected.epoch_losses
+        assert model_bytes(model, tmp_path) == model_bytes(expected, tmp_path)
+
+    def test_matches_with_saturated_probabilities(self, tmp_path):
+        # A rate this large drives logit gaps past 745, where one
+        # probability is exactly 0 and the loss takes the 1e-300 floor.
+        samples = zipf_samples(40, seed=5)
+        hp = FilterHyperparams(dims=4, learning_rate=50.0, min_count=1,
+                               bucket_count=50, rng_seed=2)
+        model, expected = train_filter(samples, hp), reference_train(samples, hp)
+        # A mean loss over 100 nats: most steps are far past saturation.
+        assert all(100 < loss < np.inf for loss in model.epoch_losses)
+        assert model.epoch_losses == expected.epoch_losses
+        assert model_bytes(model, tmp_path) == model_bytes(expected, tmp_path)
+
+
+def reference_layers(slots):
+    """Layers of distinct slots, the k-th holding each slot's k-th
+    occurrence, one np.unique and np.delete per layer."""
+    layers = []
+    while len(slots):
+        layer, first = np.unique(slots, return_index=True)
+        layers.append(layer)
+        slots = np.delete(slots, first)
+    return layers
+
+
+# Slot lists: none, one slot 20 times, and slots that documents share.
+SLOT_DOCS = [[], [7] * 20, [3, 1, 3, 3, 2, 1], [1, 2, 3], [2, 2, 9, 2, 9]]
+
+
+class TestOccurrenceLayers:
+    @given(st.lists(st.integers(0, 12), max_size=40))
+    @example(SLOT_DOCS[1])
+    @example(SLOT_DOCS[2])
+    def test_match_unique_and_delete_reference(self, slots):
+        slots = np.array(slots, dtype=np.intp)
+        distinct, sizes = _occurrence_layers(slots)
+        layers = [np.sort(distinct[:size]) for size in sizes]
+        expected = reference_layers(slots)
+        assert [a.tolist() for a in layers] == [a.tolist() for a in expected]
+        # Most repeated first, so each layer is a prefix of the one before.
+        counts = [slots.tolist().count(s) for s in distinct.tolist()]
+        assert counts == sorted(counts, reverse=True)
+
+    def test_empty_document_has_no_layers(self):
+        distinct, sizes = _occurrence_layers(np.zeros(0, dtype=np.intp))
+        assert distinct.tolist() == [] and sizes == []
+
+    def test_one_slot_repeated_20_times(self):
+        distinct, sizes = _occurrence_layers(np.array(SLOT_DOCS[1]))
+        assert distinct.tolist() == [7] and sizes == [1] * 20
+
+    @given(st.lists(st.lists(st.integers(0, 2**64 - 1)
+                             | st.sampled_from([0, 5, 2**63, 2**64 - 1]),
+                             max_size=12), max_size=6))
+    @example([[np.uint64(s) for s in doc] for doc in SLOT_DOCS])
+    def test_unique_slots_match_np_unique(self, docs):
+        occurrences = np.array([b for doc in docs for b in doc], np.uint64)
+        distinct, slots = _unique_slots(occurrences.copy())
+        expected, inverse = np.unique(occurrences, return_inverse=True)
+        assert distinct.dtype == np.uint64 and slots.dtype == np.intp
+        assert distinct.tobytes() == expected.tobytes()
+        assert slots.tolist() == inverse.tolist()
+
+
+def reference_softmax(logits):
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+class TestSoftmax2:
+    @given(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
+    @example(0.0, 0.0)
+    @example(-0.0, 0.0)
+    @example(3.25, 3.25)
+    @example(700.0, -700.0)
+    @example(-700.0, 700.0)
+    @example(700.0, 700.0)
+    @example(0.0, -745.5)
+    @example(-800.0, 0.0)
+    def test_matches_numpy_formula_bit_for_bit(self, a, b):
+        logits = np.array([a, b])
+        assert np.array(_softmax2(logits)).tobytes() == \
+            reference_softmax(logits).tobytes()
+
+    @pytest.mark.parametrize("gap", [745.2, 746.0, 1400.0])
+    def test_gap_past_745_gives_an_exact_zero(self, gap):
+        low = _softmax2(np.array([0.0, -gap]))[1]
+        assert low == 0.0
+        assert -np.log(max(low, 1e-300)) == -np.log(1e-300)
 
 
 @st.composite
@@ -385,7 +517,7 @@ class TestPrediction:
         model, train, _ = trained
         for text, _ in train[:50]:
             probs = model.predict_proba(text)
-            assert abs(probs.sum() - 1.0) < 1e-9
+            assert abs(sum(probs) - 1.0) < 1e-9
 
     def test_agent_training_sample_scores_high(self, trained):
         model, train, _ = trained
@@ -395,7 +527,7 @@ class TestPrediction:
     def test_empty_text_is_prior(self, trained):
         model, _, _ = trained
         probs = model.predict_proba("")
-        assert abs(probs.sum() - 1.0) < 1e-9
+        assert abs(sum(probs) - 1.0) < 1e-9
         # zero hidden vector -> zero logits -> exactly the 0.5 prior
         assert probs[0] == pytest.approx(0.5, abs=1e-12)
 

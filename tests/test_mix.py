@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -152,6 +153,13 @@ class TestComposeMixture:
             MixSpec({"a": 0.0}, 100)
         with pytest.raises(MixError):
             MixSpec({"a": -1.0, "b": 2.0}, 100)
+
+    # A NaN or infinite ratio was accepted, and the stage then failed
+    # converting a NaN target to an integer.
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratio_rejected(self, ratio):
+        with pytest.raises(MixError, match="finite and non-negative"):
+            MixSpec({"a": ratio, "b": 1.0}, 100)
 
 
 class TestComposeToDir:

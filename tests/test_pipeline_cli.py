@@ -24,7 +24,7 @@ from corpusforge.pipeline import (
 
 from conftest import build_pipeline_fixture, make_random_docs
 from corpusforge.corpus import DuplicateIdError, read_corpus, write_corpus
-from corpusforge.classifier import LABELS
+from corpusforge.classifier import LABELS, ClassifierError
 from corpusforge.ingest import IngestError
 from corpusforge.mix import MixError
 from corpusforge.quality import QualityError
@@ -350,6 +350,36 @@ class TestValidation:
         stats = run_pipeline(config)["stages"][0]["stats"]
         assert stats["samples"] == 4
         assert stats["dropped"] == {"no_doc": 2}
+
+    @staticmethod
+    def write_labeled_corpus(directory):
+        docs = make_random_docs(6, seed=4)
+        write_corpus(docs, str(directory / "c"))
+        (directory / "labels.jsonl").write_text("".join(
+            json.dumps({"doc_id": doc.id, "label": LABELS[i % 2]}) + "\n"
+            for i, doc in enumerate(docs)))
+
+    # A NaN or infinite rate trained a NaN model, which scored NaN.
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_flag_exits_1(self, tmp_path, monkeypatch, lr):
+        self.write_labeled_corpus(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train-filter", "--corpus", "c", "--labels",
+                     "labels.jsonl", "--out", "m.bin", "--min-count", "1",
+                     "--lr", lr]) == 1
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_in_config_fails(self, tmp_path, lr):
+        self.write_labeled_corpus(tmp_path)
+        config = json.loads(json.dumps(  # NaN and Infinity, as JSON has them
+            {"workspace": str(tmp_path),
+             "stages": [{"name": "train-filter", "corpus": "c",
+                         "labels": "labels.jsonl", "out": "m.bin",
+                         "min_count": 1, "learning_rate": lr}]}))
+        with pytest.raises(StageError, match="finite") as info:
+            run_pipeline(config)
+        assert isinstance(info.value.__cause__, ClassifierError)
 
     def test_colliding_source_ids_fail_at_ingest(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps([

@@ -342,6 +342,19 @@ class TestOptimalMixRatio:
         with pytest.raises(ScalingError):
             optimal_mix_ratio(curves, [1.0, -1.0], (0.05, 0.6), 0.01)
 
+    # A NaN weight gave a NaN aggregate loss and an infinite one inf.
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ScalingError, match="finite and positive"):
+            optimal_mix_ratio(opposing_curves(), [1.0, weight], (0.05, 0.6),
+                              0.01)
+
+    # A NaN grid_step failed in np.arange with no ScalingError.
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0])
+    def test_grid_step_outside_range_rejected(self, step):
+        with pytest.raises(ScalingError, match="grid_step"):
+            optimal_mix_ratio(opposing_curves(), [1.0, 1.0], (0.05, 0.6), step)
+
 
 class TestComputeBudget:
     def test_lower_bracket(self):
