@@ -8,13 +8,11 @@ softmax head trained with sequential SGD under a linearly decaying
 learning rate. Training is deterministic given (sample order, rng_seed).
 
 Model bytes, epoch_losses and scores rest on one floating-point order:
-a hidden row is np.add.reduce(axis=0) over the document's gathered rows
-in occurrence order (a running sum at dims 1), over their count;
-hidden @ output_weights and output_weights @ grad_logits are BLAS calls;
-the softmax shifts both logits by their max and calls np.exp once on the
-2-element array; the output weights drop lr * outer(hidden, grad_logits),
-lr times the product; each row drops (lr / n) * grad_hidden once per
-occurrence, one layer of distinct rows at a time.
+row sums are np.add.reduce(axis=0) in occurrence order (a running sum at
+dims 1); hidden @ output_weights and output_weights @ grad_logits are
+BLAS calls; the softmax calls np.exp once on both max-shifted logits;
+the weights drop lr * outer(hidden, grad_logits), lr times the product;
+a row drops (lr / n) * grad_hidden per occurrence, layer by layer.
 
 Every hash is `embed.mix64`, the SplitMix64 finalizer, wrapping mod
 2**64. A model keys each vocab token once, when it is built: the key is
@@ -272,7 +270,8 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
 
             grad_logits = np.subtract(probs, _ONE_HOT[target])
             grad_hidden = weights @ grad_logits
-            # lr * outer(hidden, grad_logits), transposed: 2 rows of dims.
+            # lr * outer(hidden, grad_logits) built as its transpose: numpy
+            # loops over 2 rows of dims faster than over dims rows of 2.
             np.subtract(weights.T, lr * np.multiply.outer(grad_logits, hidden),
                         out=weights.T)
             delta = (lr / max(len(slots), 1)) * grad_hidden
