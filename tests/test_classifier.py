@@ -410,7 +410,7 @@ class TestOccurrenceLayers:
     @given(st.lists(st.lists(st.integers(0, 2**64 - 1)
                              | st.sampled_from([0, 5, 2**63, 2**64 - 1]),
                              max_size=12), max_size=6))
-    @example([[np.uint64(s) for s in doc] for doc in SLOT_DOCS])
+    @example(SLOT_DOCS)
     def test_unique_slots_match_np_unique(self, docs):
         occurrences = np.array([b for doc in docs for b in doc], np.uint64)
         distinct, slots = _unique_slots(occurrences.copy())
@@ -442,9 +442,7 @@ class TestSoftmax2:
 
     @pytest.mark.parametrize("gap", [745.2, 746.0, 1400.0])
     def test_gap_past_745_gives_an_exact_zero(self, gap):
-        low = _softmax2(np.array([0.0, -gap]))[1]
-        assert low == 0.0
-        assert -np.log(max(low, 1e-300)) == -np.log(1e-300)
+        assert _softmax2(np.array([0.0, -gap])) == (1.0, 0.0)
 
 
 @st.composite
