@@ -284,6 +284,9 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
     return model
 
 
+_HEADER_ROWS = 4096  # bucket ids formatted per write of the model header
+
+
 def save_model(model: NgramLinearClassifier, path: str) -> None:
     """Versioned binary container, byte-identical for identical models.
 
@@ -293,17 +296,22 @@ def save_model(model: NgramLinearClassifier, path: str) -> None:
     Written like every output (`corpus.replacing`): a failed write keeps
     the previous file.
     """
-    header = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "hyperparams": asdict(model.hyperparams),
-        "vocab": model.vocab,
-        "rows": model.row_ids.tolist(),
-    }
+    def dumps(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    # The header is dumps({...}); its keys sort as format_version,
+    # hyperparams, rows, vocab, and rows is written _HEADER_ROWS at a time.
+    head = dumps({"format_version": MODEL_FORMAT_VERSION,
+                  "hyperparams": asdict(model.hyperparams)})
+    ids = model.row_ids
     with replacing([path]), open(path + ".tmp", "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True,
-                            separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
+        fh.write(MODEL_MAGIC + head[:-1].encode() + b',"rows":[')
+        for start in range(0, len(ids), _HEADER_ROWS):
+            if start:
+                fh.write(b",")
+            fh.write(",".join(map(
+                str, ids[start:start + _HEADER_ROWS].tolist())).encode())
+        fh.write(b"]," + dumps({"vocab": model.vocab})[1:].encode() + b"\n")
         fh.write(np.ascontiguousarray(model.embedding_rows, "<f8"))
         fh.write(np.ascontiguousarray(model.output_weights, "<f8"))
 

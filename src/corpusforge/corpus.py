@@ -236,12 +236,19 @@ def read_json(path: str, parse: Callable, error: type):
         raise error(f"{path}: {exc!r}") from exc
 
 
-def sha256_file(path: str) -> str:
-    """The hex SHA-256 of a file's bytes, read in 1 MiB chunks."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+HASH_CHUNK = 1 << 20  # bytes read per call by sha256_file
+
+
+def sha256_file(fh, buf: bytearray | None = None) -> str:
+    """The hex SHA-256 of the bytes of binary file `fh` from its position to
+    its end, read into `buf` and hashed from it, chunk after chunk. The
+    default buffer holds the whole file, up to HASH_CHUNK bytes (and at
+    least one byte, so that an empty read means the end)."""
+    if buf is None:
+        buf = bytearray(min(os.fstat(fh.fileno()).st_size, HASH_CHUNK) or 1)
+    h, view = hashlib.sha256(), memoryview(buf)
+    while n := fh.readinto(buf):
+        h.update(view[:n])
     return h.hexdigest()
 
 
@@ -263,7 +270,9 @@ def parse_once(path: str, kind: str, parse: Callable):
     table = _run_table.get()
     if table is None:
         return parse(path)
-    if (key := (kind, sha256_file(path))) not in table:
+    with open(path, "rb", buffering=0) as fh:
+        key = (kind, sha256_file(fh))
+    if key not in table:
         table[key] = parse(path)
     return table[key]
 

@@ -5,16 +5,22 @@ config-declared paths under the workspace. The run report records
 per-stage input/output SHA-256 hashes, durations, and key stats so the
 full provenance chain from the final mix back to the raw inputs is
 reconstructible from the report alone. An input's digest is of the bytes
-the stage read and an output's of the bytes it wrote, taken when the stage
+the stage read and an output's of the bytes it wrote, pinned when the stage
 declares the input and when it finishes; a file is hashed once per version.
-The run table (`corpus`) also hashes a corpus shard or vectors file each
-time a stage reads it, to find the parse of those bytes.
+A file under LARGE_FILE bytes is hashed then, on the runner's thread. A
+larger one is only opened then, which pins its bytes, and is hashed on a
+second thread while the run goes on (`Digests`); the run waits for those
+digests before it writes, returns or attaches a report. So a stage's
+`duration_s` includes hashing its small inputs but not its large ones, and
+never its outputs. The run table (`corpus`) also hashes a corpus shard or
+vectors file each time a stage reads it, to find the parse of those bytes.
 """
 
 import inspect
 import json
 import os
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -28,8 +34,8 @@ from . import retrieve as retrieve_mod
 from . import scaling as scaling_mod
 from .classifier import FilterHyperparams, load_model, save_model, train_filter
 from .corpus import (Document, compute_stats, convert, read_corpus,
-                     read_jsonl, read_keyed, read_lines, sha256_file,
-                     write_corpus, write_json, write_lines)
+                     read_jsonl, read_keyed, read_lines, write_corpus,
+                     write_json, write_lines)
 
 
 class ConfigError(Exception):
@@ -80,14 +86,98 @@ INPUT = Field(kind=IN)
 OUTPUT = Field(kind=OUT)
 
 
-class StageRun:
-    """Per-call state of one stage: the workspace, the run's seed and the
-    digests of the inputs it declared (its own, its backend's, its pools')."""
+def sha256_file(path: str) -> str:
+    """The hex SHA-256 of the file at path, hashed on the calling thread."""
+    with open(path, "rb", buffering=0) as fh:
+        return corpus_mod.sha256_file(fh)
 
-    def __init__(self, workspace: str, seed: int, digests: dict):
+
+LARGE_FILE = 16 << 20  # bytes; a smaller file's thread cost more than it saved
+MAX_PINNED = 4  # large files held open unhashed; past it, wait for the oldest
+
+
+class _Pinned:
+    """The digest of a file opened on the runner's thread and hashed on a
+    thread of its own once the thread of `before` is done, so that the
+    threads take turns with the one buffer. `stage` is the report index of
+    the stage that read or wrote the file."""
+
+    def __init__(self, path: str, stage: int, buf: bytearray, before):
+        self.path, self.stage = path, stage
+        self.hex = self.error = None
+        self.fh = open(path, "rb", buffering=0)
+        self.thread = threading.Thread(target=self._hash, args=(buf, before))
+        try:
+            self.thread.start()
+        except BaseException:
+            self.fh.close()
+            raise
+
+    def _hash(self, buf, before):
+        if before is not None:
+            before.thread.join()
+        try:
+            self.hex = corpus_mod.sha256_file(self.fh, buf)
+        except Exception as exc:  # the runner raises it in `Digests.close`
+            self.error = exc
+
+    def wait(self):
+        self.thread.join()
+        self.fh.close()
+
+
+class Digests:
+    """The digest of each file version the run has hashed, by path.
+
+    A file under LARGE_FILE bytes is hashed by sha256_file when asked. A
+    larger one is opened then, which pins those bytes: every writer
+    replaces its path with os.replace (`corpus.replacing`), so the handle
+    keeps reading the old file. It is hashed on a second thread while the
+    run goes on, and its digest is a _Pinned until `close`.
+    """
+
+    def __init__(self):
+        self.latest = {}  # path -> hex digest or _Pinned
+        self.pinned = []  # every _Pinned of the run, oldest first
+        self.waited = 0  # how many of them were waited for
+        self.buf = None  # the hashing threads' read buffer, made on this one
+
+    def hash(self, path: str, stage: int):
+        """The digest of the bytes now at path, for stage `stage`."""
+        if os.path.getsize(path) < LARGE_FILE:
+            digest = sha256_file(path)
+        else:
+            if len(self.pinned) - self.waited >= MAX_PINNED:
+                self.pinned[self.waited].wait()
+                self.waited += 1
+            if self.buf is None:
+                self.buf = bytearray(corpus_mod.HASH_CHUNK)
+            digest = _Pinned(path, stage, self.buf,
+                             self.pinned[-1] if self.pinned else None)
+            self.pinned.append(digest)
+        self.latest[path] = digest
+        return digest
+
+    def close(self):
+        """Wait for every pinned file to be hashed and closed; return the
+        oldest whose hash failed, or None."""
+        while self.waited < len(self.pinned):
+            self.pinned[self.waited].wait()
+            self.waited += 1
+        return next((p for p in self.pinned if p.error is not None), None)
+
+
+class StageRun:
+    """Per-call state of one stage: the workspace, the run's seed and
+    digests, the stage's report index and the digests of the inputs it
+    declared (its own, its backend's, its pools')."""
+
+    def __init__(self, workspace: str, seed: int, digests: Digests,
+                 index: int):
         self.workspace = workspace
         self.seed = seed
         self.digests = digests
+        self.index = index
         self.inputs = {}
 
     def resolve(self, path: str) -> str:
@@ -101,9 +191,9 @@ class StageRun:
         if not paths:
             raise ConfigError(field, f"no input file or shards at {path}")
         for p in paths:
-            if p not in self.digests:
-                self.digests[p] = sha256_file(p)
-            self.inputs[p] = self.digests[p]
+            if p not in self.digests.latest:
+                self.digests.hash(p, self.index)
+            self.inputs[p] = self.digests.latest[p]
         return path
 
 
@@ -419,39 +509,59 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
 
     Raises ConfigError for schema/path problems and StageError when a
     stage fails at run time; in both cases the report written so far is
-    attached to the exception as `.report` when available.
+    attached to the exception as `.report` when available. A hash that
+    failed on the second thread fails its stage, as it would have inline.
     """
     root = validate_config(config)
     workspace = workspace or root["workspace"]
     os.makedirs(workspace, exist_ok=True)
-    digests = {}  # path -> sha256 of each file version the run has hashed
+    digests = Digests()
     report = {"rng_seed": root["rng_seed"], "workspace": workspace, "stages": []}
     report_path = os.path.join(workspace, root["report"])
+    error = None
 
-    with corpus_mod.run_table():  # each file parsed at most once per run
-        for stage in root["stages"]:
-            name = stage["name"]
-            log_event(event="stage_start", stage=name)
-            started = time.perf_counter()
-            run = StageRun(workspace, root["rng_seed"], digests)
-            try:
-                outputs, stats = STAGES[name](stage, run)
-                duration_s = round(time.perf_counter() - started, 6)
-                outputs = {path: sha256_file(path) for path in sorted(set(outputs))}
-                digests.update(outputs)
-            except ConfigError:
-                write_json(report_path, report)
-                raise
-            except Exception as exc:
-                report["stages"].append({"name": name, "status": "failed",
-                                         "error": str(exc)})
-                write_json(report_path, report)
-                err = StageError(f"stage {name!r} failed: {exc}")
-                err.report = report
-                raise err from exc
-            report["stages"].append({
-                "name": name, "status": "ok", "duration_s": duration_s,
-                "inputs": run.inputs, "outputs": outputs, "stats": stats})
-            log_event(event="stage_done", stage=name, duration_s=duration_s)
+    try:
+        with corpus_mod.run_table():  # each file parsed at most once per run
+            for stage in root["stages"]:
+                name = stage["name"]
+                log_event(event="stage_start", stage=name)
+                started = time.perf_counter()
+                run = StageRun(workspace, root["rng_seed"], digests,
+                               len(report["stages"]))
+                try:
+                    outputs, stats = STAGES[name](stage, run)
+                    duration_s = round(time.perf_counter() - started, 6)
+                    outputs = {path: digests.hash(path, run.index)
+                               for path in sorted(set(outputs))}
+                except ConfigError:
+                    raise
+                except Exception as exc:
+                    report["stages"].append({"name": name, "status": "failed",
+                                             "error": str(exc)})
+                    raise StageError(f"stage {name!r} failed: {exc}") from exc
+                report["stages"].append({
+                    "name": name, "status": "ok", "duration_s": duration_s,
+                    "inputs": run.inputs, "outputs": outputs, "stats": stats})
+                log_event(event="stage_done", stage=name, duration_s=duration_s)
+    except (ConfigError, StageError) as exc:
+        error = exc
+    finally:
+        failed = digests.close()
+    if failed is not None:
+        name = root["stages"][failed.stage]["name"]
+        message = f"{failed.path}: {failed.error}"
+        del report["stages"][failed.stage:]
+        report["stages"].append({"name": name, "status": "failed",
+                                 "error": message})
+        error = StageError(f"stage {name!r} failed: {message}")
+        error.__cause__ = failed.error
+    for entry in report["stages"]:
+        for key in ("inputs", "outputs"):
+            if key in entry:
+                entry[key] = {path: d if isinstance(d, str) else d.hex
+                              for path, d in entry[key].items()}
     write_json(report_path, report)
+    if error is not None:
+        error.report = report
+        raise error
     return report

@@ -15,6 +15,7 @@ from corpusforge.classifier import (
     ClassifierError,
     FilterHyperparams,
     NgramLinearClassifier,
+    _HEADER_ROWS,
     _occurrence_layers,
     _seed_rows,
     _softmax2,
@@ -578,19 +579,25 @@ class TestModelFile:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
-    # No rows, one row, and row counts around a power of two.
-    @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
+    # No rows, one row, row counts around a power of two and past two
+    # writes of header rows; bucket ids up to 2**64 - 2, and vocab tokens
+    # that the header escapes.
+    @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600,
+                                        2 * _HEADER_ROWS + 1])
     def test_file_is_the_documented_layout(self, tmp_path, n_rows):
-        hp = FilterHyperparams(dims=3, bucket_count=10_000)
-        model = NgramLinearClassifier(hp, {"a": 3})
+        hp = FilterHyperparams(dims=3, bucket_count=MASK64)
+        vocab = {"a": 3, "caf\u00e9": 4, "\u65e5\u672c": 5, '"q\\': 6,
+                 "\U0001f600": 7}
+        model = NgramLinearClassifier(hp, vocab)
         rng = np.random.default_rng(n_rows)
-        buckets = rng.choice(hp.bucket_count, n_rows, replace=False).tolist()
+        buckets = [MASK64 - 1 - int(b)
+                   for b in rng.choice(20_000, n_rows, replace=False)]
         table = {b: rng.normal(size=hp.dims) for b in buckets}
         set_rows(model, table)
         model.output_weights = rng.normal(size=(hp.dims, 2))
         header = {"format_version": MODEL_FORMAT_VERSION,
                   "hyperparams": asdict(hp),
-                  "vocab": {"a": 3}, "rows": sorted(buckets)}
+                  "vocab": vocab, "rows": sorted(buckets)}
         expected = (b"CFNG" + json.dumps(header, sort_keys=True,
                                          separators=(",", ":")).encode()
                     + b"\n" + b"".join(table[b].astype("<f8").tobytes()
@@ -601,6 +608,7 @@ class TestModelFile:
         assert path.read_bytes() == expected
         loaded = load_model(str(path))
         assert loaded.row_ids.tolist() == sorted(buckets)
+        assert loaded.vocab == vocab
         for b, row in zip(loaded.row_ids.tolist(), loaded.embedding_rows):
             assert row.tobytes() == table[b].tobytes()
 

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -193,8 +194,9 @@ class TestVerifyManifest:
 
     def test_missing_doc_named(self, tmp_path):
         manifest, prefix, paths = self._compose(tmp_path)
-        lines = open(paths[0]).read().splitlines()
-        open(paths[0], "w").write("\n".join(lines[1:]) + "\n")
+        shard = pathlib.Path(paths[0])
+        lines = shard.read_text().splitlines()
+        shard.write_text("\n".join(lines[1:]) + "\n")
         with pytest.raises(MixError, match="missing"):
             verify_manifest(manifest, prefix)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -5,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import ANY
@@ -506,7 +508,7 @@ class TestStatsOnlyRun:
                               "out": "stats.json"}]}
         report = run_pipeline(config)
         assert report["stages"][0]["status"] == "ok"
-        stats = json.load(open(tmp_path / "stats.json"))
+        stats = json.loads((tmp_path / "stats.json").read_text())
         assert stats["total_tokens"] == sum(d.token_count for d in docs)
         assert stats == report["stages"][0]["stats"]
 
@@ -529,7 +531,7 @@ class TestFullPipeline:
     def test_optimum_near_036(self, fixture_root):
         root, config = fixture_root
         run_pipeline(config)
-        optimum = json.load(open(root / "optimum.json"))
+        optimum = json.loads((root / "optimum.json").read_text())
         assert abs(optimum["x_star"] - 0.36) < 1e-3
 
     def test_fit_bytes_do_not_depend_on_the_blas_kernel(self, fixture_root,
@@ -560,7 +562,7 @@ class TestFullPipeline:
     def test_mix_reports_its_manifest_check(self, fixture_root):
         root, config = fixture_root
         run_pipeline(config)
-        report = json.load(open(root / "run_report.json"))
+        report = json.loads((root / "run_report.json").read_text())
         (mix,) = [s for s in report["stages"] if s["name"] == "mix"]
         assert mix["stats"]["verify_manifest"] == {"ok": True,
                                                    "max_deviation": 0}
@@ -637,6 +639,7 @@ class TestFullPipeline:
         assert written(in_turn[0]) != written(in_turn[1])
 
     def test_each_file_hashed_once_per_run(self, fixture_root, monkeypatch):
+        # Counted where a file is hashed inline and where it is pinned.
         root, config = fixture_root
         hashed = []
 
@@ -644,7 +647,13 @@ class TestFullPipeline:
             hashed.append(path)
             return _hash(path)
 
+        class CountingPinned(pipeline._Pinned):
+            def __init__(self, path, *args):
+                hashed.append(path)
+                super().__init__(path, *args)
+
         monkeypatch.setattr(pipeline, "sha256_file", counting)
+        monkeypatch.setattr(pipeline, "_Pinned", CountingPinned)
         report = run_pipeline(config)
         assert len(hashed) == len(set(hashed))
         listed = set()
@@ -675,7 +684,7 @@ class TestFullPipeline:
             json.dumps({"id": d.id, "score": i / 15}) + "\n"
             for i, d in enumerate(docs)))
         shards = [str(tmp_path / f"c.{i:05d}.jsonl") for i in range(3)]
-        read = {path: corpus_mod.sha256_file(path)
+        read = {path: pipeline.sha256_file(path)
                 for path in shards + [str(tmp_path / "s.jsonl")]}
         stages = [{"name": "filter", "corpus": "c", "scores": "s.jsonl",
                    "keep_fraction": 0.3, "out": "c"}]
@@ -729,9 +738,145 @@ class TestFullPipeline:
                    {"name": "fit", "obs": "s.json", "out": "fit.json"}]}
         with pytest.raises(StageError, match="fit"):
             run_pipeline(bad)
-        report = json.load(open(tmp_path / "run_report.json"))
+        report = json.loads((tmp_path / "run_report.json").read_text())
         assert report["stages"][0]["status"] == "ok"
         assert report["stages"][1]["status"] == "failed"
+
+
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def held_hashes(monkeypatch):
+    """Keep each hashing thread from reading its file until the runner
+    first waits for one: a pinned file is then hashed only after the
+    stages that follow it have run."""
+    release = threading.Event()
+
+    def held(fh, buf=None, _hash=corpus_mod.sha256_file):
+        if threading.current_thread() is not threading.main_thread():
+            release.wait(timeout=30)
+        return _hash(fh, buf)
+
+    def wait(self, _wait=pipeline._Pinned.wait):
+        release.set()
+        _wait(self)
+
+    monkeypatch.setattr(corpus_mod, "sha256_file", held)
+    monkeypatch.setattr(pipeline._Pinned, "wait", wait)
+
+
+def process_state():
+    return threading.active_count(), sorted(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="lists open files through /proc")
+
+
+class TestPinnedDigests:
+    """Every file takes the second thread (the size gate is 0)."""
+
+    @pytest.fixture(autouse=True)
+    def pin_every_file(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "LARGE_FILE", 0)
+
+    test_report_reconstructs_provenance = \
+        TestFullPipeline.test_report_reconstructs_provenance
+    test_each_file_hashed_once_per_run = \
+        TestFullPipeline.test_each_file_hashed_once_per_run
+    test_in_place_rewrite_digests_what_it_read_and_wrote = \
+        TestFullPipeline.test_in_place_rewrite_digests_what_it_read_and_wrote
+
+    def test_replaced_output_keeps_the_digest_of_what_was_written(
+            self, tmp_path, monkeypatch):
+        write_corpus(make_random_docs(5, seed=3), str(tmp_path / "a"))
+        write_corpus(make_random_docs(9, seed=4), str(tmp_path / "b"))
+        stages = [{"name": "stats", "corpus": "a", "out": "s.json"},
+                  {"name": "stats", "corpus": "b", "out": "s.json"}]
+        run_pipeline({"workspace": str(tmp_path), "stages": stages[:1]})
+        first = sha256_of(tmp_path / "s.json")
+        held_hashes(monkeypatch)
+        report = run_pipeline({"workspace": str(tmp_path), "stages": stages})
+        path = str(tmp_path / "s.json")
+        assert report["stages"][0]["outputs"] == {path: first}
+        assert report["stages"][1]["outputs"] == {path: sha256_of(path)}
+        assert sha256_of(path) != first
+
+    def test_failed_stage_reports_hex_digests(self, tmp_path, monkeypatch):
+        write_corpus(make_random_docs(5, seed=3), str(tmp_path / "c"))
+        held_hashes(monkeypatch)
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "stats", "corpus": "c", "out": "s.json"},
+                             {"name": "fit", "obs": "s.json", "out": "f.json"}]}
+        with pytest.raises(StageError, match="fit") as info:
+            run_pipeline(config)
+        with open(tmp_path / "run_report.json") as fh:
+            assert json.load(fh) == info.value.report
+        ok, failed = info.value.report["stages"]
+        shard, out = str(tmp_path / "c.00000.jsonl"), str(tmp_path / "s.json")
+        assert ok["inputs"] == {shard: sha256_of(shard)}
+        assert ok["outputs"] == {out: sha256_of(out)}
+        assert failed["status"] == "failed"
+
+    @needs_proc_fd
+    def test_failed_hash_fails_its_stage(self, tmp_path, monkeypatch):
+        write_corpus(make_random_docs(5, seed=3), str(tmp_path / "c"))
+
+        def failing(fh, buf=None, _hash=corpus_mod.sha256_file):
+            if fh.name.endswith("s.json"):
+                raise OSError("read error")
+            return _hash(fh, buf)
+
+        monkeypatch.setattr(corpus_mod, "sha256_file", failing)
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "stats", "corpus": "c", "out": "s.json"},
+                             {"name": "stats", "corpus": "c", "out": "t.json"}]}
+        before = process_state()
+        with pytest.raises(StageError, match=re.escape(
+                f"stage 'stats' failed: {tmp_path / 's.json'}: read error")) as info:
+            run_pipeline(config)
+        assert process_state() == before
+        assert info.value.report["stages"] == [{
+            "name": "stats", "status": "failed",
+            "error": f"{tmp_path / 's.json'}: read error"}]
+        with open(tmp_path / "run_report.json") as fh:
+            assert json.load(fh) == info.value.report
+
+    @needs_proc_fd
+    def test_no_thread_or_file_outlives_the_run(self, tmp_path):
+        write_corpus(make_random_docs(5, seed=3), str(tmp_path / "c"))
+        stats = {"name": "stats", "corpus": "c", "out": "s.json"}
+        fit = {"name": "fit", "obs": "s.json", "out": "f.json"}
+        before = process_state()
+        run_pipeline({"workspace": str(tmp_path), "stages": [stats]})
+        assert process_state() == before
+        with pytest.raises(StageError):
+            run_pipeline({"workspace": str(tmp_path), "stages": [stats, fit]})
+        assert process_state() == before
+
+    def test_more_files_than_the_cap(self, tmp_path, monkeypatch):
+        n = 3 * pipeline.MAX_PINNED + 1
+        write_corpus(make_random_docs(n, seed=5), str(tmp_path / "c"),
+                     docs_per_shard=1)
+        open_at_pin = []
+
+        class Counting(pipeline._Pinned):
+            def __init__(self, *args):
+                super().__init__(*args)
+                pinned.append(self)
+                open_at_pin.append(sum(not p.fh.closed for p in pinned))
+
+        pinned = []
+        monkeypatch.setattr(pipeline, "_Pinned", Counting)
+        report = run_pipeline({"workspace": str(tmp_path), "stages": [
+            {"name": "stats", "corpus": "c", "out": "s.json"}]})
+        (stage,) = report["stages"]
+        shards = sorted(str(p) for p in tmp_path.glob("c.*.jsonl"))
+        assert len(shards) == n
+        assert stage["inputs"] == {p: sha256_of(p) for p in shards}
+        assert max(open_at_pin) == pipeline.MAX_PINNED
 
 
 class TestCli:
@@ -757,7 +902,7 @@ class TestCli:
                      "--out", str(out),
                      "--report", str(tmp_path / "report.json")])
         assert code == 0
-        assert json.load(open(out))["total_docs"] == 10
+        assert json.loads(out.read_text())["total_docs"] == 10
 
     def test_missing_corpus_exits_2(self, tmp_path):
         code = main(["stats", "--corpus", str(tmp_path / "missing"),
@@ -804,14 +949,14 @@ class TestCli:
         assert main(["fit", "--obs", str(obs), "--benchmark", "b",
                      "--out", str(fit_out),
                      "--report", str(tmp_path / "r1.json")]) == 0
-        curve = json.load(open(fit_out))
+        curve = json.loads(fit_out.read_text())
         assert abs(curve["alpha"] - -0.3) < 1e-3
         opt_out = tmp_path / "opt.json"
         assert main(["optimize", "--fits", str(fit_out),
                      "--domain", "0.05:0.6", "--step", "0.001",
                      "--out", str(opt_out),
                      "--report", str(tmp_path / "r2.json")]) == 0
-        assert abs(json.load(open(opt_out))["x_star"] - 0.6) < 1e-6
+        assert abs(json.loads(opt_out.read_text())["x_star"] - 0.6) < 1e-6
 
 
 # The config `forge <stage>` builds for each subcommand form, stage keys
