@@ -184,9 +184,24 @@ def read_lines(path: str, error: type) -> Iterator:
                 yield lineno, line
 
 
+_scan_once = json.JSONDecoder().scan_once  # json.loads's own scanner
+
+
+def _decode(line: str):
+    """json.loads(line), value or error alike, for a stripped line, in
+    fewer Python frames: when json's scanner finds no value at the line's
+    start or stops before its end, json.loads raises json's own error."""
+    try:
+        value, end = _scan_once(line, 0)
+    except StopIteration:  # no value starts at offset 0 (a BOM, "]")
+        end = -1
+    return value if end == len(line) else json.loads(line)
+
+
 def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
     """Yield parse(decoded line, physical line number) for each non-blank
-    line of a UTF-8 JSON Lines file.
+    line of a UTF-8 JSON Lines file; each line decodes as json.loads
+    decodes it, value and error alike (_decode).
 
     A line that is not UTF-8 or not JSON, or whose parse raises one of
     PARSE_ERRORS, raises `error`; an `error` or CorpusError from parse keeps
@@ -194,7 +209,7 @@ def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
     """
     for lineno, line in read_lines(path, error):
         try:
-            record = parse(json.loads(line), lineno)
+            record = parse(_decode(line), lineno)
         except (error, CorpusError) as exc:
             raise type(exc)(f"{path}:{lineno}: {exc}") from exc
         except PARSE_ERRORS as exc:

@@ -6,15 +6,11 @@ HTTP JSON endpoint that receives the annotator prompt and returns a
 completion containing a binary verdict.
 """
 
-import http.client
 import json
 import re
 import time
-import urllib.error
-import urllib.request
 from collections import Counter
 from dataclasses import asdict, dataclass
-from importlib import resources
 
 from .classifier import LABELS
 from .corpus import read_keyed, write_lines
@@ -52,6 +48,7 @@ class FilterMetrics:
 
 
 def load_prompt_asset(name: str = ANNOTATOR_PROMPT_ASSET) -> str:
+    from importlib import resources
     ref = resources.files("corpusforge").joinpath("assets", "prompts", name)
     return ref.read_text(encoding="utf-8")
 
@@ -98,6 +95,10 @@ class HttpAnnotationBackend:
         self.retries = retries
 
     def annotate(self, doc, prompt: str):
+        # Loaded here, not with the module: urllib.request pulls in ssl.
+        import http.client
+        import urllib.error
+        import urllib.request
         body = json.dumps({"prompt": prompt}).encode()
         try:  # no retry mends a URL that is not http(s) with a host
             request = urllib.request.Request(self.url)

@@ -23,6 +23,7 @@ from corpusforge.corpus import (
     serialize_document,
     write_corpus,
 )
+from corpusforge.ingest import IngestError
 
 from conftest import make_random_docs
 
@@ -346,3 +347,86 @@ class TestRunTable:
             thread.start()
             thread.join(timeout=10)
         assert not thread.is_alive() and seen == [None]
+
+
+def json_lines_reference(path, parse, error):
+    """The reference for read_jsonl: the same reader, with one json.loads
+    per line."""
+    for lineno, line in corpus_mod.read_lines(path, error):
+        try:
+            record = parse(json.loads(line), lineno)
+        except (error, CorpusError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+        except corpus_mod.PARSE_ERRORS as exc:
+            raise error(f"{path}:{lineno}: {exc!r}") from exc
+        yield record
+
+
+def outcome(read):
+    """repr of what read() returns (so NaN equals NaN, and 1 is not 1.0),
+    or the type and message of what it raises."""
+    try:
+        return repr(read())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def json_lines(draw):
+    """json.dumps of a JSON value, whole, cut short or with text put in."""
+    line = json.dumps(draw(JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    at = draw(st.integers(0, len(line)))
+    return draw(st.sampled_from([
+        line, line[:at],
+        line[:at] + draw(st.text(",:[]{}\"\\ \t0eE.-+xnN\x00\x1f\ufeff",
+                                 min_size=1, max_size=3)) + line[at:]]))
+
+
+class TestJsonLinesParity:
+    """read_jsonl decodes with json's scanner and falls back to json.loads;
+    each line must give what json.loads gives, value or error."""
+
+    @staticmethod
+    def _check(tmp, line):
+        path = os.path.join(tmp, "lines.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        read = [outcome(lambda: list(reader(path, lambda obj, _: obj,
+                                            IngestError)))
+                for reader in (corpus_mod.read_jsonl, json_lines_reference)]
+        assert read[0] == read[1]
+
+    @given(json_lines())
+    def test_line_decodes_as_json_loads_decodes_it(self, line):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._check(tmp, line)
+
+    @pytest.mark.parametrize("line", [
+        "\ufeff{}", "1,2", "[1", "NaN", '{"a":1}}', "1" * 5000, '"abc',
+        '"a\x01b"', "[1 2]", "-", "{}x", "Infinity", "[-Infinity, NaN]"])
+    def test_fixed_lines(self, tmp_path, line):
+        self._check(str(tmp_path), line)
+
+    def test_keyed_error_of_a_fallback_line_comes_first(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "graph.jsonl"
+        path.write_text('{"url": "a", "out": []}\n{"url": "a", "out": []}}\n'
+                        '{"url": "a", "out": []}\n')
+
+        def read():
+            return corpus_mod.read_keyed(str(path), "url",
+                                         lambda obj, _: obj["out"],
+                                         IngestError)
+
+        got = outcome(read)
+        monkeypatch.setattr(corpus_mod, "read_jsonl", json_lines_reference)
+        assert got == outcome(read)
+        assert got[0] is IngestError
+        assert ":2: JSONDecodeError('Extra data" in got[1]

@@ -359,3 +359,55 @@ class TestRememberedVectors:
                                side_effect=AssertionError("parsed")):
             with pytest.raises(AssertionError, match="parsed"):
                 load_external_embeddings(path)
+
+
+# Floats a vectors file must spell as json.dumps does: NaN and the
+# infinities, both zeros, subnormals and both ends of the normal range.
+AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                  -2.5e-310, 1e308, 1e-308, -1e308, 0.1, 1.0]
+# Ids json.dumps escapes, a lone surrogate, and one that is not a string.
+AWKWARD_IDS = ['"', "\\", "\x00\x1f\x7f", "café ☃", "\ud800",
+               "\udfff x", 7]
+
+
+@st.composite
+def awkward_vectors(draw):
+    """Embeddings that cross block edges (0, 1, 63, 64, 65 or 129 rows),
+    with awkward floats and ids mixed in among arbitrary ones."""
+    n = draw(st.sampled_from([0, 1, 63, 64, 65, 129]))
+    dims = draw(st.integers(1, 6))
+    value = st.sampled_from(AWKWARD_FLOATS) | st.floats()
+    matrix = np.array(draw(st.lists(st.lists(value, min_size=dims,
+                                             max_size=dims),
+                                    min_size=n, max_size=n)),
+                      dtype=np.float64).reshape(n, dims)
+    ids = draw(st.lists(st.sampled_from(AWKWARD_IDS) | st.text(),
+                        min_size=n, max_size=n))
+    return Embeddings(ids, matrix)
+
+
+@st.composite
+def embedded_texts(draw):
+    """Up to 130 dims-256 rows as embed_text makes them: past two block
+    edges."""
+    texts = draw(st.lists(st.text(max_size=40), max_size=130))
+    rows = [embed_text(t, EmbedderConfig()) for t in texts]
+    return Embeddings([f"d{i}" for i in range(len(texts))],
+                      np.array(rows).reshape(len(texts), 256))
+
+
+class TestVectorsWriter:
+    """save_embeddings formats each distinct float of a block once; every
+    line must still be what json.dumps makes of the record."""
+
+    @given(vectors_to_save() | awkward_vectors() | embedded_texts()
+           | st.just(Embeddings([], np.empty((0, 0)))))
+    def test_lines_are_json_dumps_of_each_record(self, vectors):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "vecs.jsonl")
+            save_embeddings(vectors, path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                lines = fh.read().split("\n")
+        assert lines.pop() == ""
+        assert lines == [json.dumps({"id": doc_id, "v": row.tolist()})
+                         for doc_id, row in zip(vectors.ids, vectors.matrix)]

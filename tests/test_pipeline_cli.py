@@ -886,10 +886,12 @@ class TestCli:
 
     def test_import_loads_no_http_client_package(self):
         # The HTTP annotator speaks urllib; numpy is the one dependency.
+        # urllib.request (and with it ssl) loads only when it annotates.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         loaded = subprocess.run(
             [sys.executable, "-c", "import sys, corpusforge.cli; "
-             "print(sorted({'requests', 'urllib3'} & set(sys.modules)))"],
+             "print(sorted({'requests', 'urllib3', 'urllib.request', "
+             "'http.client', 'ssl'} & set(sys.modules)))"],
             env=dict(os.environ, PYTHONPATH=src), check=True,
             capture_output=True, text=True).stdout
         assert loaded.strip() == "[]"
