@@ -204,16 +204,16 @@ def read_jsonl(path: str, parse: Callable, error: type) -> Iterator:
     decodes it, value and error alike (_decode).
 
     A line that is not UTF-8 or not JSON, or whose parse raises one of
-    PARSE_ERRORS, raises `error`; an `error` or CorpusError from parse keeps
-    its type. Either way the message starts with `path:lineno:`.
+    PARSE_ERRORS, raises `error`; else an `error` or CorpusError from parse
+    keeps its type. Either way the message starts with `path:lineno:`.
     """
     for lineno, line in read_lines(path, error):
         try:
             record = parse(_decode(line), lineno)
-        except (error, CorpusError) as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
         except PARSE_ERRORS as exc:
             raise error(f"{path}:{lineno}: {exc!r}") from exc
+        except (error, CorpusError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
         yield record
 
 
@@ -245,10 +245,10 @@ def read_json(path: str, parse: Callable, error: type):
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except (error, CorpusError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
     except PARSE_ERRORS as exc:
         raise error(f"{path}: {exc!r}") from exc
+    except (error, CorpusError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 HASH_CHUNK = 1 << 20  # bytes read per call by sha256_file

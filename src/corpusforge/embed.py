@@ -22,7 +22,7 @@ vocab tokens, word n-grams and row seeds with it too.
 A vectors file is parsed at most once per run: `corpus`'s run table holds
 the Embeddings a load returns, as it holds each shard's Documents, and
 lasts one run. save_embeddings puts in what a load of its bytes returns,
-through the load's own per-record check. Loads share one read-only matrix.
+checked as one array. Loads share one read-only matrix.
 """
 
 import json
@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import PARSE_ERRORS, parse_once, read_jsonl, write_lines
+from .corpus import parse_once, read_jsonl, write_lines
 
 
 class EmbedError(Exception):
@@ -177,17 +177,13 @@ def _check_record(obj, rows: dict) -> None:
     rows[doc_id] = unit_row(row, norm)
 
 
-def _stacked(rows: dict) -> Embeddings:
-    return Embeddings.from_rows(rows, len(next(iter(rows.values()), ())))
-
-
 def _parse_embeddings(path: str) -> Embeddings:
     rows = {}
     with np.errstate(over="ignore", invalid="ignore"):  # _check_record's norm
         for _ in read_jsonl(path, lambda obj, _: _check_record(obj, rows),
                             EmbedError):
             pass
-    return _stacked(rows)
+    return Embeddings.from_rows(rows, len(next(iter(rows.values()), ())))
 
 
 # Rows per block of _vector_lines. Blocks of 256 or 1,024 rows were no
@@ -197,38 +193,43 @@ _SAVE_BLOCK_ROWS = 64
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _vector_lines(vectors: Embeddings):
-    """json.dumps({"id": id, "v": row.tolist()}) of each row, formatting
-    each distinct float of a block of rows once (save_embeddings). Floats
-    are told apart by their bits, so 0.0 and -0.0 keep their own reprs."""
-    matrix = np.ascontiguousarray(vectors.matrix, np.float64)
+def _vector_lines(ids: list, matrix: np.ndarray):
+    """json.dumps({"id": id, "v": row.tolist()}) of each row of a C-order
+    float64 matrix. A row is integer counts over one norm, so a block of 64
+    rows holds a quarter to a third as many distinct floats as entries:
+    each is formatted once, told apart by its bits (0.0 is not -0.0)."""
     for start in range(0, len(matrix), _SAVE_BLOCK_ROWS):
         block = matrix[start:start + _SAVE_BLOCK_ROWS]
         bits, at = np.unique(block.view(np.uint64), return_inverse=True)
         text = np.array([_JSON_NONFINITE.get(r, r) for r in map(
             float.__repr__, bits.view(np.float64).tolist())], dtype=object)
-        for doc_id, row in zip(vectors.ids[start:start + _SAVE_BLOCK_ROWS],
+        for doc_id, row in zip(ids[start:start + _SAVE_BLOCK_ROWS],
                                text[at.reshape(block.shape)].tolist()):
             yield f'{{"id": {json.dumps(doc_id)}, "v": [{", ".join(row)}]}}'
 
 
 def save_embeddings(vectors: Embeddings, path: str) -> None:
     """Write `vectors` as JSONL, each row's line as json.dumps({"id": id,
-    "v": row.tolist()}) writes it; in a run, the run table gets what a load
-    of those bytes returns, unless a load rejects them. Float reprs are most
-    of the work, and a row is integer counts over one norm, so a block of 64
-    rows holds a quarter to a third as many distinct floats as entries:
-    _vector_lines formats each once.
-    json.loads gives back each record as written, so the load's own check
-    runs on the records; an id holding a surrogate is not kept, because
-    JSON merges an escaped surrogate pair into one code point."""
-    write_lines(path, _vector_lines(vectors))
-    rows = {}
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for doc_id, row in zip(vectors.ids, vectors.matrix):
-                _check_record({"id": doc_id, "v": row.tolist()}, rows)
-        "".join(rows).encode("utf-8")
-    except (EmbedError, *PARSE_ERRORS):  # what a load rejects
+    "v": row.tolist()}) writes it (_vector_lines). In a run, the run table
+    gets what a load of those bytes returns, unless a load rejects them:
+    the load's checks run on the matrix as one array, each row's norm the
+    np.linalg.norm of a contiguous float64 row, as _check_record takes it.
+    An id holding a surrogate is not kept, as JSON merges an escaped pair
+    into one code point."""
+    ids, matrix = vectors.ids, np.ascontiguousarray(vectors.matrix, np.float64)
+    write_lines(path, _vector_lines(ids, matrix))
+    try:  # a non-string id, or one holding a surrogate
+        "".join(ids).encode("utf-8")
+    except (TypeError, UnicodeEncodeError):
         return
-    parse_once(path, "vectors", lambda _: _stacked(rows))
+    with np.errstate(over="ignore", invalid="ignore"):  # as _check_record
+        norms = np.array([np.linalg.norm(row) for row in matrix])
+    if not (len(set(ids)) == len(ids) == len(matrix)
+            and np.isfinite(norms).all()):
+        return
+    unit = np.divide(matrix, norms[:, None], out=np.zeros_like(matrix),
+                     where=norms[:, None] > 0.0)  # unit_row of each row
+    if ids != (ranked := sorted(ids)):
+        unit = unit[sorted(range(len(ids)), key=ids.__getitem__)]
+    parse_once(path, "vectors", lambda _: Embeddings(
+        ranked, unit if ids else unit.reshape(0, 0)))

@@ -135,10 +135,11 @@ def expand_url_frontier(seed_urls, link_graph: dict, max_level: int) -> UrlFront
 
 def filter_doc_urls(urls, keywords) -> set:
     """Keep URLs containing at least one keyword, case-insensitive substring."""
-    kws = [k.lower() for k in keywords]
+    kws = [re.escape(k.lower()) for k in keywords]
     if not kws:
         raise IngestError("keyword set must be non-empty")
-    return {u for u in urls if any(k in u.lower() for k in kws)}
+    found = re.compile("|".join(kws)).search
+    return {u for u in urls if found(u.lower())}
 
 
 def load_link_graph(path: str) -> dict:

@@ -2,6 +2,12 @@
 
 Brute-force exact search is the contract: any accelerated index must
 reproduce this module's output bit for bit on the acceptance suite.
+
+prune_redundant screens a block of rows at a time with GEMMs against the
+rows retained before it and within it. A GEMM and a GEMV round the dot
+product of n-dim unit rows less than n * 2**-52 apart, so a row whose
+products all stay below threshold - n * _MARGIN_PER_DIM (twice that) is
+retained; the greedy scan's own GEMV decides every other row, bit for bit.
 """
 
 import json
@@ -64,6 +70,10 @@ def retrieve_top_k(seeds: Embeddings, cands: Embeddings, k: int) -> list:
     return hits[:k]
 
 
+_PRUNE_BLOCK, _PRUNE_TILE = 128, 256  # rows per block; retained rows per tile
+_MARGIN_PER_DIM = 2.0 ** -51  # (module doc)
+
+
 def prune_redundant(vecs: Embeddings, threshold: float) -> PruneReport:
     """Greedy redundancy pruning in ascending id order.
 
@@ -77,22 +87,30 @@ def prune_redundant(vecs: Embeddings, threshold: float) -> PruneReport:
 
     live = vecs.nonzero()
     retained = np.empty_like(live.matrix)  # rows of retained_ids, in order
-    retained_ids = []
-    removed_pairs = []
-    for vid, row in zip(live.ids, live.matrix):
-        r = len(retained_ids)
-        if r:
-            sims = np.clip(retained[:r] @ row, -1.0, 1.0)
-            best = int(sims.argmax())
-            if sims[best] >= threshold:
-                removed_pairs.append((retained_ids[best], vid, float(sims[best])))
-                continue
-        retained[r] = row
-        retained_ids.append(vid)
+    retained_ids, removed = [], []
+    limit = threshold - _MARGIN_PER_DIM * live.matrix.shape[1]
+    for start in range(0, len(live), _PRUNE_BLOCK):
+        block = live.matrix[start:start + _PRUNE_BLOCK]
+        within = block @ block.copy().T  # a GEMM (A @ A.T is a SYRK)
+        np.fill_diagonal(within, -1.0)
+        near = within.max(axis=1)
+        for tile in range(0, len(retained_ids), _PRUNE_TILE):
+            before = retained[tile:min(tile + _PRUNE_TILE, len(retained_ids))]
+            np.maximum(near, (before @ block.T).max(axis=0), out=near)
+        for vid, row, screened in zip(live.ids[start:], block, near < limit):
+            r = len(retained_ids)
+            if r and not screened:  # may reach the threshold (module doc)
+                sims = np.clip(retained[:r] @ row, -1.0, 1.0)
+                best = int(sims.argmax())
+                if sims[best] >= threshold:
+                    removed.append((retained_ids[best], vid, float(sims[best])))
+                    continue
+            retained[r] = row
+            retained_ids.append(vid)
 
     # Zero vectors carry no semantic content; retain them untouched.
     zero_ids = sorted(set(vecs.ids).difference(live.ids))
-    return PruneReport(retained_ids + zero_ids, removed_pairs, threshold)
+    return PruneReport(retained_ids + zero_ids, removed, threshold)
 
 
 def save_hits(hits, path: str) -> None:

@@ -430,3 +430,45 @@ class TestJsonLinesParity:
         assert got == outcome(read)
         assert got[0] is IngestError
         assert ":2: JSONDecodeError('Extra data" in got[1]
+
+
+class TestErrorRebuild:
+    """A reader raises `error`, or keeps an exact `error` or a CorpusError,
+    naming the file and line, whatever `error` is."""
+
+    def test_jsonl_line_that_is_not_json_raises_the_error_given(self,
+                                                                 tmp_path):
+        path = tmp_path / "lines.jsonl"
+        path.write_text('{"a": 1}\n[1\n')
+        with pytest.raises(ValueError, match=r"lines\.jsonl:2: JSONDecodeError"
+                           ) as info:
+            list(corpus_mod.read_jsonl(str(path), lambda obj, _: obj,
+                                       ValueError))
+        assert type(info.value) is ValueError
+
+    def test_json_file_that_is_not_json_raises_the_error_given(self, tmp_path):
+        path = tmp_path / "value.json"
+        path.write_text("[1")
+        with pytest.raises(ValueError, match=r"value\.json: JSONDecodeError"
+                           ) as info:
+            corpus_mod.read_json(str(path), lambda obj: obj, ValueError)
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("raised, error, kept", [
+        (ValueError("bad"), ValueError, ValueError),
+        (ParseError("bad"), IngestError, ParseError),
+        (UnicodeError("bad"), ValueError, ValueError),
+        (KeyError("k"), IngestError, IngestError)])
+    def test_parse_error_type_and_place(self, tmp_path, raised, error, kept):
+        path = tmp_path / "lines.jsonl"
+        path.write_text("{}\n")
+
+        def parse(*_):
+            raise raised
+
+        with pytest.raises(kept, match=r"lines\.jsonl:1: ") as info:
+            list(corpus_mod.read_jsonl(str(path), parse, error))
+        assert type(info.value) is kept
+        with pytest.raises(kept, match=r"lines\.jsonl: ") as info:
+            corpus_mod.read_json(str(path), parse, error)
+        assert type(info.value) is kept

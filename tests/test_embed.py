@@ -303,7 +303,8 @@ class TestRememberedVectors:
 
     @pytest.mark.filterwarnings("error")  # on save and on load
     @pytest.mark.parametrize("doc_id, row", [
-        ("b", [1.0, float("nan")]), ("b", [1e300, 1e300]), (7, [0.0, 1.0])])
+        ("b", [1.0, float("nan")]), ("b", [1e300, 1e300]), (7, [0.0, 1.0]),
+        ("a", [0.0, 1.0])])
     def test_vectors_load_rejects_are_not_remembered(self, tmp_path, doc_id,
                                                       row):
         path = str(tmp_path / "vecs.jsonl")
@@ -359,6 +360,36 @@ class TestRememberedVectors:
                                side_effect=AssertionError("parsed")):
             with pytest.raises(AssertionError, match="parsed"):
                 load_external_embeddings(path)
+
+    @pytest.mark.parametrize("ids, matrix", [
+        (["a", "b"], np.asfortranarray([[3.0, 4.0, 0.1], [1.0, 2.0, 2.0]])),
+        (["a", "b"], np.array([[3.0, 9.0, 4.0], [0.5, 9.0, -0.5]])[:, ::2]),
+        (["c", "a", "b"], np.array([[1.0, 2.0], [0.0, -0.0], [3.0, 1e-300]])),
+        (["b", "a"], np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)),
+        ([], np.empty((0, 3)))])
+    def test_saved_layouts_load_as_a_cold_parse(self, tmp_path, ids, matrix):
+        path = str(tmp_path / "vecs.jsonl")
+        with run_table():
+            save_embeddings(Embeddings(ids, matrix), path)
+            with mock.patch.object(embed_mod, "read_jsonl",
+                                   side_effect=AssertionError("parsed")):
+                reused = load_external_embeddings(path)
+        with run_table():
+            cold = load_external_embeddings(path)
+        assert reused.ids == cold.ids == sorted(ids)
+        assert reused.matrix.shape == cold.matrix.shape
+        assert reused.matrix.tobytes() == cold.matrix.tobytes()
+
+    def test_lone_surrogate_id_loads_as_parsed(self, tmp_path):
+        path = str(tmp_path / "vecs.jsonl")
+        with run_table():
+            save_embeddings(Embeddings(["\ud800"], np.array([[3.0, 4.0]])),
+                            path)
+            reused = load_external_embeddings(path)
+        with run_table():
+            cold = load_external_embeddings(path)
+        assert reused.ids == cold.ids == ["\ud800"]
+        assert reused.matrix.tobytes() == cold.matrix.tobytes()
 
 
 # Floats a vectors file must spell as json.dumps does: NaN and the

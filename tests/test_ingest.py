@@ -174,6 +174,11 @@ class TestFrontier:
             expand_url_frontier({"https://a.com"}, {}, 0)
 
 
+# Regex metacharacters, and letters whose lowered form is longer (İ) or
+# differs from their upper case's (ß, whose upper case is SS).
+URL_CHARS = "aAİıiIßsS.*+?^$()[]{}|\\/:-"
+
+
 class TestFilterDocUrls:
     def test_substring_rule(self):
         urls = {"https://x.com/docs/a", "https://x.com/blog"}
@@ -201,6 +206,13 @@ class TestFilterDocUrls:
         once = filter_doc_urls(urls, DEFAULT_DOC_KEYWORDS)
         assert once <= urls
         assert filter_doc_urls(once, DEFAULT_DOC_KEYWORDS) == once
+
+    @given(st.sets(st.text(URL_CHARS, max_size=12), max_size=6),
+           st.lists(st.text(URL_CHARS, max_size=8), min_size=1, max_size=4))
+    def test_matches_the_any_scan(self, urls, keywords):
+        expected = {u for u in urls
+                    if any(k.lower() in u.lower() for k in keywords)}
+        assert filter_doc_urls(urls, keywords) == expected
 
     def test_empty_keywords_rejected(self):
         with pytest.raises(IngestError):

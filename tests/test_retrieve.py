@@ -4,8 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from corpusforge.embed import EmbedError
+from corpusforge import retrieve as retrieve_mod
+from corpusforge.embed import EmbedError, Embeddings
 from corpusforge.retrieve import (
     PruneReport,
     RetrieveError,
@@ -128,6 +130,83 @@ class TestRetrieveTopK:
         path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
         with pytest.raises(RetrieveError, match=re.escape("hits.jsonl" + where)):
             load_hits(str(path))
+
+
+def greedy_scan(vecs, threshold):
+    """prune_redundant's contract, row by row: one GEMV per nonzero row, in
+    id order, against the rows retained before it; the prune oracle."""
+    live = vecs.nonzero()
+    retained = np.empty_like(live.matrix)
+    retained_ids, removed_pairs = [], []
+    for vid, row in zip(live.ids, live.matrix):
+        r = len(retained_ids)
+        sims = np.clip(retained[:r] @ row, -1.0, 1.0)
+        if r and sims[best := int(sims.argmax())] >= threshold:
+            removed_pairs.append((retained_ids[best], vid, float(sims[best])))
+        else:
+            retained[r] = row
+            retained_ids.append(vid)
+    zero_ids = sorted(set(vecs.ids).difference(live.ids))
+    return PruneReport(retained_ids + zero_ids, removed_pairs, threshold)
+
+
+BLOCK = retrieve_mod._PRUNE_BLOCK
+# Row counts at the screen's block edges.
+SIZES = st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+THRESHOLDS = st.sampled_from([1.0, 0.95, 0.5, 1e-12]) | st.floats(1e-12, 1.0)
+
+
+def embeddings(rows):
+    return Embeddings([f"v{i:05d}" for i in range(len(rows))], rows)
+
+
+def unit_rows(matrix):
+    return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+
+
+class TestScreenedPrune:
+    """prune_redundant screens rows with matrix products; every decision
+    and similarity must be the greedy scan's."""
+
+    @given(SIZES | st.integers(0, 40), st.integers(1, 6), THRESHOLDS,
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_greedy_scan(self, n, dims, threshold, seed):
+        # Rows of -1, 0 and 1 hold exact duplicates, ties and zero rows.
+        rows = np.random.default_rng(seed).integers(-1, 2, (n, dims))
+        with np.errstate(invalid="ignore"):  # zero rows stay zeros
+            vecs = embeddings(np.nan_to_num(unit_rows(rows)))
+        assert prune_redundant(vecs, threshold) == greedy_scan(vecs, threshold)
+
+    @given(SIZES, st.sampled_from([16, 64, 256]), st.floats(0.01, 0.5),
+           st.integers(-2, 2), st.integers(0, 2**32 - 1))
+    def test_cosines_at_the_threshold(self, n, dims, angle, ulps, seed):
+        # An anchor row, then rows at one angle to it: their cosines to the
+        # anchor lie within 1e-12 of each other, and the threshold is one
+        # of them as a GEMV computes it, give or take `ulps`, so decisions
+        # turn on the last bits, where a GEMM may round otherwise.
+        rng = np.random.default_rng(seed)
+        anchor = unit_rows(rng.standard_normal((1, dims)))
+        off = rng.standard_normal((n, dims))
+        off = unit_rows(off - np.outer(off @ anchor[0], anchor[0]))
+        rows = unit_rows(np.vstack([anchor, anchor + angle * off]))
+        sims = np.clip(rows[1:] @ rows[0], -1.0, 1.0)
+        assert np.all(np.abs(sims - sims[:1]) < 1e-12)
+        threshold = float(sims[len(sims) // 2]) if n else 0.5
+        threshold = min(1.0, threshold + ulps * np.spacing(threshold))
+        vecs = embeddings(rows)
+        assert prune_redundant(vecs, threshold) == greedy_scan(vecs, threshold)
+
+    def test_tie_keeps_the_earliest_retained_row(self):
+        # Two orthogonal rows, a block of fillers, then a row at 45 degrees
+        # to both: it is removed for the first.
+        rows = np.zeros((BLOCK + 3, 3))
+        rows[0, 0] = rows[1, 1] = 1.0
+        rows[2:-1, 2] = 1.0
+        rows[-1, :2] = np.sqrt(0.5)
+        vecs = embeddings(rows)
+        report = prune_redundant(vecs, 0.7)
+        assert report == greedy_scan(vecs, 0.7)
+        assert report.removed_pairs[-1][:2] == ("v00000", vecs.ids[-1])
 
 
 class TestPruneRedundant:
