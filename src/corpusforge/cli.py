@@ -45,6 +45,8 @@ def _pools(args):
         if "=" not in item:
             raise ConfigError("mix.pool", f"expected NAME=PREFIX, got {item!r}")
         name, prefix = item.split("=", 1)
+        if name in pools:
+            raise ConfigError("mix.pool", f"pool {name!r} given twice")
         pools[name] = prefix
     return {"pools": pools}
 

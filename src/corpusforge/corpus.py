@@ -373,11 +373,11 @@ def write_corpus(docs: Iterable[Document], corpus_prefix: str,
     All shards are written to `<shard>.tmp` before any is replaced, so a
     failure, a repeated id (DuplicateIdError) included, keeps the old corpus.
     """
+    if docs_per_shard < 1:
+        raise CorpusError(f"docs_per_shard must be >= 1, got {docs_per_shard}")
     parent = os.path.dirname(corpus_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    if docs_per_shard < 1:
-        raise CorpusError(f"docs_per_shard must be >= 1, got {docs_per_shard}")
     docs, paths = _unique(docs), []
     with replacing(paths):
         while True:

@@ -8,9 +8,9 @@ reconstructible from the report alone. An input's digest is of the bytes
 the stage read and an output's of the bytes it wrote, pinned when the stage
 declares the input and when it finishes; a file is hashed once per version.
 A file under LARGE_FILE bytes is hashed then, on the runner's thread. A
-larger one is only opened then, which pins its bytes, and is hashed on a
-second thread while the run goes on (`Digests`); the run waits for those
-digests before it writes, returns or attaches a report. So a stage's
+larger one is only opened then, which pins its bytes, and the run's one
+worker thread hashes it while the run goes on (`Digests`); the run waits for
+those digests before it writes, returns or attaches a report. So a stage's
 `duration_s` includes hashing its small inputs but not its large ones, and
 never its outputs. The run table (`corpus`) also hashes a corpus shard or
 vectors file each time a stage reads it, to find the parse of those bytes.
@@ -20,7 +20,6 @@ import inspect
 import json
 import os
 import sys
-import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -96,34 +95,10 @@ LARGE_FILE = 16 << 20  # bytes; a smaller file's thread cost more than it saved
 MAX_PINNED = 4  # large files held open unhashed; past it, wait for the oldest
 
 
-class _Pinned:
-    """The digest of a file opened on the runner's thread and hashed on a
-    thread of its own once the thread of `before` is done, so that the
-    threads take turns with the one buffer. `stage` is the report index of
-    the stage that read or wrote the file."""
-
-    def __init__(self, path: str, stage: int, buf: bytearray, before):
-        self.path, self.stage = path, stage
-        self.hex = self.error = None
-        self.fh = open(path, "rb", buffering=0)
-        self.thread = threading.Thread(target=self._hash, args=(buf, before))
-        try:
-            self.thread.start()
-        except BaseException:
-            self.fh.close()
-            raise
-
-    def _hash(self, buf, before):
-        if before is not None:
-            before.thread.join()
-        try:
-            self.hex = corpus_mod.sha256_file(self.fh, buf)
-        except Exception as exc:  # the runner raises it in `Digests.close`
-            self.error = exc
-
-    def wait(self):
-        self.thread.join()
-        self.fh.close()
+def _hash_pinned(fh, buf: bytearray) -> str:
+    """The hex SHA-256 of pinned file `fh`, on the worker thread; closes fh."""
+    with fh:
+        return corpus_mod.sha256_file(fh, buf)
 
 
 class Digests:
@@ -132,39 +107,44 @@ class Digests:
     A file under LARGE_FILE bytes is hashed by sha256_file when asked. A
     larger one is opened then, which pins those bytes: every writer
     replaces its path with os.replace (`corpus.replacing`), so the handle
-    keeps reading the old file. It is hashed on a second thread while the
-    run goes on, and its digest is a _Pinned until `close`.
+    keeps reading the old file. The run's one worker thread hashes the
+    pinned files in turn, with one buffer, while the run goes on; the
+    digest is a Future until `close`.
     """
 
     def __init__(self):
-        self.latest = {}  # path -> hex digest or _Pinned
-        self.pinned = []  # every _Pinned of the run, oldest first
-        self.waited = 0  # how many of them were waited for
-        self.buf = None  # the hashing threads' read buffer, made on this one
+        self.latest = {}  # path -> hex digest or Future
+        self.pinned = []  # (stage, path, future) per pinned file, oldest first
+        self.worker = self.buf = None  # made at the first large file
 
     def hash(self, path: str, stage: int):
-        """The digest of the bytes now at path, for stage `stage`."""
+        """The digest of the bytes now at path, for report index `stage`."""
         if os.path.getsize(path) < LARGE_FILE:
             digest = sha256_file(path)
         else:
-            if len(self.pinned) - self.waited >= MAX_PINNED:
-                self.pinned[self.waited].wait()
-                self.waited += 1
-            if self.buf is None:
+            if self.worker is None:
+                from concurrent.futures import ThreadPoolExecutor  # loads logging
+                self.worker = ThreadPoolExecutor(max_workers=1)
                 self.buf = bytearray(corpus_mod.HASH_CHUNK)
-            digest = _Pinned(path, stage, self.buf,
-                             self.pinned[-1] if self.pinned else None)
-            self.pinned.append(digest)
+            if len(self.pinned) >= MAX_PINNED:  # the worker keeps pin order
+                self.pinned[-MAX_PINNED][2].exception()  # waits for it
+            fh = open(path, "rb", buffering=0)
+            try:
+                digest = self.worker.submit(_hash_pinned, fh, self.buf)
+            except BaseException:
+                fh.close()
+                raise
+            self.pinned.append((stage, path, digest))
         self.latest[path] = digest
         return digest
 
     def close(self):
         """Wait for every pinned file to be hashed and closed; return the
-        oldest whose hash failed, or None."""
-        while self.waited < len(self.pinned):
-            self.pinned[self.waited].wait()
-            self.waited += 1
-        return next((p for p in self.pinned if p.error is not None), None)
+        (stage, path, future) of the oldest whose hash failed, or None."""
+        failed = [p for p in self.pinned if p[2].exception() is not None]
+        if self.worker is not None:
+            self.worker.shutdown()
+        return failed[0] if failed else None
 
 
 class StageRun:
@@ -510,7 +490,7 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
     Raises ConfigError for schema/path problems and StageError when a
     stage fails at run time; in both cases the report written so far is
     attached to the exception as `.report` when available. A hash that
-    failed on the second thread fails its stage, as it would have inline.
+    failed on the worker thread fails its stage, as it would have inline.
     """
     root = validate_config(config)
     workspace = workspace or root["workspace"]
@@ -548,17 +528,18 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
     finally:
         failed = digests.close()
     if failed is not None:
-        name = root["stages"][failed.stage]["name"]
-        message = f"{failed.path}: {failed.error}"
-        del report["stages"][failed.stage:]
+        index, path, future = failed
+        name = root["stages"][index]["name"]
+        message = f"{path}: {future.exception()}"
+        del report["stages"][index:]
         report["stages"].append({"name": name, "status": "failed",
                                  "error": message})
         error = StageError(f"stage {name!r} failed: {message}")
-        error.__cause__ = failed.error
+        error.__cause__ = future.exception()
     for entry in report["stages"]:
         for key in ("inputs", "outputs"):
             if key in entry:
-                entry[key] = {path: d if isinstance(d, str) else d.hex
+                entry[key] = {path: d if isinstance(d, str) else d.result()
                               for path, d in entry[key].items()}
     write_json(report_path, report)
     if error is not None:

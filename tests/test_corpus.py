@@ -311,6 +311,12 @@ class TestShardIO:
         paths = write_corpus([], str(tmp_path / "empty"), docs_per_shard=10)
         assert len(paths) == 1
 
+    def test_refused_shard_size_makes_no_directory(self, tmp_path):
+        with pytest.raises(CorpusError, match="docs_per_shard"):
+            write_corpus(make_random_docs(3, seed=1),
+                         str(tmp_path / "newdir" / "c"), docs_per_shard=0)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRunTable:
     def _half_bad_shard(self, tmp_path):

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from unittest.mock import ANY
 
 import pytest
@@ -639,7 +639,8 @@ class TestFullPipeline:
         assert written(in_turn[0]) != written(in_turn[1])
 
     def test_each_file_hashed_once_per_run(self, fixture_root, monkeypatch):
-        # Counted where a file is hashed inline and where it is pinned.
+        # Counted where a file is hashed inline and where the worker hashes
+        # a pinned one.
         root, config = fixture_root
         hashed = []
 
@@ -647,13 +648,12 @@ class TestFullPipeline:
             hashed.append(path)
             return _hash(path)
 
-        class CountingPinned(pipeline._Pinned):
-            def __init__(self, path, *args):
-                hashed.append(path)
-                super().__init__(path, *args)
+        def counting_pinned(fh, buf, _hash=pipeline._hash_pinned):
+            hashed.append(fh.name)
+            return _hash(fh, buf)
 
         monkeypatch.setattr(pipeline, "sha256_file", counting)
-        monkeypatch.setattr(pipeline, "_Pinned", CountingPinned)
+        monkeypatch.setattr(pipeline, "_hash_pinned", counting_pinned)
         report = run_pipeline(config)
         assert len(hashed) == len(set(hashed))
         listed = set()
@@ -749,22 +749,22 @@ def sha256_of(path):
 
 
 def held_hashes(monkeypatch):
-    """Keep each hashing thread from reading its file until the runner
-    first waits for one: a pinned file is then hashed only after the
-    stages that follow it have run."""
+    """Keep the hashing worker from reading any file until the runner first
+    waits for a digest (the runner waits through Future.exception): a
+    pinned file is then hashed only after the stages that follow it have
+    run."""
     release = threading.Event()
 
-    def held(fh, buf=None, _hash=corpus_mod.sha256_file):
-        if threading.current_thread() is not threading.main_thread():
-            release.wait(timeout=30)
+    def held(fh, buf, _hash=pipeline._hash_pinned):
+        release.wait(timeout=30)
         return _hash(fh, buf)
 
-    def wait(self, _wait=pipeline._Pinned.wait):
+    def exception(self, timeout=None, _exception=Future.exception):
         release.set()
-        _wait(self)
+        return _exception(self, timeout)
 
-    monkeypatch.setattr(corpus_mod, "sha256_file", held)
-    monkeypatch.setattr(pipeline._Pinned, "wait", wait)
+    monkeypatch.setattr(pipeline, "_hash_pinned", held)
+    monkeypatch.setattr(Future, "exception", exception)
 
 
 def process_state():
@@ -845,6 +845,42 @@ class TestPinnedDigests:
             assert json.load(fh) == info.value.report
 
     @needs_proc_fd
+    def test_failed_input_hash_fails_the_stage_that_declared_it(
+            self, tmp_path, monkeypatch):
+        # fit reads obs.jsonl without the run table, so only the worker
+        # hashes it; the run goes on to the stage after fit.
+        write_corpus(make_random_docs(5, seed=3), str(tmp_path / "c"))
+        obs = tmp_path / "obs.jsonl"
+        obs.write_text("".join(
+            json.dumps({"x": x, "loss": 0.5 + 0.7 * x ** -0.3,
+                        "benchmark": "b"}) + "\n" for x in (0.1, 0.2, 0.3, 0.4)))
+
+        def failing(fh, buf=None, _hash=corpus_mod.sha256_file):
+            if fh.name == str(obs):
+                raise OSError("read error")
+            return _hash(fh, buf)
+
+        monkeypatch.setattr(corpus_mod, "sha256_file", failing)
+        config = {"workspace": str(tmp_path),
+                  "stages": [{"name": "stats", "corpus": "c", "out": "s.json"},
+                             {"name": "fit", "obs": "obs.jsonl", "out": "f.json"},
+                             {"name": "stats", "corpus": "c", "out": "t.json"}]}
+        before = process_state()
+        with pytest.raises(StageError, match=re.escape(
+                f"stage 'fit' failed: {obs}: read error")) as info:
+            run_pipeline(config)
+        assert process_state() == before
+        assert (tmp_path / "t.json").exists()
+        ok, failed = info.value.report["stages"]
+        shard, out = str(tmp_path / "c.00000.jsonl"), str(tmp_path / "s.json")
+        assert ok["inputs"] == {shard: sha256_of(shard)}
+        assert ok["outputs"] == {out: sha256_of(out)}
+        assert failed == {"name": "fit", "status": "failed",
+                          "error": f"{obs}: read error"}
+        with open(tmp_path / "run_report.json") as fh:
+            assert json.load(fh) == info.value.report
+
+    @needs_proc_fd
     def test_no_thread_or_file_outlives_the_run(self, tmp_path):
         write_corpus(make_random_docs(5, seed=3), str(tmp_path / "c"))
         stats = {"name": "stats", "corpus": "c", "out": "s.json"}
@@ -857,19 +893,20 @@ class TestPinnedDigests:
         assert process_state() == before
 
     def test_more_files_than_the_cap(self, tmp_path, monkeypatch):
+        # Every file the runner opens is pinned, since the size gate is 0.
+        # The held worker keeps each one open until the runner waits.
         n = 3 * pipeline.MAX_PINNED + 1
         write_corpus(make_random_docs(n, seed=5), str(tmp_path / "c"),
                      docs_per_shard=1)
-        open_at_pin = []
+        pinned, open_at_pin = [], []
 
-        class Counting(pipeline._Pinned):
-            def __init__(self, *args):
-                super().__init__(*args)
-                pinned.append(self)
-                open_at_pin.append(sum(not p.fh.closed for p in pinned))
+        def opening(*args, **kwargs):
+            pinned.append(open(*args, **kwargs))
+            open_at_pin.append(sum(not fh.closed for fh in pinned))
+            return pinned[-1]
 
-        pinned = []
-        monkeypatch.setattr(pipeline, "_Pinned", Counting)
+        held_hashes(monkeypatch)
+        monkeypatch.setattr(pipeline, "open", opening, raising=False)
         report = run_pipeline({"workspace": str(tmp_path), "stages": [
             {"name": "stats", "corpus": "c", "out": "s.json"}]})
         (stage,) = report["stages"]
@@ -1065,6 +1102,8 @@ class TestCliConfig:
         ["annotate", "--corpus", "c", "--labels", "l", "--url", "u",
          "--out", "a.jsonl"],
         ["mix", "--spec", "s.json", "--pool", "bad", "--out", "m"],
+        ["mix", "--spec", "s.json", "--pool", "a=x", "--pool", "a=y",
+         "--out", "m"],
         ["embed", "--corpus", "c", "--out", "v", "--ngrams", "3"],
         ["embed", "--corpus", "c", "--out", "v", "--ngrams", "x:5"],
     ])
