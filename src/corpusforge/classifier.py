@@ -56,8 +56,8 @@ class ClassifierError(Exception):
 
 @dataclass(frozen=True)
 class FilterHyperparams:
-    dims: int = 256
-    learning_rate: float = 0.1
+    dims: int = 16
+    learning_rate: float = 1.0
     word_ngram_max: int = 3
     min_count: int = 3
     epochs: int = 3

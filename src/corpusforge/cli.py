@@ -115,12 +115,23 @@ def _single_stage_config(args) -> dict:
             "stages": [{"name": name, **params}]}
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object, refused when it gives a key twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def _read_config(path: str):
     """The JSON value in the file at `path`; a file that cannot be read or
-    decoded is a ConfigError that names the path."""
+    decoded, or an object in it that repeats a key, is a ConfigError that
+    names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ConfigError("config", f"{path}: {exc}") from None
 

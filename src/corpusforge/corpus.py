@@ -254,13 +254,12 @@ def read_json(path: str, parse: Callable, error: type):
 HASH_CHUNK = 1 << 20  # bytes read per call by sha256_file
 
 
-def sha256_file(fh, buf: bytearray | None = None) -> str:
+def sha256_file(fh) -> str:
     """The hex SHA-256 of the bytes of binary file `fh` from its position to
-    its end, read into `buf` and hashed from it, chunk after chunk. The
-    default buffer holds the whole file, up to HASH_CHUNK bytes (and at
-    least one byte, so that an empty read means the end)."""
-    if buf is None:
-        buf = bytearray(min(os.fstat(fh.fileno()).st_size, HASH_CHUNK) or 1)
+    its end, read chunk after chunk into one buffer that holds the whole
+    file, up to HASH_CHUNK bytes (and at least one byte, so that an empty
+    read means the end)."""
+    buf = bytearray(min(os.fstat(fh.fileno()).st_size, HASH_CHUNK) or 1)
     h, view = hashlib.sha256(), memoryview(buf)
     while n := fh.readinto(buf):
         h.update(view[:n])

@@ -5,14 +5,11 @@ config-declared paths under the workspace. The run report records
 per-stage input/output SHA-256 hashes, durations, and key stats so the
 full provenance chain from the final mix back to the raw inputs is
 reconstructible from the report alone. An input's digest is of the bytes
-the stage read and an output's of the bytes it wrote, pinned when the stage
-declares the input and when it finishes; a file is hashed once per version.
-A file under LARGE_FILE bytes is hashed then, on the runner's thread. A
-larger one is only opened then, which pins its bytes, and the run's one
-worker thread hashes it while the run goes on (`Digests`); the run waits for
-those digests before it writes, returns or attaches a report. So a stage's
-`duration_s` includes hashing its small inputs but not its large ones, and
-never its outputs. The run table (`corpus`) also hashes a corpus shard or
+the stage read and an output's of the bytes it wrote: an input is hashed
+when the stage declares it, before the stage reads it, and an output when
+the stage finishes; a file is hashed once per version. So a stage's
+`duration_s` includes hashing every input the run had not hashed before,
+but not its outputs. The run table (`corpus`) also hashes a corpus shard or
 vectors file each time a stage reads it, to find the parse of those bytes.
 """
 
@@ -86,78 +83,24 @@ OUTPUT = Field(kind=OUT)
 
 
 def sha256_file(path: str) -> str:
-    """The hex SHA-256 of the file at path, hashed on the calling thread."""
+    """The hex SHA-256 of the file at path; a failed read names the path."""
     with open(path, "rb", buffering=0) as fh:
-        return corpus_mod.sha256_file(fh)
-
-
-LARGE_FILE = 16 << 20  # bytes; a smaller file's thread cost more than it saved
-MAX_PINNED = 4  # large files held open unhashed; past it, wait for the oldest
-
-
-def _hash_pinned(fh, buf: bytearray) -> str:
-    """The hex SHA-256 of pinned file `fh`, on the worker thread; closes fh."""
-    with fh:
-        return corpus_mod.sha256_file(fh, buf)
-
-
-class Digests:
-    """The digest of each file version the run has hashed, by path.
-
-    A file under LARGE_FILE bytes is hashed by sha256_file when asked. A
-    larger one is opened then, which pins those bytes: every writer
-    replaces its path with os.replace (`corpus.replacing`), so the handle
-    keeps reading the old file. The run's one worker thread hashes the
-    pinned files in turn, with one buffer, while the run goes on; the
-    digest is a Future until `close`.
-    """
-
-    def __init__(self):
-        self.latest = {}  # path -> hex digest or Future
-        self.pinned = []  # (stage, path, future) per pinned file, oldest first
-        self.worker = self.buf = None  # made at the first large file
-
-    def hash(self, path: str, stage: int):
-        """The digest of the bytes now at path, for report index `stage`."""
-        if os.path.getsize(path) < LARGE_FILE:
-            digest = sha256_file(path)
-        else:
-            if self.worker is None:
-                from concurrent.futures import ThreadPoolExecutor  # loads logging
-                self.worker = ThreadPoolExecutor(max_workers=1)
-                self.buf = bytearray(corpus_mod.HASH_CHUNK)
-            if len(self.pinned) >= MAX_PINNED:  # the worker keeps pin order
-                self.pinned[-MAX_PINNED][2].exception()  # waits for it
-            fh = open(path, "rb", buffering=0)
-            try:
-                digest = self.worker.submit(_hash_pinned, fh, self.buf)
-            except BaseException:
-                fh.close()
-                raise
-            self.pinned.append((stage, path, digest))
-        self.latest[path] = digest
-        return digest
-
-    def close(self):
-        """Wait for every pinned file to be hashed and closed; return the
-        (stage, path, future) of the oldest whose hash failed, or None."""
-        failed = [p for p in self.pinned if p[2].exception() is not None]
-        if self.worker is not None:
-            self.worker.shutdown()
-        return failed[0] if failed else None
+        try:
+            return corpus_mod.sha256_file(fh)
+        except OSError as exc:
+            raise StageError(f"{path}: {exc}") from exc
 
 
 class StageRun:
-    """Per-call state of one stage: the workspace, the run's seed and
-    digests, the stage's report index and the digests of the inputs it
-    declared (its own, its backend's, its pools')."""
+    """Per-call state of one stage: the workspace, the run's seed, the
+    run's digest of each file version it has hashed (path -> hex) and the
+    digests of the inputs the stage declared (its own, its backend's, its
+    pools')."""
 
-    def __init__(self, workspace: str, seed: int, digests: Digests,
-                 index: int):
+    def __init__(self, workspace: str, seed: int, digests: dict):
         self.workspace = workspace
         self.seed = seed
         self.digests = digests
-        self.index = index
         self.inputs = {}
 
     def resolve(self, path: str) -> str:
@@ -171,9 +114,9 @@ class StageRun:
         if not paths:
             raise ConfigError(field, f"no input file or shards at {path}")
         for p in paths:
-            if p not in self.digests.latest:
-                self.digests.hash(p, self.index)
-            self.inputs[p] = self.digests.latest[p]
+            if p not in self.digests:
+                self.digests[p] = sha256_file(p)
+            self.inputs[p] = self.digests[p]
         return path
 
 
@@ -355,8 +298,8 @@ def _annotate(run, corpus=INPUT, out=OUTPUT,
 
 
 def _train_filter(run, corpus=INPUT, labels=INPUT, out=OUTPUT,
-                  dims=Field(int, 256),
-                  learning_rate=Field(float, 0.1, flag="--lr"),
+                  dims=Field(int, 16),
+                  learning_rate=Field(float, 1.0, flag="--lr"),
                   word_ngram_max=Field(int, 3), min_count=Field(int, 3),
                   epochs=Field(int, 3),
                   bucket_count=Field(int, 2_000_000, flag="--buckets"),
@@ -489,16 +432,14 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
 
     Raises ConfigError for schema/path problems and StageError when a
     stage fails at run time; in both cases the report written so far is
-    attached to the exception as `.report` when available. A hash that
-    failed on the worker thread fails its stage, as it would have inline.
+    attached to the exception as `.report` when available.
     """
     root = validate_config(config)
     workspace = workspace or root["workspace"]
     os.makedirs(workspace, exist_ok=True)
-    digests = Digests()
+    digests = {}  # path -> hex digest of the file version the run last hashed
     report = {"rng_seed": root["rng_seed"], "workspace": workspace, "stages": []}
     report_path = os.path.join(workspace, root["report"])
-    error = None
 
     try:
         with corpus_mod.run_table():  # each file parsed at most once per run
@@ -506,12 +447,11 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
                 name = stage["name"]
                 log_event(event="stage_start", stage=name)
                 started = time.perf_counter()
-                run = StageRun(workspace, root["rng_seed"], digests,
-                               len(report["stages"]))
+                run = StageRun(workspace, root["rng_seed"], digests)
                 try:
                     outputs, stats = STAGES[name](stage, run)
                     duration_s = round(time.perf_counter() - started, 6)
-                    outputs = {path: digests.hash(path, run.index)
+                    outputs = {path: sha256_file(path)
                                for path in sorted(set(outputs))}
                 except ConfigError:
                     raise
@@ -519,30 +459,14 @@ def run_pipeline(config: dict, workspace: str | None = None) -> dict:
                     report["stages"].append({"name": name, "status": "failed",
                                              "error": str(exc)})
                     raise StageError(f"stage {name!r} failed: {exc}") from exc
+                digests.update(outputs)
                 report["stages"].append({
                     "name": name, "status": "ok", "duration_s": duration_s,
                     "inputs": run.inputs, "outputs": outputs, "stats": stats})
                 log_event(event="stage_done", stage=name, duration_s=duration_s)
     except (ConfigError, StageError) as exc:
-        error = exc
-    finally:
-        failed = digests.close()
-    if failed is not None:
-        index, path, future = failed
-        name = root["stages"][index]["name"]
-        message = f"{path}: {future.exception()}"
-        del report["stages"][index:]
-        report["stages"].append({"name": name, "status": "failed",
-                                 "error": message})
-        error = StageError(f"stage {name!r} failed: {message}")
-        error.__cause__ = future.exception()
-    for entry in report["stages"]:
-        for key in ("inputs", "outputs"):
-            if key in entry:
-                entry[key] = {path: d if isinstance(d, str) else d.result()
-                              for path, d in entry[key].items()}
+        write_json(report_path, report)
+        exc.report = report
+        raise
     write_json(report_path, report)
-    if error is not None:
-        error.report = report
-        raise error
     return report

@@ -346,11 +346,13 @@ class TestTrainingOracle:
         assert model.epoch_losses == expected.epoch_losses
         assert model_bytes(model, directory) == model_bytes(expected, directory)
 
-    def test_matches_at_default_dims_and_buckets(self, tmp_path):
-        # The default 256 dims and 2M buckets, on documents that repeat
-        # buckets many times over.
+    @pytest.mark.parametrize("dims", [FilterHyperparams.dims, 256],
+                             ids=["default", "256"])
+    def test_matches_at_default_dims_and_buckets(self, tmp_path, dims):
+        # The default rate and 2M buckets, at the default dims and at 256,
+        # on documents that repeat buckets many times over.
         samples = zipf_samples(200, seed=11)
-        hp = FilterHyperparams(rng_seed=3)
+        hp = FilterHyperparams(dims=dims, rng_seed=3)
         model, expected = train_filter(samples, hp), reference_train(samples, hp)
         assert max(len(layers) for layers in (
             reference_layers(np.array(model._feature_rows(text)))

@@ -8,7 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import ANY
 
 import pytest
@@ -520,6 +520,19 @@ def fixture_root(tmp_path_factory):
     return root, config
 
 
+def sha256_of(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def process_state():
+    return threading.active_count(), sorted(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                   reason="lists open files through /proc")
+
+
 class TestFullPipeline:
     def test_completes_and_is_deterministic(self, fixture_root):
         root, config = fixture_root
@@ -639,8 +652,6 @@ class TestFullPipeline:
         assert written(in_turn[0]) != written(in_turn[1])
 
     def test_each_file_hashed_once_per_run(self, fixture_root, monkeypatch):
-        # Counted where a file is hashed inline and where the worker hashes
-        # a pinned one.
         root, config = fixture_root
         hashed = []
 
@@ -648,12 +659,7 @@ class TestFullPipeline:
             hashed.append(path)
             return _hash(path)
 
-        def counting_pinned(fh, buf, _hash=pipeline._hash_pinned):
-            hashed.append(fh.name)
-            return _hash(fh, buf)
-
         monkeypatch.setattr(pipeline, "sha256_file", counting)
-        monkeypatch.setattr(pipeline, "_hash_pinned", counting_pinned)
         report = run_pipeline(config)
         assert len(hashed) == len(set(hashed))
         listed = set()
@@ -742,71 +748,22 @@ class TestFullPipeline:
         assert report["stages"][0]["status"] == "ok"
         assert report["stages"][1]["status"] == "failed"
 
-
-def sha256_of(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def held_hashes(monkeypatch):
-    """Keep the hashing worker from reading any file until the runner first
-    waits for a digest (the runner waits through Future.exception): a
-    pinned file is then hashed only after the stages that follow it have
-    run."""
-    release = threading.Event()
-
-    def held(fh, buf, _hash=pipeline._hash_pinned):
-        release.wait(timeout=30)
-        return _hash(fh, buf)
-
-    def exception(self, timeout=None, _exception=Future.exception):
-        release.set()
-        return _exception(self, timeout)
-
-    monkeypatch.setattr(pipeline, "_hash_pinned", held)
-    monkeypatch.setattr(Future, "exception", exception)
-
-
-def process_state():
-    return threading.active_count(), sorted(os.listdir("/proc/self/fd"))
-
-
-needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                                   reason="lists open files through /proc")
-
-
-class TestPinnedDigests:
-    """Every file takes the second thread (the size gate is 0)."""
-
-    @pytest.fixture(autouse=True)
-    def pin_every_file(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "LARGE_FILE", 0)
-
-    test_report_reconstructs_provenance = \
-        TestFullPipeline.test_report_reconstructs_provenance
-    test_each_file_hashed_once_per_run = \
-        TestFullPipeline.test_each_file_hashed_once_per_run
-    test_in_place_rewrite_digests_what_it_read_and_wrote = \
-        TestFullPipeline.test_in_place_rewrite_digests_what_it_read_and_wrote
-
     def test_replaced_output_keeps_the_digest_of_what_was_written(
-            self, tmp_path, monkeypatch):
+            self, tmp_path):
         write_corpus(make_random_docs(5, seed=3), str(tmp_path / "a"))
         write_corpus(make_random_docs(9, seed=4), str(tmp_path / "b"))
         stages = [{"name": "stats", "corpus": "a", "out": "s.json"},
                   {"name": "stats", "corpus": "b", "out": "s.json"}]
         run_pipeline({"workspace": str(tmp_path), "stages": stages[:1]})
         first = sha256_of(tmp_path / "s.json")
-        held_hashes(monkeypatch)
         report = run_pipeline({"workspace": str(tmp_path), "stages": stages})
         path = str(tmp_path / "s.json")
         assert report["stages"][0]["outputs"] == {path: first}
         assert report["stages"][1]["outputs"] == {path: sha256_of(path)}
         assert sha256_of(path) != first
 
-    def test_failed_stage_reports_hex_digests(self, tmp_path, monkeypatch):
+    def test_failed_stage_reports_hex_digests(self, tmp_path):
         write_corpus(make_random_docs(5, seed=3), str(tmp_path / "c"))
-        held_hashes(monkeypatch)
         config = {"workspace": str(tmp_path),
                   "stages": [{"name": "stats", "corpus": "c", "out": "s.json"},
                              {"name": "fit", "obs": "s.json", "out": "f.json"}]}
@@ -824,10 +781,10 @@ class TestPinnedDigests:
     def test_failed_hash_fails_its_stage(self, tmp_path, monkeypatch):
         write_corpus(make_random_docs(5, seed=3), str(tmp_path / "c"))
 
-        def failing(fh, buf=None, _hash=corpus_mod.sha256_file):
+        def failing(fh, _hash=corpus_mod.sha256_file):
             if fh.name.endswith("s.json"):
                 raise OSError("read error")
-            return _hash(fh, buf)
+            return _hash(fh)
 
         monkeypatch.setattr(corpus_mod, "sha256_file", failing)
         config = {"workspace": str(tmp_path),
@@ -847,18 +804,18 @@ class TestPinnedDigests:
     @needs_proc_fd
     def test_failed_input_hash_fails_the_stage_that_declared_it(
             self, tmp_path, monkeypatch):
-        # fit reads obs.jsonl without the run table, so only the worker
-        # hashes it; the run goes on to the stage after fit.
+        # fit reads obs.jsonl without the run table, so only the runner
+        # hashes it, as fit declares it; the run stops there.
         write_corpus(make_random_docs(5, seed=3), str(tmp_path / "c"))
         obs = tmp_path / "obs.jsonl"
         obs.write_text("".join(
             json.dumps({"x": x, "loss": 0.5 + 0.7 * x ** -0.3,
                         "benchmark": "b"}) + "\n" for x in (0.1, 0.2, 0.3, 0.4)))
 
-        def failing(fh, buf=None, _hash=corpus_mod.sha256_file):
+        def failing(fh, _hash=corpus_mod.sha256_file):
             if fh.name == str(obs):
                 raise OSError("read error")
-            return _hash(fh, buf)
+            return _hash(fh)
 
         monkeypatch.setattr(corpus_mod, "sha256_file", failing)
         config = {"workspace": str(tmp_path),
@@ -870,7 +827,7 @@ class TestPinnedDigests:
                 f"stage 'fit' failed: {obs}: read error")) as info:
             run_pipeline(config)
         assert process_state() == before
-        assert (tmp_path / "t.json").exists()
+        assert not (tmp_path / "t.json").exists()
         ok, failed = info.value.report["stages"]
         shard, out = str(tmp_path / "c.00000.jsonl"), str(tmp_path / "s.json")
         assert ok["inputs"] == {shard: sha256_of(shard)}
@@ -891,29 +848,6 @@ class TestPinnedDigests:
         with pytest.raises(StageError):
             run_pipeline({"workspace": str(tmp_path), "stages": [stats, fit]})
         assert process_state() == before
-
-    def test_more_files_than_the_cap(self, tmp_path, monkeypatch):
-        # Every file the runner opens is pinned, since the size gate is 0.
-        # The held worker keeps each one open until the runner waits.
-        n = 3 * pipeline.MAX_PINNED + 1
-        write_corpus(make_random_docs(n, seed=5), str(tmp_path / "c"),
-                     docs_per_shard=1)
-        pinned, open_at_pin = [], []
-
-        def opening(*args, **kwargs):
-            pinned.append(open(*args, **kwargs))
-            open_at_pin.append(sum(not fh.closed for fh in pinned))
-            return pinned[-1]
-
-        held_hashes(monkeypatch)
-        monkeypatch.setattr(pipeline, "open", opening, raising=False)
-        report = run_pipeline({"workspace": str(tmp_path), "stages": [
-            {"name": "stats", "corpus": "c", "out": "s.json"}]})
-        (stage,) = report["stages"]
-        shards = sorted(str(p) for p in tmp_path.glob("c.*.jsonl"))
-        assert len(shards) == n
-        assert stage["inputs"] == {p: sha256_of(p) for p in shards}
-        assert max(open_at_pin) == pipeline.MAX_PINNED
 
 
 class TestCli:
@@ -967,6 +901,29 @@ class TestCli:
         event = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert (event["event"], event["field"]) == ("config_error", "config")
         assert str(path) in event["error"]
+
+    @pytest.mark.parametrize("text,key", [
+        ('{"stages": [{"name": "stats", "corpus": "c", "corpus": "d", '
+         '"out": "s.json"}]}', "corpus"),
+        ('{"stages": [{"name": "stats", "corpus": "c", "out": "s.json"}], '
+         '"rng_seed": 1, "rng_seed": 2}', "rng_seed"),
+        ('{"stages": [{"name": "mix", "spec": "m.json", "out": "m", '
+         '"pools": {"a": "c", "a": "d"}}]}', "a")],
+        ids=["stage", "root", "pools"])
+    def test_repeated_config_key_exits_2_and_names_it(self, tmp_path, capsys,
+                                                      monkeypatch, text, key):
+        for prefix in ("c", "d"):
+            write_corpus(make_random_docs(3, seed=2), str(tmp_path / prefix))
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(path)]) == 2
+        event = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert (event["event"], event["field"]) == ("config_error", "config")
+        assert str(path) in event["error"]
+        assert f"key {key!r} given twice" in event["error"]
+        assert sorted(os.listdir(tmp_path)) == [
+            "c.00000.jsonl", "cfg.json", "d.00000.jsonl"]
 
     def test_run_stage_failure_exits_1(self, tmp_path):
         docs = make_random_docs(5, seed=5)
@@ -1050,7 +1007,7 @@ CLI_CASES = [
      {"rng_seed": 3}),
     (["train-filter", "--corpus", "c", "--labels", "l.jsonl", "--out", "m.bin"],
      {"name": "train-filter", "corpus": "c", "labels": "l.jsonl",
-      "out": "m.bin", "dims": 256, "learning_rate": 0.1, "word_ngram_max": 3,
+      "out": "m.bin", "dims": 16, "learning_rate": 1.0, "word_ngram_max": 3,
       "min_count": 3, "epochs": 3, "bucket_count": 2_000_000, "seed": 0},
      {}),
     (["score", "--model", "m.bin", "--corpus", "c", "--out", "s.jsonl"],

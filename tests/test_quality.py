@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import threading
 import urllib.error
 import urllib.request
@@ -11,7 +12,7 @@ from unittest import mock
 import pytest
 
 from corpusforge.classifier import FilterHyperparams, train_filter
-from corpusforge.corpus import Document
+from corpusforge.corpus import Document, read_corpus
 from corpusforge.quality import (
     FileLabelBackend,
     HttpAnnotationBackend,
@@ -27,7 +28,7 @@ from corpusforge.quality import (
     save_labels,
 )
 
-from conftest import make_separable_samples
+from conftest import build_pipeline_fixture, make_separable_samples
 
 
 class StubAnnotationServer:
@@ -409,6 +410,26 @@ class TestEvaluateFilter:
             evaluate_filter(model, [("a", "agent"), ("b", "spam"),
                                     ("c", "general")])
         assert model.calls == 1
+
+
+class TestDefaultFilterLearns:
+    def test_holdout_of_the_pipeline_fixture(self, tmp_path):
+        # The default hyperparameters, trained on 80% of the fixture's
+        # labelled web docs, separate the other 20% with a margin.
+        build_pipeline_fixture(tmp_path)
+        labeled = FileLabelBackend(str(tmp_path / "web_labels.jsonl")).samples
+        samples = [(doc.text, labeled[doc.id].label)
+                   for doc in read_corpus(str(tmp_path / "web"))
+                   if doc.id in labeled]
+        random.Random(0).shuffle(samples)
+        cut = int(0.8 * len(samples))
+        model = train_filter(samples[:cut], FilterHyperparams())
+        holdout = samples[cut:]
+        assert model.epoch_losses[-1] < 0.3
+        assert evaluate_filter(model, holdout).accuracy >= 0.95
+        for text, label in holdout:
+            margin = model.predict_score(text) - 0.5
+            assert (margin if label == "agent" else -margin) >= 0.1
 
 
 class TestFilterByRank:
