@@ -26,7 +26,7 @@ initial row is SplitMix64 draws 1..dims from the bucket's seed,
 mix64(bucket + mix64(rng_seed ^ 0x5EED)), mapped to [-1/dims, 1/dims).
 Scoring regenerates the initial row of each untrained bucket it meets and
 keeps none, so the hashes and this initializer are part of the model
-format (version 3).
+format (version 4).
 """
 
 import json
@@ -37,7 +37,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .corpus import convert, replacing
+from .corpus import convert, replacing, unique_keys
 from .embed import mix64
 
 LABELS = ("agent", "general")
@@ -45,7 +45,7 @@ LABEL_INDEX = {"agent": 0, "general": 1}
 _ONE_HOT = np.eye(2)  # row t: the target distribution of label index t
 
 MODEL_MAGIC = b"CFNG"
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 _GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's increment, odd
 
@@ -284,46 +284,25 @@ def train_filter(samples, hp: FilterHyperparams) -> NgramLinearClassifier:
     return model
 
 
-_HEADER_ROWS = 4096  # bucket ids formatted per write of the model header
-
-
 def save_model(model: NgramLinearClassifier, path: str) -> None:
     """Versioned binary container, byte-identical for identical models.
 
     Layout: magic, newline-terminated JSON header {format_version,
-    hyperparams, vocab, rows}, then the listed embedding rows row-major as
-    little-endian float64, then the dims-by-2 output weights row-major.
+    hyperparams, rows, vocab}, rows being the count of stored rows, then
+    their bucket ids as little-endian uint64, the embedding rows row-major
+    as little-endian float64 and the dims-by-2 output weights row-major.
     Written like every output (`corpus.replacing`): a failed write keeps
     the previous file.
     """
-    def dumps(obj):
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-    # The header is dumps({...}); its keys sort as format_version,
-    # hyperparams, rows, vocab, and rows is written _HEADER_ROWS at a time.
-    head = dumps({"format_version": MODEL_FORMAT_VERSION,
-                  "hyperparams": asdict(model.hyperparams)})
-    ids = model.row_ids
+    header = json.dumps({"format_version": MODEL_FORMAT_VERSION,
+                         "hyperparams": asdict(model.hyperparams),
+                         "rows": len(model.row_ids), "vocab": model.vocab},
+                        sort_keys=True, separators=(",", ":"))
     with replacing([path]), open(path + ".tmp", "wb") as fh:
-        fh.write(MODEL_MAGIC + head[:-1].encode() + b',"rows":[')
-        for start in range(0, len(ids), _HEADER_ROWS):
-            if start:
-                fh.write(b",")
-            fh.write(",".join(map(
-                str, ids[start:start + _HEADER_ROWS].tolist())).encode())
-        fh.write(b"]," + dumps({"vocab": model.vocab})[1:].encode() + b"\n")
+        fh.write(MODEL_MAGIC + header.encode() + b"\n")
+        fh.write(np.ascontiguousarray(model.row_ids, "<u8"))
         fh.write(np.ascontiguousarray(model.embedding_rows, "<f8"))
         fh.write(np.ascontiguousarray(model.output_weights, "<f8"))
-
-
-def _check_rows(rows, bucket_count: int) -> None:
-    """Header rows are what save_model writes: strictly ascending integer
-    bucket ids in [0, bucket_count)."""
-    if not isinstance(rows, list) or not all(
-            type(r) is int and 0 <= r < bucket_count for r in rows):
-        raise ValueError(f"rows must be bucket ids in [0, {bucket_count})")
-    if any(a >= b for a, b in zip(rows, rows[1:])):
-        raise ValueError("rows must be strictly ascending")
 
 
 def load_model(path: str) -> NgramLinearClassifier:
@@ -332,7 +311,7 @@ def load_model(path: str) -> NgramLinearClassifier:
         if magic != MODEL_MAGIC:
             raise ClassifierError(f"{path}: not a classifier model file")
         try:
-            header = json.loads(fh.readline())
+            header = json.loads(fh.readline(), object_pairs_hook=unique_keys)
             version = header["format_version"]
             if version != MODEL_FORMAT_VERSION:
                 raise ValueError(f"unsupported format version {version}")
@@ -341,24 +320,31 @@ def load_model(path: str) -> NgramLinearClassifier:
                 for name, value in convert(dict, header["hyperparams"]).items()})
             vocab = {token: convert(int, count)
                      for token, count in convert(dict, header["vocab"]).items()}
-            rows = header["rows"]
-            _check_rows(rows, hp.bucket_count)
+            n = header["rows"]
+            if type(n) is not int or n < 0:
+                raise ValueError(f"rows must be a non-negative integer, got {n!r}")
         except (ClassifierError, KeyError, TypeError, ValueError) as exc:
             raise ClassifierError(f"{path}: bad header: {exc!r}") from exc
         # Check the body size before allocating anything the header sizes.
-        needed = 8 * hp.dims * (len(rows) + 2)
+        # The body is n ids, n rows and the output weights: as many 8-byte
+        # values as n rows of dims + 1 and two rows of dims.
+        needed = 8 * (n * (hp.dims + 1) + 2 * hp.dims)
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if needed > left:
             raise ClassifierError(f"{path}: truncated body: the header needs "
                                   f"{needed} bytes, the file has {left}")
-        # The rows, then the output weights: as many floats as two rows.
-        body = np.empty((len(rows) + 2, hp.dims), dtype="<f8")
-        if fh.readinto(body.reshape(-1).view(np.uint8)) != body.nbytes:
+        body = np.empty(needed // 8, dtype="<f8")
+        if fh.readinto(body.view(np.uint8)) != needed:
             raise ClassifierError(f"{path}: truncated body")
         if fh.read(1):
             raise ClassifierError(f"{path}: trailing bytes after output weights")
+    # Ids meet ids only as uint64 (see _rows).
+    ids = body[:n].view("<u8")
+    if (ids >= np.uint64(hp.bucket_count)).any() or (ids[1:] <= ids[:-1]).any():
+        raise ClassifierError(f"{path}: row ids must be strictly ascending "
+                              f"bucket ids below {hp.bucket_count}")
     model = NgramLinearClassifier(hp, vocab)
-    model.row_ids = np.array(rows, dtype=np.uint64)
-    model.embedding_rows = body[:len(rows)]
-    model.output_weights = body[len(rows):].reshape(hp.dims, 2)
+    model.row_ids = ids
+    model.embedding_rows = body[n:n * (hp.dims + 1)].reshape(n, hp.dims)
+    model.output_weights = body[n * (hp.dims + 1):].reshape(hp.dims, 2)
     return model

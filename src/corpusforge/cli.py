@@ -11,8 +11,9 @@ import json
 import sys
 
 from . import __version__
-from .pipeline import (REQUIRED, RUN_SEED, STAGES, ConfigError, StageError,
-                       log_event, run_pipeline)
+from .corpus import unique_keys
+from .pipeline import (REQUIRED, STAGES, ConfigError, StageError, log_event,
+                       run_pipeline)
 
 EXIT_OK = 0
 EXIT_STAGE_FAILURE = 1
@@ -21,9 +22,12 @@ EXIT_CONFIG_ERROR = 2
 
 # Flags that do not map one-to-one onto a config key, by stage: the flags
 # (with their argparse options) and a function that turns them into the
-# values of the stage's fields that have no flag of their own.
+# values of the stage's fields that have no flag of their own; a field it
+# gives no value takes its default.
 
 def _ngrams(args):
+    if args.ngrams is None:
+        return {}
     try:
         lo, hi = (int(v) for v in args.ngrams.split(":"))
     except ValueError:
@@ -52,7 +56,7 @@ def _pools(args):
 
 
 _HOOKS = {
-    "embed": ({"--ngrams": {"default": "3:5", "metavar": "MIN:MAX"}}, _ngrams),
+    "embed": ({"--ngrams": {"metavar": "MIN:MAX"}}, _ngrams),
     "annotate": ({"--labels": {"help": "file backend: precomputed labels JSONL"},
                   "--url": {"help": "HTTP backend endpoint"}}, _backend),
     "mix": ({"--pool": {"action": "append", "default": [], "required": True,
@@ -107,22 +111,10 @@ def _single_stage_config(args) -> dict:
     fields = STAGES[name].fields
     params = {key: getattr(args, _FIELD_DEST.format(key))
               for key, f in fields.items() if f.flag is not None}
-    params.update((key, args.seed) for key, f in fields.items()
-                  if f.default is RUN_SEED)
     if name in _HOOKS:
         params.update(_HOOKS[name][1](args))
     return {"workspace": ".", "rng_seed": args.seed, "report": args.report,
             "stages": [{"name": name, **params}]}
-
-
-def _unique_keys(pairs) -> dict:
-    """A JSON object, refused when it gives a key twice."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"key {key!r} given twice")
-        obj[key] = value
-    return obj
 
 
 def _read_config(path: str):
@@ -131,7 +123,7 @@ def _read_config(path: str):
     names the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON
         raise ConfigError("config", f"{path}: {exc}") from None
 

@@ -237,14 +237,28 @@ def read_keyed(path: str, key: str, parse: Callable, error: type) -> dict:
     return out
 
 
+def unique_keys(pairs) -> dict:
+    """A JSON object, refused when it gives a key twice: the
+    object_pairs_hook of every JSON file read whole."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # name the first key given again
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"key {key!r} given twice")
+            seen.add(key)
+    return obj
+
+
 def read_json(path: str, parse: Callable, error: type):
-    """Return parse(value) for the one JSON value in a UTF-8 file.
+    """Return parse(value) for the one JSON value in a UTF-8 file; an
+    object in it that repeats a key is refused.
 
     Errors are raised as in read_jsonl, with messages starting `path:`.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, object_pairs_hook=unique_keys))
     except PARSE_ERRORS as exc:
         raise error(f"{path}: {exc!r}") from exc
     except (error, CorpusError) as exc:

@@ -246,9 +246,10 @@ def _frontier(run, seeds=INPUT, graph=INPUT, out=OUTPUT,
     return [out], {"level_sizes": level_sizes, "doc_urls": len(kept)}
 
 
-def _embed(run, corpus=INPUT, out=OUTPUT, dims=Field(int, 256),
-           ngram_min=Field(int, 3, flag=None),
-           ngram_max=Field(int, 5, flag=None),
+def _embed(run, corpus=INPUT, out=OUTPUT,
+           dims=Field(int, embed_mod.EmbedderConfig.dims),
+           ngram_min=Field(int, embed_mod.EmbedderConfig.ngram_min, flag=None),
+           ngram_max=Field(int, embed_mod.EmbedderConfig.ngram_max, flag=None),
            seed=Field(int, RUN_SEED, flag=None)):
     cfg = embed_mod.EmbedderConfig(dims=dims, ngram_min=ngram_min,
                                    ngram_max=ngram_max, hash_seed=seed)
@@ -298,11 +299,14 @@ def _annotate(run, corpus=INPUT, out=OUTPUT,
 
 
 def _train_filter(run, corpus=INPUT, labels=INPUT, out=OUTPUT,
-                  dims=Field(int, 16),
-                  learning_rate=Field(float, 1.0, flag="--lr"),
-                  word_ngram_max=Field(int, 3), min_count=Field(int, 3),
-                  epochs=Field(int, 3),
-                  bucket_count=Field(int, 2_000_000, flag="--buckets"),
+                  dims=Field(int, FilterHyperparams.dims),
+                  learning_rate=Field(float, FilterHyperparams.learning_rate,
+                                      flag="--lr"),
+                  word_ngram_max=Field(int, FilterHyperparams.word_ngram_max),
+                  min_count=Field(int, FilterHyperparams.min_count),
+                  epochs=Field(int, FilterHyperparams.epochs),
+                  bucket_count=Field(int, FilterHyperparams.bucket_count,
+                                     flag="--buckets"),
                   seed=Field(int, RUN_SEED, flag=None)):
     labeled = quality_mod.FileLabelBackend(labels).samples
     samples = [(doc.text, labeled[doc.id].label) for doc in read_corpus(corpus)

@@ -15,7 +15,6 @@ from corpusforge.classifier import (
     ClassifierError,
     FilterHyperparams,
     NgramLinearClassifier,
-    _HEADER_ROWS,
     _occurrence_layers,
     _seed_rows,
     _softmax2,
@@ -558,6 +557,9 @@ class TestModelFile:
         loaded = load_model(str(path))
         assert loaded.hyperparams == model.hyperparams
         assert loaded.vocab == model.vocab
+        for name in ("row_ids", "embedding_rows", "output_weights"):
+            assert (getattr(loaded, name).tobytes()
+                    == getattr(model, name).tobytes()), name
         for text, _ in train[:25]:
             assert loaded.predict_score(text) == model.predict_score(text)
 
@@ -571,7 +573,7 @@ class TestModelFile:
 
         def fail_on_second_call(*args, **kwargs):
             calls.append(args)
-            if len(calls) == 2:  # after the header and the rows
+            if len(calls) == 2:  # after the header and the ids
                 raise OSError("disk full")
             return contiguous(*args, **kwargs)
 
@@ -581,38 +583,38 @@ class TestModelFile:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
-    # No rows, one row, row counts around a power of two and past two
-    # writes of header rows; bucket ids up to 2**64 - 2, and vocab tokens
-    # that the header escapes.
-    @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600,
-                                        2 * _HEADER_ROWS + 1])
+    # No rows, one row, row counts around a power of two; bucket ids up to
+    # 2**64 - 2, and vocab tokens that the header escapes.
+    @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 600])
     def test_file_is_the_documented_layout(self, tmp_path, n_rows):
         hp = FilterHyperparams(dims=3, bucket_count=MASK64)
         vocab = {"a": 3, "caf\u00e9": 4, "\u65e5\u672c": 5, '"q\\': 6,
                  "\U0001f600": 7}
         model = NgramLinearClassifier(hp, vocab)
         rng = np.random.default_rng(n_rows)
-        buckets = [MASK64 - 1 - int(b)
-                   for b in rng.choice(20_000, n_rows, replace=False)]
+        offsets = [0, *rng.choice(np.arange(1, 20_000), 600, replace=False)]
+        buckets = sorted(MASK64 - 1 - int(b) for b in offsets[:n_rows])
         table = {b: rng.normal(size=hp.dims) for b in buckets}
         set_rows(model, table)
         model.output_weights = rng.normal(size=(hp.dims, 2))
         header = {"format_version": MODEL_FORMAT_VERSION,
-                  "hyperparams": asdict(hp),
-                  "vocab": vocab, "rows": sorted(buckets)}
+                  "hyperparams": asdict(hp), "rows": n_rows, "vocab": vocab}
         expected = (b"CFNG" + json.dumps(header, sort_keys=True,
                                          separators=(",", ":")).encode()
-                    + b"\n" + b"".join(table[b].astype("<f8").tobytes()
-                                       for b in sorted(buckets))
+                    + b"\n" + np.array(buckets, "<u8").tobytes()
+                    + b"".join(table[b].astype("<f8").tobytes()
+                               for b in buckets)
                     + model.output_weights.astype("<f8").tobytes())
         path = tmp_path / "model.bin"
         save_model(model, str(path))
         assert path.read_bytes() == expected
         loaded = load_model(str(path))
-        assert loaded.row_ids.tolist() == sorted(buckets)
+        assert loaded.row_ids.tolist() == buckets
         assert loaded.vocab == vocab
         for b, row in zip(loaded.row_ids.tolist(), loaded.embedding_rows):
             assert row.tobytes() == table[b].tobytes()
+        assert (loaded.output_weights.tobytes()
+                == model.output_weights.tobytes())
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -649,16 +651,19 @@ class TestModelFile:
             load_model(str(path))
 
     @staticmethod
-    def write_model(path, rows, version=MODEL_FORMAT_VERSION, vocab=None,
-                    **hyperparams):
-        """A model file whose body fits its header: one zero row per entry
-        of `rows`, then zero output weights."""
+    def write_model(path, ids, version=MODEL_FORMAT_VERSION, vocab=None,
+                    rows=None, **hyperparams):
+        """A model file whose body fits its header: the bucket ids `ids`
+        (taken mod 2**64), one zero row per id, then zero output weights.
+        The header's rows is `rows`, or the number of ids."""
         hp = dict(asdict(FilterHyperparams(dims=2, bucket_count=10)),
                   **hyperparams)
         header = {"format_version": version, "hyperparams": hp,
-                  "vocab": {"a": 3} if vocab is None else vocab, "rows": rows}
-        floats = int(max(hp["dims"], 0) * (len(rows) + 2))
+                  "vocab": {"a": 3} if vocab is None else vocab,
+                  "rows": len(ids) if rows is None else rows}
+        floats = int(max(hp["dims"], 0) * (len(ids) + 2))
         path.write_bytes(b"CFNG" + json.dumps(header).encode() + b"\n"
+                         + np.array([i % 2**64 for i in ids], "<u8").tobytes()
                          + bytes(8 * floats))
 
     def test_hand_written_header_loads(self, tmp_path):
@@ -684,14 +689,67 @@ class TestModelFile:
                            match="unsupported format version 2"):
             load_model(str(path))
 
-    @pytest.mark.parametrize("rows", [
-        ["x"], [1.0], [True], [-1], [10], [3, 1], [2, 2], {"0": 1}])
-    def test_rows_not_ascending_bucket_ids_rejected(self, tmp_path, rows):
+    def test_version_3_file_rejected(self, tmp_path):
+        # Version 3 listed the bucket ids in the header and had no ids
+        # block: a version 3 file as it wrote one.
         path = tmp_path / "model.bin"
-        self.write_model(path, rows)
+        hp = asdict(FilterHyperparams(dims=2, bucket_count=10))
+        header = {"format_version": 3, "hyperparams": hp, "vocab": {"a": 3},
+                  "rows": [0, 3, 9]}
+        path.write_bytes(b"CFNG" + json.dumps(header).encode() + b"\n"
+                         + bytes(8 * 2 * (3 + 2)))
+        with pytest.raises(ClassifierError, match=re.escape(
+                f"{path}: bad header: ValueError('unsupported format "
+                "version 3')")):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("rows", [-1, 1.0, 3.0, True, "3", [0], {"n": 3}])
+    def test_rows_not_a_count_rejected(self, tmp_path, rows):
+        path = tmp_path / "model.bin"
+        self.write_model(path, [0, 3, 9], rows=rows)
         with pytest.raises(ClassifierError,
                            match=re.escape(f"{path}: bad header")):
             load_model(str(path))
+
+    # bucket_count is 10: ids equal, descending, at or past bucket_count
+    # (2**64 - 1 is the -1 of int64), each first, inside or last.
+    @pytest.mark.parametrize("ids", [
+        [10], [0, 10], [2**64 - 1], [-1, 3], [3, 1], [2, 2], [0, 5, 5],
+        [0, 6, 5, 9], [9, 0]])
+    def test_rows_not_ascending_bucket_ids_rejected(self, tmp_path, ids):
+        path = tmp_path / "model.bin"
+        self.write_model(path, ids)
+        with pytest.raises(ClassifierError, match=re.escape(
+                f"{path}: row ids must be strictly ascending bucket ids "
+                "below 10")):
+            load_model(str(path))
+
+    def test_repeated_header_key_rejected(self, tmp_path):
+        # The last "a" would win, as a count of 5, if repeats were allowed.
+        path = tmp_path / "model.bin"
+        self.write_model(path, [0, 3, 9], vocab={"a": 3, "b": 4})
+        path.write_bytes(path.read_bytes().replace(b'"b": 4', b'"a": 5'))
+        with pytest.raises(ClassifierError, match=re.escape(
+                f"{path}: bad header: ValueError(\"key 'a' given twice\")")):
+            load_model(str(path))
+
+    # A count one past the ids the file holds, and one whose body would
+    # need petabytes: both are refused before the body is allocated.
+    @pytest.mark.parametrize("rows", [4, 10**14])
+    def test_rows_past_the_body_rejected_before_allocating(self, tmp_path,
+                                                           rows):
+        path = tmp_path / "model.bin"
+        self.write_model(path, [0, 3, 9], rows=rows)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ClassifierError, match=re.escape(
+                    f"{path}: truncated body: the header needs "
+                    f"{8 * (rows * 3 + 4)} bytes")):
+                load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("bad", [{"dims": 0}, {"epochs": 0},
                                      {"bucket_count": -1}])
@@ -716,7 +774,7 @@ class TestModelFile:
         path = tmp_path / "model.bin"
         hp = asdict(FilterHyperparams(dims=10**12, bucket_count=10))
         header = {"format_version": MODEL_FORMAT_VERSION, "hyperparams": hp,
-                  "vocab": {}, "rows": [1]}
+                  "vocab": {}, "rows": 1}
         path.write_bytes(b"CFNG" + json.dumps(header).encode() + b"\n"
                          + bytes(64))
         with pytest.raises(ClassifierError,

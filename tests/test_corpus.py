@@ -23,7 +23,9 @@ from corpusforge.corpus import (
     serialize_document,
     write_corpus,
 )
-from corpusforge.ingest import IngestError
+from corpusforge.ingest import IngestError, load_sources
+from corpusforge.mix import MixError, MixSpec
+from corpusforge.scaling import ScalingError, load_curve
 
 from conftest import make_random_docs
 
@@ -478,3 +480,22 @@ class TestErrorRebuild:
         with pytest.raises(kept, match=r"lines\.jsonl: ") as info:
             corpus_mod.read_json(str(path), parse, error)
         assert type(info.value) is kept
+
+    # Each would load with the key's last value if a repeat were allowed.
+    @pytest.mark.parametrize("load, error, text, key", [
+        (MixSpec.from_file, MixError, '{"ratios": {"agent": 1, "agent": 0, '
+         '"text": 1}, "total_token_budget": 100}', "agent"),
+        (load_sources, IngestError, '[{"name": "a", "kind": "agent_doc", '
+         '"format": "jsonl", "origin": "a.jsonl", "origin": "b.jsonl"}]',
+         "origin"),
+        (load_curve, ScalingError,
+         '{"c": 1.0, "k": 2.0, "alpha": -0.5, "alpha": 0.5}', "alpha")],
+        ids=["mix_spec", "source_manifest", "fit_report"])
+    def test_json_file_repeating_a_key_is_refused(self, tmp_path, load, error,
+                                                  text, key):
+        path = tmp_path / "value.json"
+        path.write_text(text)
+        with pytest.raises(error, match=re.escape(
+                f"{path}: ValueError(\"key {key!r} given twice\")")) as info:
+            load(str(path))
+        assert type(info.value) is error

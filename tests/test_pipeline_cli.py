@@ -955,9 +955,10 @@ class TestCli:
         assert abs(json.loads(opt_out.read_text())["x_star"] - 0.6) < 1e-6
 
 
-# The config `forge <stage>` builds for each subcommand form, stage keys
-# with null values dropped; top-level keys other than the defaults below
-# are given per case.
+# The config `forge <stage>` builds for each subcommand form, as the values
+# the stage reads from it (a key the CLI leaves out takes its field's
+# default, the seed the run's rng_seed); top-level keys other than the
+# defaults below are given per case.
 CLI_CASES = [
     (["stats", "--corpus", "c", "--out", "s.json"],
      {"name": "stats", "corpus": "c", "out": "s.json"}, {}),
@@ -1048,11 +1049,22 @@ class TestCliConfig:
     def test_subcommand_builds_config(self, captured, argv, stage, top):
         assert main(argv) == 0
         (config,) = captured
-        config["stages"] = [{k: v for k, v in s.items() if v is not None}
-                            for s in config["stages"]]
-        expected = {"workspace": ".", "rng_seed": 0,
-                    "report": "run_report.json", **top, "stages": [stage]}
-        assert config == expected
+        (built,) = config.pop("stages")
+        assert config == {"workspace": ".", "rng_seed": 0,
+                          "report": "run_report.json", **top}
+        assert built["name"] == stage["name"]
+
+        class Run:  # what read_fields asks of a run; paths stay as given
+            seed = config["rng_seed"]
+            input = staticmethod(lambda path, field: path)
+            resolve = staticmethod(lambda path: path)
+
+        fields = pipeline.STAGES[stage["name"]].fields
+        built_values, expected_values = (
+            pipeline.read_fields("", fields, {k: v for k, v in s.items()
+                                              if k != "name"}, Run)
+            for s in (built, stage))
+        assert built_values == expected_values
 
     @pytest.mark.parametrize("argv", [
         ["annotate", "--corpus", "c", "--out", "a.jsonl"],
